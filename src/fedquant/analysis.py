@@ -137,18 +137,6 @@ def pilot_probe_weights(
     return probes
 
 
-def _batched_gradients(model: LossModel, w: np.ndarray, ds: ClientDataset,
-                       idx: np.ndarray) -> np.ndarray:
-    """Mini-batch gradients for a (draws, batch) index matrix, one row each."""
-    batches = ds.features[idx]  # (draws, bs, dim)
-    if model.kind.value == "quadratic":
-        return w[None, :] - batches.mean(axis=1)
-    logits = batches @ w
-    residual = 1.0 / (1.0 + np.exp(-logits)) - ds.labels[idx]
-    core = np.einsum("dbf,db->df", batches, residual) / idx.shape[1]
-    return core + model.regularization * w[None, :]
-
-
 def estimate_noise_bounds(
     model: LossModel,
     datasets: list[ClientDataset],
@@ -180,7 +168,8 @@ def estimate_noise_bounds(
             # sorted so a full batch reproduces the full gradient exactly
             keys = rng.random((draws, ds.size))
             idx = np.sort(np.argpartition(keys, bs - 1, axis=1)[:, :bs], axis=1)
-            grads = _batched_gradients(model, w, ds, idx)
+            labels = ds.labels[idx] if ds.labels is not None else None
+            grads = grad(model, w, ds.features[idx], labels)
             sigma_sq[k] = max(
                 sigma_sq[k], float(np.mean(np.sum((grads - full) ** 2, axis=1)))
             )

@@ -7,6 +7,12 @@ weight differential (optionally quantized), and the server averages the
 uploads.  All randomness is drawn from per-(round, operation, client) streams
 derived from the master seed, so results are independent of execution order.
 
+A round runs its K selected clients as one array program: local SGD advances
+a ``(K, d)`` block of weights (``models.local_train_clients``), the uploads
+are quantized as one ``(K, d)`` block with one stream per row, and the block
+is averaged directly.  Each client still draws only from its own streams, so
+every row is bit-identical to running that client alone.
+
 Link cost accounting: a quantized vector costs ``dim * bits`` payload bits
 plus a 17-byte gain header; unquantized vectors cost 32 bits per coordinate.
 Downlink cost is counted once per round (broadcast), uplink once per client.
@@ -28,7 +34,7 @@ from .models import (
     LossModel,
     OptimumInfo,
     WeightVector,
-    local_train,
+    local_train_clients,
     loss,
     pooled_dataset,
     solve_optimum,
@@ -315,18 +321,20 @@ def sample_clients(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return np.sort(rng.choice(n, size=k, replace=False))
 
 
-def aggregate_weights(uploads: Sequence[np.ndarray]) -> np.ndarray:
-    """Unweighted mean of the uploaded (dequantized) weight vectors."""
+def aggregate_weights(uploads: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Unweighted mean of the uploaded (dequantized) weight vectors, given as
+    a sequence of vectors or as a ``(K, d)`` block."""
     if len(uploads) == 0:
         raise ValueError("no uploads to aggregate")
-    stack = np.stack([np.asarray(u, dtype=np.float64) for u in uploads])
+    # row-major, so the mean adds rows in client order however it was built
+    stack = np.ascontiguousarray(uploads, dtype=np.float64)
     if stack.ndim != 2:
         raise ValueError("uploads must share one dimension")
     return stack.mean(axis=0)
 
 
 def aggregate_differentials(prev_global: np.ndarray | None,
-                            uploads: Sequence[np.ndarray]) -> np.ndarray:
+                            uploads: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     """Previous global plus the mean of the uploaded differentials."""
     if prev_global is None:
         raise StateError("differential aggregation requires the retained global model")
@@ -356,12 +364,13 @@ def broadcast(
     w_global: WeightVector,
     config: FederationConfig,
     bits: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     frozen_extra_gains: np.ndarray | None = None,
 ) -> tuple[WeightVector, int, np.ndarray | None]:
     """Produce the model delivered to every selected client this round.
 
-    One quantization draw is shared by all recipients.  Returns the delivered
+    One quantization draw is shared by all recipients; a float downlink
+    draws nothing and takes ``rng=None``.  Returns the delivered
     model, the accounted broadcast bits, and the per-layer extra gains used
     (layered mode only, for freezing in static mode).
     """
@@ -399,18 +408,21 @@ def broadcast(
     return w_global.with_values(delivered), total_bits, extras
 
 
-def _quantize_weight_upload(
-    vec: np.ndarray, config: FederationConfig, bits: int,
-    rng: np.random.Generator, t: int, client: int,
+def _quantize_weight_uploads(
+    block: np.ndarray, config: FederationConfig, bits: int,
+    rngs: list[np.random.Generator], t: int, clients: list[int],
 ) -> np.ndarray:
-    peak = float(np.max(np.abs(vec)))
     if config.grid is qz.GridKind.SYMMETRIC or config.structure is qz.Structure.TUNED:
         # gain is derived from the configured magnitude bound, so a breach
-        # aborts instead of silently clamping
-        if peak > config.weight_bound:
+        # aborts instead of silently clamping.  Clients are checked in order:
+        # the first row over the bound or non-finite decides, and a NaN row
+        # (never over the bound) falls through to the quantizer's own error.
+        peaks = np.max(np.abs(block), axis=1)
+        first = np.flatnonzero(~(peaks <= config.weight_bound))[:1]
+        if first.size and peaks[first[0]] > config.weight_bound:
             raise AssumptionViolation(
-                f"round {t} client {client}: local weight magnitude {peak:.6g} "
-                f"exceeds weight_bound {config.weight_bound:.6g}"
+                f"round {t} client {clients[first[0]]}: local weight magnitude "
+                f"{peaks[first[0]]:.6g} exceeds weight_bound {config.weight_bound:.6g}"
             )
     if config.grid is qz.GridKind.SYMMETRIC:
         spec = qz.QuantizerSpec.symmetric_grid(config.weight_bound, bits)
@@ -418,20 +430,28 @@ def _quantize_weight_upload(
         gain = (2.0 ** (bits - 1) if config.structure is qz.Structure.NATIVE
                 else 2.0 ** (bits - 1) / config.weight_bound)
         spec = _pipeline_spec(config, gain, bits)
-    return qz.quantize_vector(vec, spec, rng).dequantize()
+    return qz.quantize_vector(block, spec, rngs).dequantize()
 
 
-def _quantize_differential_upload(
-    diff: np.ndarray, config: FederationConfig, bits: int, rng: np.random.Generator,
+def _quantize_differential_uploads(
+    block: np.ndarray, config: FederationConfig, bits: int,
+    rngs: list[np.random.Generator],
 ) -> np.ndarray:
-    peak = float(np.max(np.abs(diff)))
-    if peak == 0.0:
-        return np.zeros_like(diff)
+    """Each row on its own scale: a symmetric grid over the row's peak for
+    stochastic rounding, the row's differential gain for nearest.  An
+    all-zero row is sent as zeros."""
+    peaks = np.max(np.abs(block), axis=1)
+    zero = peaks == 0.0
     if config.rounding is qz.Rounding.STOCHASTIC:
-        spec = qz.QuantizerSpec.symmetric_grid(peak, bits)
+        # the family only: each row's range bound is its own peak
+        spec = qz.QuantizerSpec.symmetric_grid(1.0, bits)
+        scale = np.where(zero, 1.0, peaks)
     else:
-        spec = _pipeline_spec(config, qz.differential_gain(diff, bits), bits)
-    return qz.quantize_vector(diff, spec, rng).dequantize()
+        spec = _pipeline_spec(config, 2.0 ** (bits - 1), bits)
+        scale = np.array([qz.differential_gain(row, bits) for row in block])
+    uploads = qz.quantize_vector(block, spec, rngs, scale).dequantize()
+    uploads[zero] = 0.0
+    return uploads
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +465,9 @@ class FederationState:
     datasets: list[ClientDataset]
     optimum: OptimumInfo
     pooled: ClientDataset
+    # client k's samples are pooled rows starts[k] : starts[k] + sizes[k]
+    starts: tuple[int, ...] = ()
+    sizes: tuple[int, ...] = ()
     uplink_bits_cum: int = 0
     downlink_bits_cum: int = 0
     frozen_extra_gains: np.ndarray | None = None
@@ -485,9 +508,11 @@ def init_state(
         model, datasets = build_problem(config)
     optimum = solve_optimum(model, datasets)
     w0 = WeightVector(np.zeros(config.dimension), config.layer_bounds())
+    sizes = tuple(ds.size for ds in datasets)
+    starts = tuple(int(a) for a in np.cumsum((0,) + sizes[:-1]))
     return FederationState(
         w_global=w0, model=model, datasets=datasets, optimum=optimum,
-        pooled=pooled_dataset(datasets),
+        pooled=pooled_dataset(datasets), starts=starts, sizes=sizes,
     )
 
 
@@ -511,8 +536,10 @@ def run_round(
         config.num_clients, config.clients_per_round, sampling_stream(config.seed, t)
     )
 
+    quantized_down = config.downlink_mode is not DownlinkMode.FLOAT
     delivered, down_bits, extra_gains = broadcast(
-        state.w_global, config, bits_down, broadcast_stream(config.seed, t),
+        state.w_global, config, bits_down,
+        broadcast_stream(config.seed, t) if quantized_down else None,
         frozen_extra_gains=state.frozen_extra_gains,
     )
     frozen = state.frozen_extra_gains
@@ -520,29 +547,25 @@ def run_round(
             and frozen is None):
         frozen = extra_gains
 
-    uploads: list[np.ndarray] = []
-    up_bits = 0
-    for client in selected:
-        w_local = local_train(
-            delivered.values, state.model, state.datasets[client],
-            config.local_steps, config.batch_size, eta,
-            train_stream(config.seed, t, int(client)),
-        )
-        if config.uplink_mode is UplinkMode.FLOAT:
-            uploads.append(w_local)
-            up_bits += qz.float_bits(w_local.size)
-        elif config.uplink_mode is UplinkMode.WEIGHT:
-            uploads.append(_quantize_weight_upload(
-                w_local, config, bits_up,
-                uplink_stream(config.seed, t, int(client)), t, int(client),
-            ))
-            up_bits += qz.wire_bits(w_local.size, bits_up)
+    clients = [int(c) for c in selected]
+    w_locals = local_train_clients(
+        delivered.values, state.model, state.pooled,
+        [state.starts[c] for c in clients], [state.sizes[c] for c in clients],
+        config.local_steps, config.batch_size, eta,
+        [train_stream(config.seed, t, c) for c in clients],
+    )
+    dim = w_locals.shape[1]
+    if config.uplink_mode is UplinkMode.FLOAT:
+        uploads = w_locals
+        up_bits = len(clients) * qz.float_bits(dim)
+    else:
+        rngs = [uplink_stream(config.seed, t, c) for c in clients]
+        if config.uplink_mode is UplinkMode.WEIGHT:
+            uploads = _quantize_weight_uploads(w_locals, config, bits_up, rngs, t, clients)
         else:
-            diff = w_local - delivered.values
-            uploads.append(_quantize_differential_upload(
-                diff, config, bits_up, uplink_stream(config.seed, t, int(client)),
-            ))
-            up_bits += qz.wire_bits(diff.size, bits_up)
+            uploads = _quantize_differential_uploads(
+                w_locals - delivered.values, config, bits_up, rngs)
+        up_bits = len(clients) * qz.wire_bits(dim, bits_up)
 
     if config.uplink_mode is UplinkMode.DIFFERENTIAL:
         new_values = aggregate_differentials(delivered.values, uploads)

@@ -8,6 +8,13 @@ checked against closed forms at desk scale:
 * l2-regularized logistic regression -- strong convexity equals the
   regularization weight and smoothness is bounded by the regularization plus
   the top eigenvalue of the empirical feature second-moment matrix.
+
+:func:`grad` also takes batched features ``(..., bs, d)`` with weights
+``(..., d)``, one gradient per leading index.  :func:`local_train_clients`
+uses it to run one round's selected clients as one array program: every
+client keeps its own batch stream, and its row of the result is
+bit-identical to :func:`local_train` on that client alone, which stays as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +37,7 @@ __all__ = [
     "loss",
     "grad",
     "local_train",
+    "local_train_clients",
     "solve_optimum",
     "global_loss",
     "pooled_dataset",
@@ -124,12 +133,10 @@ class OptimumInfo:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function without overflow: 1/(1+e^-z) for z >= 0 and
+    e^z/(1+e^z) below, both through e = exp(-|z|) <= 1."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def loss(model: LossModel, w: np.ndarray, features: np.ndarray,
@@ -152,18 +159,26 @@ def loss(model: LossModel, w: np.ndarray, features: np.ndarray,
 
 def grad(model: LossModel, w: np.ndarray, features: np.ndarray,
          labels: np.ndarray | None = None) -> np.ndarray:
-    """Exact gradient of the batch-average loss."""
+    """Exact gradient of the batch-average loss.
+
+    ``features`` is one batch ``(bs, d)`` or a stack ``(..., bs, d)`` with
+    ``w`` of shape ``(d,)`` or ``(..., d)`` and ``labels`` ``(..., bs)``; each
+    stacked gradient equals the one-batch call on its slice bit for bit,
+    because every slice goes through the same matrix-vector products.
+    """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if features.shape[0] == 0:
+    batch = features.shape[-2]
+    if batch == 0:
         raise ValueError("empty batch")
     w = np.asarray(w, dtype=np.float64)
     if model.kind is LossKind.QUADRATIC:
-        return w - features.mean(axis=0)
+        return w - features.mean(axis=-2)
     if labels is None:
         raise ValueError("logistic gradient requires labels")
-    z = features @ w
+    z = np.matmul(features, w[..., None])[..., 0]
     residual = _sigmoid(z) - labels
-    return features.T @ residual / features.shape[0] + model.regularization * w
+    back = np.matmul(residual[..., None, :], features)[..., 0, :]
+    return back / batch + model.regularization * w
 
 
 def local_train(
@@ -190,6 +205,40 @@ def local_train(
         batch_labels = data.labels[idx] if data.labels is not None else None
         w -= lr * grad(model, w, data.features[idx], batch_labels)
     return w
+
+
+def local_train_clients(
+    w: np.ndarray,
+    model: LossModel,
+    pooled: ClientDataset,
+    starts: Sequence[int],
+    sizes: Sequence[int],
+    steps: int,
+    batch_size: int,
+    lr: float,
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """:func:`local_train` for K clients at once; returns the ``(K, d)`` block.
+
+    Client k owns rows ``starts[k]`` to ``starts[k] + sizes[k]`` of ``pooled``
+    and draws each step's batch from ``rngs[k]`` with the same call
+    ``local_train`` makes, so row k is bit-identical to ``local_train`` on
+    that client with that generator, whatever the other rows are.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if not 1 <= batch_size <= min(sizes):
+        raise ValueError("batch size must be in [1, dataset size]")
+    block = np.tile(np.asarray(w, dtype=np.float64), (len(rngs), 1))
+    offsets = np.asarray(starts, dtype=np.int64)[:, None]
+    rows = np.empty((len(rngs), batch_size), dtype=np.int64)
+    for _ in range(steps):
+        for k, (rng, size) in enumerate(zip(rngs, sizes)):
+            rows[k] = rng.choice(size, size=batch_size, replace=False)
+        rows += offsets
+        batch_labels = pooled.labels[rows] if pooled.labels is not None else None
+        block -= lr * grad(model, block, pooled.features[rows], batch_labels)
+    return block
 
 
 def pooled_dataset(datasets: list[ClientDataset]) -> ClientDataset:

@@ -19,6 +19,10 @@ Codewords are integers and the dequantized value is always
 ``codeword / gain``.  Pipeline codewords live in ``[-2^(B-1), 2^(B-1)-1]``;
 symmetric-grid and one-bit codewords are the odd integers
 ``{-(2^B-1), ..., 2^B-1}`` (2^B values, so still B bits of information).
+
+``quantize_vector`` is the one rounding kernel the engine runs: it takes one
+vector, or a ``(K, d)`` block with one random stream and optionally one gain
+or range bound per row.
 """
 
 from __future__ import annotations
@@ -169,18 +173,24 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class QuantizedVector:
-    """Integer codewords plus the gain needed to dequantize them."""
+    """Integer codewords plus the gain needed to dequantize them.
+
+    A block of rows ``(K, d)`` carries either one gain or one gain per row.
+    """
 
     codewords: np.ndarray
-    gain: float
+    gain: float | np.ndarray
     bits: int
     grid: GridKind = GridKind.PIPELINE
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "codewords", np.asarray(self.codewords, dtype=np.int64))
-        if self.codewords.ndim != 1:
-            raise ValueError("codewords must be one-dimensional")
-        if not self.gain > 0:
+        if self.codewords.ndim not in (1, 2):
+            raise ValueError("codewords must be a vector or a (rows, dim) block")
+        if np.ndim(self.gain) and (self.codewords.ndim != 2
+                                   or np.shape(self.gain) != self.codewords.shape[:1]):
+            raise ValueError("per-row gains need a block with one row per gain")
+        if not np.all(np.asarray(self.gain) > 0):
             raise ValueError("gain must be positive")
         if self.grid is GridKind.PIPELINE:
             lo, hi = -(2 ** (self.bits - 1)), 2 ** (self.bits - 1) - 1
@@ -191,9 +201,11 @@ class QuantizedVector:
 
     @property
     def dim(self) -> int:
-        return int(self.codewords.size)
+        return int(self.codewords.shape[-1])
 
     def dequantize(self) -> np.ndarray:
+        if np.ndim(self.gain):
+            return self.codewords / np.asarray(self.gain)[:, None]
         return self.codewords / self.gain
 
 
@@ -314,36 +326,74 @@ def quantize_one_bit(
 # ---------------------------------------------------------------------------
 
 def quantize_vector(
-    v: np.ndarray, spec: QuantizerSpec, rng: np.random.Generator | None = None
+    v: np.ndarray,
+    spec: QuantizerSpec,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
+    scale: np.ndarray | None = None,
 ) -> QuantizedVector:
     """Quantize coordinate-wise with independent randomness per coordinate.
 
-    The random draws are consumed in coordinate order, so the output is
-    bit-identical for a given rng state regardless of how callers batch work.
+    ``v`` is one vector ``(d,)`` with one generator, or a block ``(K, d)``
+    with one generator per row.  ``scale`` (blocks only) replaces the spec's
+    gain -- on the symmetric grid, its range bound -- row by row; the spec
+    still fixes the family, width and rounding.  Row k draws
+    ``rng[k].random(d)`` in coordinate order, exactly as a one-vector call
+    on that row does, so the output is bit-identical however rows are
+    batched.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError("expected a one-dimensional vector")
+    if v.ndim not in (1, 2):
+        raise ValueError("expected a vector or a (rows, dim) block")
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite coordinate in input vector")
     if rng is None and (spec.rounding is Rounding.STOCHASTIC
                         or spec.grid is GridKind.SYMMETRIC):
         raise ValueError("stochastic rounding requires an rng")
+    if v.ndim == 2 and rng is not None and len(rng) != v.shape[0]:
+        raise ValueError("a block needs one generator per row")
+    symmetric = spec.grid is GridKind.SYMMETRIC
+    if scale is None:
+        gain, m = spec.gain, spec.range_bound
+    else:
+        scale = np.asarray(scale, dtype=np.float64)
+        if v.ndim != 2 or scale.shape != v.shape[:1]:
+            raise ValueError("scale needs a block with one entry per row")
+        if not np.all((scale > 0) & np.isfinite(scale)):
+            raise ValueError("scale must be positive and finite")
+        column = scale[:, None]
+        if symmetric:
+            gain, m = (2.0 ** spec.bits - 1.0) / column, column
+        else:
+            gain, m = column, None
+
+    def uniforms() -> np.ndarray:
+        if v.ndim == 1:
+            return rng.random(v.size)
+        draws = np.empty(v.shape)
+        for row, gen in zip(draws, rng):
+            gen.random(out=row)
+        return draws
+
+    def result(codes: np.ndarray, bits: int, grid: GridKind) -> QuantizedVector:
+        return QuantizedVector(codes, gain[:, 0] if np.ndim(gain) else gain, bits, grid)
 
     if spec.one_bit_enhanced:
         if spec.rounding is Rounding.NEAREST:
             codes = np.where(v >= 0, 1, -1).astype(np.int64)
         else:
-            inv = 1.0 / spec.gain
+            inv = 1.0 / gain
             pr = np.clip((v + inv) / (2.0 * inv), 0.0, 1.0)
-            codes = np.where(rng.random(v.size) < pr, 1, -1).astype(np.int64)
-        return QuantizedVector(codes, spec.gain, 1, GridKind.SYMMETRIC)
+            codes = np.where(uniforms() < pr, 1, -1).astype(np.int64)
+        return result(codes, 1, GridKind.SYMMETRIC)
 
-    if spec.grid is GridKind.SYMMETRIC:
-        m = spec.range_bound
-        if v.size and np.max(np.abs(v)) > m:
+    if symmetric:
+        peaks = np.atleast_1d(np.max(np.abs(v), axis=-1, initial=0.0))
+        bounds = np.broadcast_to(np.ravel(m), peaks.shape)
+        over = np.flatnonzero(peaks > bounds)
+        if over.size:
             raise GridRangeError(
-                f"vector max magnitude {np.max(np.abs(v))} exceeds range bound {m}"
+                f"vector max magnitude {peaks[over[0]]} exceeds range bound "
+                f"{bounds[over[0]]}"
             )
         q = m / (2.0 ** spec.bits - 1.0)
         n_cells = 2 ** spec.bits - 1
@@ -351,20 +401,20 @@ def quantize_vector(
         np.clip(j0, 0, n_cells - 1, out=j0)
         lo_codes = 2 * j0 - n_cells
         p_hi = np.clip((v - lo_codes * q) / (2.0 * q), 0.0, 1.0)
-        take_hi = rng.random(v.size) < p_hi
+        take_hi = uniforms() < p_hi
         codes = lo_codes + 2 * take_hi.astype(np.int64)
-        return QuantizedVector(codes, spec.gain, spec.bits, GridKind.SYMMETRIC)
+        return result(codes, spec.bits, GridKind.SYMMETRIC)
 
-    amplified = v * spec.gain
+    amplified = v * gain
     floors = np.floor(amplified)
     frac = amplified - floors
     if spec.rounding is Rounding.NEAREST:
         rounded = floors + (frac >= 0.5)
     else:
-        rounded = floors + (rng.random(v.size) < frac)
+        rounded = floors + (uniforms() < frac)
     lo, hi = -(2 ** (spec.bits - 1)), 2 ** (spec.bits - 1) - 1
     codes = np.clip(rounded, lo, hi).astype(np.int64)
-    return QuantizedVector(codes, spec.gain, spec.bits, GridKind.PIPELINE)
+    return result(codes, spec.bits, GridKind.PIPELINE)
 
 
 def differential_gain(d_vec: np.ndarray, bits: int) -> float:
@@ -490,6 +540,8 @@ def serialize(qv: QuantizedVector) -> bytes:
     stored as ``(c - 1) / 2``, which spans exactly the signed ``bits``-bit
     range, and widened back on read.
     """
+    if qv.codewords.ndim != 1 or np.ndim(qv.gain):
+        raise ValueError("serialize takes one vector with one gain")
     header = struct.pack("<BdQ", qv.bits, qv.gain, qv.dim)
     width = _code_width(qv.bits)
     if qv.grid is GridKind.SYMMETRIC:

@@ -1,6 +1,7 @@
 """Command-line harness tests: exit codes, artifacts, determinism."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -220,6 +221,42 @@ class TestBoundCommand:
                          "--out", str(tmp_path / "b.csv"),
                          str(out / "metrics.csv")])
         assert code == 2
+
+
+TESTBED_DIFF4_CONFIG = """\
+# the README testbed with a 4-bit differential uplink
+model = quadratic
+dimension = 10
+spread = 1.0
+samples_per_client = 20
+num_clients = 20
+clients_per_round = 5
+local_steps = 5
+batch_size = 5
+rounds = 2000
+mu = 1.0
+lipschitz = 1.0
+uplink_mode = differential
+uplink_schedule = constant
+uplink_bits = 4
+downlink_mode = float
+seed = 0
+"""
+
+
+def test_testbed_run_and_bound_bytes_unchanged(tmp_path):
+    # sha256 of both files as written before rounds were batched and before
+    # the noise-constant estimate shared models.grad
+    config = write_config(tmp_path, TESTBED_DIFF4_CONFIG)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", config, "--out", str(out)]) == 0
+    bound_csv = tmp_path / "bound.csv"
+    assert cli.main(["bound", "--config", config, "--out", str(bound_csv),
+                     str(out / "metrics.csv")]) == 0
+    assert hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest() == (
+        "2fe343316a28d4aac47548f85cf8cd7ac7fadb64cdd67263849edc570d32413f")
+    assert hashlib.sha256(bound_csv.read_bytes()).hexdigest() == (
+        "23ea94deba722f44a74fdbef3195c9f61f3b765175dcf663a4ad66594637d7a3")
 
 
 class TestPartitionCommand:

@@ -428,6 +428,156 @@ class TestFloatEquivalences:
             assert np.max(np.abs(w_diff - w_weight)) <= 1e-12
 
 
+def reference_upload(cfg, w_local, delivered, bits, rng):
+    """One client's upload the one-vector way: its own quantize_vector call
+    on its own uplink stream, with the spec the engine's rules give it."""
+    pipeline = dict(rounding=cfg.rounding,
+                    one_bit_enhanced=bits == 1 and cfg.one_bit_enhanced)
+    if cfg.uplink_mode is fed.UplinkMode.FLOAT:
+        return w_local
+    if cfg.uplink_mode is fed.UplinkMode.WEIGHT:
+        if cfg.grid is qz.GridKind.SYMMETRIC:
+            spec = qz.QuantizerSpec.symmetric_grid(cfg.weight_bound, bits)
+        else:
+            gain = 2.0 ** (bits - 1)
+            if cfg.structure is qz.Structure.TUNED:
+                gain /= cfg.weight_bound
+            spec = qz.QuantizerSpec.tuned(bits, gain, **pipeline)
+        return qz.quantize_vector(w_local, spec, rng).dequantize()
+    diff = w_local - delivered
+    peak = float(np.max(np.abs(diff)))
+    if peak == 0.0:
+        return np.zeros_like(diff)
+    if cfg.rounding is qz.Rounding.STOCHASTIC:
+        spec = qz.QuantizerSpec.symmetric_grid(peak, bits)
+    else:
+        spec = qz.QuantizerSpec.tuned(bits, qz.differential_gain(diff, bits), **pipeline)
+    return qz.quantize_vector(diff, spec, rng).dequantize()
+
+
+def reference_run(cfg, model, datasets):
+    """Global model after each round, every client trained and quantized on
+    its own with ``local_train`` and a one-vector ``quantize_vector``."""
+    gamma = fed.gamma_offset(cfg.mu, cfg.lipschitz, cfg.local_steps)
+    w = m.WeightVector(np.zeros(cfg.dimension), cfg.layer_bounds())
+    frozen = None
+    track = []
+    for t in range(cfg.rounds):
+        eta = fed.lr_schedule(t, cfg.mu, gamma)
+        bits_up = fed.schedule_bits(cfg.uplink_schedule, t, cfg.mu, gamma)
+        bits_down = fed.schedule_bits(cfg.downlink_schedule, t, cfg.mu, gamma)
+        selected = fed.sample_clients(cfg.num_clients, cfg.clients_per_round,
+                                      fed.sampling_stream(cfg.seed, t))
+        delivered, _, extras = fed.broadcast(w, cfg, bits_down,
+                                             fed.broadcast_stream(cfg.seed, t),
+                                             frozen_extra_gains=frozen)
+        if cfg.lq_static and frozen is None:
+            frozen = extras
+        uploads = []
+        for k in selected:
+            w_local = m.local_train(delivered.values, model, datasets[k],
+                                    cfg.local_steps, cfg.batch_size, eta,
+                                    fed.train_stream(cfg.seed, t, int(k)))
+            uploads.append(reference_upload(cfg, w_local, delivered.values, bits_up,
+                                            fed.uplink_stream(cfg.seed, t, int(k))))
+        mean = np.stack(uploads).mean(axis=0)
+        if cfg.uplink_mode is fed.UplinkMode.DIFFERENTIAL:
+            mean = delivered.values + mean
+        w = w.with_values(mean)
+        track.append(mean)
+    return track
+
+
+REPLAY_MODES = [
+    dict(uplink_mode=up, grid=grid, rounding=rounding, structure=structure,
+         uplink_schedule=fed.ScheduleSpec.constant(bits))
+    for up in (fed.UplinkMode.WEIGHT, fed.UplinkMode.DIFFERENTIAL)
+    for grid, rounding in ((qz.GridKind.PIPELINE, qz.Rounding.NEAREST),
+                           (qz.GridKind.PIPELINE, qz.Rounding.STOCHASTIC),
+                           (qz.GridKind.SYMMETRIC, qz.Rounding.STOCHASTIC))
+    for structure in (qz.Structure.TUNED, qz.Structure.NATIVE)
+    for bits in (1, 4)
+] + [dict(uplink_mode=fed.UplinkMode.FLOAT)]
+
+
+def mode_id(mode):
+    return "-".join(str(getattr(v, "value", getattr(v, "bits", v))) for v in mode.values())
+
+
+class TestReferenceReplay:
+    """The batched round against a client-by-client replay, every round."""
+
+    def replay(self, cfg, model=None, datasets=None):
+        if model is None:
+            model, datasets = fed.build_problem(cfg)
+        engine = []
+        fed.run_federation(cfg, model, datasets,
+                           observer=lambda t, w: engine.append(w.values.copy()))
+        reference = reference_run(cfg, model, datasets)
+        assert len(engine) == cfg.rounds
+        for t, (a, b) in enumerate(zip(engine, reference)):
+            assert np.array_equal(a, b), f"round {t}"
+
+    @pytest.mark.parametrize("mode", REPLAY_MODES, ids=mode_id)
+    def test_quadratic(self, mode):
+        self.replay(fed.FederationConfig(
+            num_clients=7, clients_per_round=4, local_steps=3, rounds=12,
+            batch_size=3, dimension=5, samples_per_client=6, weight_bound=4.0,
+            downlink_mode=fed.DownlinkMode.QUANTIZED, seed=13, **mode))
+
+    @pytest.mark.parametrize("mode", REPLAY_MODES, ids=mode_id)
+    def test_logistic_layered_static(self, mode):
+        self.replay(fed.FederationConfig(
+            model=m.LossKind.LOGISTIC, regularization=0.05, mu=0.05,
+            lipschitz=1.3, num_clients=5, clients_per_round=3, local_steps=2,
+            rounds=8, batch_size=6, dimension=6, layer_sizes=(2, 4),
+            samples_per_client=12, weight_bound=8.0,
+            downlink_mode=fed.DownlinkMode.LAYERED, lq_static=True, seed=17,
+            **mode))
+
+    @pytest.mark.parametrize("rounding", [qz.Rounding.NEAREST, qz.Rounding.STOCHASTIC])
+    def test_uneven_clients_with_zero_differential_rows(self, rounding):
+        # clients 0 and 2 hold only zeros, so from the zero start their
+        # first-round differentials are exactly zero next to nonzero rows
+        rng = substream(31)
+        datasets = [m.ClientDataset(np.zeros((4, 3))),
+                    m.ClientDataset(rng.standard_normal((9, 3))),
+                    m.ClientDataset(np.zeros((6, 3))),
+                    m.ClientDataset(rng.standard_normal((5, 3)))]
+        cfg = fed.FederationConfig(
+            num_clients=4, clients_per_round=4, local_steps=2, rounds=6,
+            batch_size=3, dimension=3, samples_per_client=3, seed=19,
+            uplink_mode=fed.UplinkMode.DIFFERENTIAL, rounding=rounding,
+            grid=qz.GridKind.PIPELINE, uplink_schedule=fed.ScheduleSpec.constant(3))
+        state = fed.init_state(cfg, QUADRATIC, datasets)
+        assert state.sizes == (4, 9, 6, 5) and state.starts == (0, 4, 13, 19)
+        self.replay(cfg, QUADRATIC, datasets)
+
+    def test_float_downlink_builds_no_broadcast_stream(self, monkeypatch):
+        def refuse(seed, t):
+            raise AssertionError("float broadcast drew a stream")
+        monkeypatch.setattr(fed, "broadcast_stream", refuse)
+        cfg = fed.FederationConfig(num_clients=4, clients_per_round=2, rounds=3,
+                                   dimension=3, samples_per_client=5)
+        assert len(fed.run_federation(cfg)) == 3
+
+    def test_violation_names_first_client_in_sorted_order(self):
+        # clients 0 and 2 stay at zero; 1 and 3 both leave the bound
+        rng = substream(23)
+        datasets = [m.ClientDataset(np.zeros((4, 2))),
+                    m.ClientDataset(rng.standard_normal((4, 2)) + 5.0),
+                    m.ClientDataset(np.zeros((4, 2))),
+                    m.ClientDataset(rng.standard_normal((4, 2)) + 9.0)]
+        cfg = fed.FederationConfig(
+            num_clients=4, clients_per_round=4, local_steps=1, rounds=1,
+            batch_size=2, dimension=2, samples_per_client=4, seed=23,
+            uplink_mode=fed.UplinkMode.WEIGHT, weight_bound=0.5)
+        with pytest.raises(fed.AssumptionViolation,
+                           match=r"^round 0 client 1: local weight magnitude "
+                                 r"\S+ exceeds weight_bound 0.5$"):
+            fed.run_federation(cfg, QUADRATIC, datasets)
+
+
 class TestSamplingUnbiasedness:
     def test_enumerated_subset_average_equals_mean(self):
         # N=6, K=2: averaging the subset means over all 15 subsets recovers

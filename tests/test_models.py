@@ -7,12 +7,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedquant import models as m
 from fedquant.streams import substream
 
 
 QUADRATIC = m.LossModel(m.LossKind.QUADRATIC)
+LOGISTIC = m.LossModel(m.LossKind.LOGISTIC, 0.05)
 
 
 def fd_gradient(model, w, features, labels=None, eps=1e-5):
@@ -152,6 +154,110 @@ class TestLocalTrain:
         with pytest.raises(ValueError):
             m.local_train(np.zeros(1), QUADRATIC, self.one_point(1.0),
                           1, 2, 0.1, substream(0))
+
+
+def reference_logistic_grad(w, features, labels, regularization):
+    """The one-batch logistic gradient written out directly: the value every
+    path through ``grad`` must reproduce bit for bit."""
+    z = features @ w
+    prob = np.empty_like(z)
+    pos = z >= 0
+    prob[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    prob[~pos] = ez / (1.0 + ez)
+    return features.T @ (prob - labels) / features.shape[0] + regularization * w
+
+
+batch_shapes = st.tuples(st.integers(1, 6), st.integers(1, 12), st.integers(1, 9))
+
+
+class TestBatchedGradient:
+    @settings(max_examples=60, deadline=None)
+    @given(batch_shapes, st.integers(0, 2 ** 32 - 1), st.sampled_from(["quadratic", "logistic"]))
+    def test_stacked_equals_each_slice(self, shape, seed, kind):
+        k, bs, d = shape
+        rng = substream(seed)
+        features = rng.standard_normal((k, bs, d)) * 3.0
+        labels = rng.integers(0, 2, (k, bs))
+        w = rng.standard_normal((k, d))
+        model = QUADRATIC if kind == "quadratic" else LOGISTIC
+        label_arg = labels if kind == "logistic" else None
+        stacked = m.grad(model, w, features, label_arg)
+        for i in range(k):
+            one = m.grad(model, w[i], features[i], labels[i] if label_arg is not None else None)
+            assert np.array_equal(stacked[i], one)
+            if kind == "logistic":
+                assert np.array_equal(one, reference_logistic_grad(
+                    w[i], features[i], labels[i], LOGISTIC.regularization))
+
+    def test_shared_weights_broadcast(self):
+        rng = substream(40)
+        features = rng.standard_normal((7, 4, 3))
+        labels = rng.integers(0, 2, (7, 4))
+        w = rng.standard_normal(3)
+        stacked = m.grad(LOGISTIC, w, features, labels)
+        assert stacked.shape == (7, 3)
+        for i in range(7):
+            assert np.array_equal(stacked[i], m.grad(LOGISTIC, w, features[i], labels[i]))
+
+    def test_extreme_logits_do_not_overflow(self):
+        features = np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.5]])
+        labels = np.array([1, 0, 1])
+        with np.errstate(over="raise"):
+            for scale in (1000.0, -1000.0, 745.0, -745.0):
+                g = m.grad(LOGISTIC, np.array([scale, 0.0]), features, labels)
+                assert np.all(np.isfinite(g))
+                batched = m.grad(LOGISTIC, np.array([scale, 0.0]),
+                                 np.stack([features, features]), np.stack([labels, labels]))
+                assert np.array_equal(batched[0], g)
+
+
+def make_clients(sizes, dim, seed, labeled):
+    rng = substream(seed)
+    return [m.ClientDataset(rng.standard_normal((n, dim)),
+                            rng.integers(0, 2, n) if labeled else None)
+            for n in sizes]
+
+
+def train_clients(model, datasets, order, w, steps, bs, lr, seed):
+    """local_train_clients over ``order``, each client on its own stream."""
+    pooled = m.pooled_dataset(datasets)
+    starts = np.cumsum([0] + [ds.size for ds in datasets])
+    return m.local_train_clients(
+        w, model, pooled, [int(starts[k]) for k in order],
+        [datasets[k].size for k in order], steps, bs, lr,
+        [substream(seed, int(k)) for k in order])
+
+
+class TestLocalTrainClients:
+    @pytest.mark.parametrize("model", [QUADRATIC, LOGISTIC], ids=["quadratic", "logistic"])
+    def test_rows_equal_local_train(self, model):
+        datasets = make_clients([5, 9, 3, 12, 7], 4, 41, model is LOGISTIC)
+        w = substream(42).standard_normal(4)
+        order = [0, 2, 3, 4]
+        block = train_clients(model, datasets, order, w, 6, 3, 0.2, 43)
+        for row, k in zip(block, order):
+            one = m.local_train(w, model, datasets[k], 6, 3, 0.2, substream(43, k))
+            assert np.array_equal(row, one)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(2, 10), min_size=1, max_size=6), st.integers(1, 5),
+           st.booleans(), st.randoms(use_true_random=False))
+    def test_permuting_clients_permutes_rows(self, sizes, dim, logistic, shuffler):
+        model = LOGISTIC if logistic else QUADRATIC
+        datasets = make_clients(sizes, dim, 44, logistic)
+        order = list(range(len(sizes)))
+        perm = order[:]
+        shuffler.shuffle(perm)
+        w = substream(45).standard_normal(dim)
+        base = train_clients(model, datasets, order, w, 3, 2, 0.1, 46)
+        permuted = train_clients(model, datasets, perm, w, 3, 2, 0.1, 46)
+        assert np.array_equal(permuted, base[perm])
+
+    def test_batch_size_validated_against_smallest_client(self):
+        datasets = make_clients([5, 2], 2, 47, False)
+        with pytest.raises(ValueError):
+            train_clients(QUADRATIC, datasets, [0, 1], np.zeros(2), 1, 3, 0.1, 48)
 
 
 class TestSolveOptimum:

@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fedquant import quantizer as qz
 from fedquant.streams import substream
@@ -303,6 +303,103 @@ class TestQuantizeVector:
         spec = qz.QuantizerSpec.tuned(3, 4.0)
         with pytest.raises(ValueError):
             qz.quantize_vector(np.array([np.nan]), spec, substream(0))
+
+
+def row_spec(family: str, bits: int, scale: float) -> qz.QuantizerSpec:
+    """The one-vector spec a block row with this scale stands for."""
+    if family == "symmetric":
+        return qz.QuantizerSpec.symmetric_grid(scale, bits)
+    rounding = qz.Rounding.NEAREST if family.endswith("nearest") else qz.Rounding.STOCHASTIC
+    return qz.QuantizerSpec.tuned(bits, scale, rounding,
+                                  one_bit_enhanced=family.startswith("one_bit"))
+
+
+BLOCK_FAMILIES = ["pipeline_nearest", "pipeline_stochastic", "symmetric",
+                  "one_bit_nearest", "one_bit_stochastic"]
+
+
+def block_case(family: str, rows: int, dim: int, seed: int):
+    """A block, its per-row scales and its spec; the symmetric grid's range
+    bound of each row is that row's peak, as for differential uploads."""
+    bits = 1 if family.startswith("one_bit") else 3
+    rng = substream(seed)
+    block = rng.standard_normal((rows, dim)) * rng.uniform(0.1, 10.0, (rows, 1))
+    if family == "symmetric":
+        scale = np.max(np.abs(block), axis=1)
+    else:
+        scale = rng.uniform(0.5, 8.0, rows)
+    return block, scale, row_spec(family, bits, 1.0)
+
+
+class TestBlockQuantize:
+    @pytest.mark.parametrize("family", BLOCK_FAMILIES)
+    def test_rows_equal_one_vector_calls(self, family):
+        block, scale, spec = block_case(family, 5, 7, 60)
+        out = qz.quantize_vector(block, spec, [substream(61, k) for k in range(5)], scale)
+        assert out.codewords.shape == (5, 7)
+        deq = out.dequantize()
+        for k in range(5):
+            one = qz.quantize_vector(block[k], row_spec(family, spec.bits, scale[k]),
+                                     substream(61, k))
+            assert np.array_equal(out.codewords[k], one.codewords)
+            assert out.gain[k] == one.gain
+            assert np.array_equal(deq[k], one.dequantize())
+
+    def test_spec_scale_shared_by_all_rows(self):
+        spec = qz.QuantizerSpec.symmetric_grid(2.0, 4)
+        block = substream(62).uniform(-2.0, 2.0, (3, 6))
+        out = qz.quantize_vector(block, spec, [substream(63, k) for k in range(3)])
+        assert out.gain == spec.gain
+        for k in range(3):
+            one = qz.quantize_vector(block[k], spec, substream(63, k))
+            assert np.array_equal(out.dequantize()[k], one.dequantize())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(BLOCK_FAMILIES), st.integers(1, 6), st.integers(1, 9),
+           st.integers(0, 2 ** 32 - 1), st.randoms(use_true_random=False))
+    def test_permuting_rows_permutes_output(self, family, rows, dim, seed, shuffler):
+        block, scale, spec = block_case(family, rows, dim, seed)
+        perm = list(range(rows))
+        shuffler.shuffle(perm)
+        base = qz.quantize_vector(block, spec, [substream(seed, 1, k) for k in range(rows)],
+                                  scale)
+        permuted = qz.quantize_vector(block[perm], spec, [substream(seed, 1, k) for k in perm],
+                                      scale[perm])
+        assert np.array_equal(permuted.codewords, base.codewords[perm])
+        assert np.array_equal(permuted.dequantize(), base.dequantize()[perm])
+
+    def test_range_error_names_first_row_over_bound(self):
+        spec = qz.QuantizerSpec.symmetric_grid(1.0, 3)
+        block = np.array([[0.5, 0.1], [0.2, 3.0], [9.0, 0.0]])
+        with pytest.raises(qz.GridRangeError, match="magnitude 3.0 exceeds range bound 2.0"):
+            qz.quantize_vector(block, spec, [substream(k) for k in range(3)],
+                               np.array([1.0, 2.0, 4.0]))
+
+    def test_block_arguments_validated(self):
+        spec = qz.QuantizerSpec.tuned(3, 4.0)
+        block = np.zeros((2, 3))
+        with pytest.raises(ValueError, match="one generator per row"):
+            qz.quantize_vector(block, spec, [substream(0)])
+        with pytest.raises(ValueError, match="one entry per row"):
+            qz.quantize_vector(block, spec, [substream(0), substream(1)], np.ones(3))
+        with pytest.raises(ValueError, match="positive and finite"):
+            qz.quantize_vector(block, spec, [substream(0), substream(1)],
+                               np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            qz.quantize_vector(np.array([[0.0], [np.inf]]), spec,
+                               [substream(0), substream(1)])
+
+    def test_per_row_gains_need_a_block(self):
+        with pytest.raises(ValueError):
+            qz.QuantizedVector(np.array([1, 2]), np.array([1.0, 2.0]), 3)
+        with pytest.raises(ValueError):
+            qz.QuantizedVector(np.array([[1], [2]]), np.array([1.0, 2.0, 4.0]), 3)
+        qv = qz.QuantizedVector(np.array([[1], [2]]), np.array([1.0, 4.0]), 3)
+        assert qv.dequantize().tolist() == [[1.0], [0.5]]
+
+    def test_serialize_takes_one_vector(self):
+        with pytest.raises(ValueError):
+            qz.serialize(qz.QuantizedVector(np.array([[1, 2]]), 2.0, 4))
 
 
 class TestDifferentialGain:
