@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
@@ -115,14 +115,8 @@ def pilot_probe_weights(
     """Probe weights for constant estimation: globals visited by a short
     unquantized pilot run (every ``stride`` rounds) plus random perturbations
     around them."""
-    pilot_cfg = fed.FederationConfig(
-        **{
-            **{f: getattr(config, f) for f in config.__dataclass_fields__},
-            "rounds": pilot_rounds,
-            "uplink_mode": fed.UplinkMode.FLOAT,
-            "downlink_mode": fed.DownlinkMode.FLOAT,
-        }
-    )
+    pilot_cfg = replace(config, rounds=pilot_rounds, uplink_mode=fed.UplinkMode.FLOAT,
+                        downlink_mode=fed.DownlinkMode.FLOAT)
     visited: list[np.ndarray] = [np.zeros(config.dimension)]
     fed.run_federation(
         pilot_cfg, model, datasets,

@@ -23,6 +23,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -133,10 +134,7 @@ def load_config(path: str, seed_override: int | None = None) -> fed.FederationCo
         raise fed.ConfigError(f"cannot read config {path}: {exc}") from exc
     config = parse_config_text(text)
     if seed_override is not None:
-        config = fed.FederationConfig(**{
-            **{f: getattr(config, f) for f in config.__dataclass_fields__},
-            "seed": seed_override,
-        })
+        config = replace(config, seed=seed_override)
     return config
 
 
@@ -173,13 +171,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     except fed.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         records = fed.run_federation(config)
     except fed.AssumptionViolation as exc:
         print(f"assumption violation: {exc}", file=sys.stderr)
         return _EXIT_ASSUMPTION
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.csv"
     write_metrics_csv(metrics_path, records)
     manifest = {
@@ -337,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--seed", type=int, default=None,
                      help="override the config seed")
-    run.add_argument("--threads", type=int, default=1,
-                     help="worker threads (affects speed only, never results)")
     run.set_defaults(func=cmd_run)
 
     verify = sub.add_parser("verify", help="run a moment verifier")

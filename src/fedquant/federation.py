@@ -11,7 +11,9 @@ A round runs its K selected clients as one array program: local SGD advances
 a ``(K, d)`` block of weights (``models.local_train_clients``), the uploads
 are quantized as one ``(K, d)`` block with one stream per row, and the block
 is averaged directly.  Each client still draws only from its own streams, so
-every row is bit-identical to running that client alone.
+every row is bit-identical to running that client alone.  Every quantized
+link picks its family and one scale per row (or layer), then makes one
+quantizer call per row block (or layer).
 
 Link cost accounting: a quantized vector costs ``dim * bits`` payload bits
 plus a 17-byte gain header; unquantized vectors cost 32 bits per coordinate.
@@ -186,6 +188,8 @@ class FederationConfig:
         if (self.grid is qz.GridKind.SYMMETRIC
                 and self.rounding is not qz.Rounding.STOCHASTIC):
             raise ConfigError("grid=symmetric requires rounding=stochastic")
+        if self.model is LossKind.LOGISTIC and not self.regularization > 0:
+            raise ConfigError("logistic model requires regularization > 0")
         if self.dimension < 1:
             raise ConfigError("dimension must be >= 1")
         if self.spread < 0:
@@ -341,23 +345,31 @@ def aggregate_differentials(prev_global: np.ndarray | None,
     return np.asarray(prev_global, dtype=np.float64) + aggregate_weights(uploads)
 
 
-def _single_gain(config: FederationConfig, values: np.ndarray, bits: int) -> float:
-    """Whole-vector pipeline gain: native fixes 2^(bits-1); tuned adds the
-    percentile-matched extra gain (the one-layer case of layered gains)."""
-    if config.structure is qz.Structure.NATIVE:
-        return 2.0 ** (bits - 1)
-    base, extras = qz.layered_gains(values, ((0, values.size),), bits)
-    return base * float(extras[0])
+def _link_spec(config: FederationConfig, bits: int, symmetric: bool,
+               scale: float) -> qz.QuantizerSpec:
+    """A symmetric grid of half-range ``scale``, or a pipeline of gain
+    ``scale`` in the configured rounding (enhanced at one bit if configured)."""
+    if symmetric:
+        return qz.QuantizerSpec.symmetric_grid(scale, bits)
+    return qz.QuantizerSpec.tuned(bits, scale, config.rounding,
+                                  bits == 1 and config.one_bit_enhanced)
 
 
-def _pipeline_spec(config: FederationConfig, gain: float, bits: int) -> qz.QuantizerSpec:
-    structure = config.structure
-    if structure is qz.Structure.NATIVE and gain != 2.0 ** (bits - 1):
-        structure = qz.Structure.TUNED
-    return qz.QuantizerSpec(
-        bits=bits, gain=gain, structure=structure, rounding=config.rounding,
-        one_bit_enhanced=(bits == 1 and config.one_bit_enhanced),
-    )
+def _check_weight_bound(rows: np.ndarray, config: FederationConfig,
+                        t: int = 0, clients: Sequence[int] | None = None) -> None:
+    """Abort when a scale derived from ``weight_bound`` would clamp: the
+    broadcast vector, or upload rows of ``clients`` in round ``t``.  Rows are
+    checked in order: the first row over the bound or non-finite decides, and
+    a NaN row (never over the bound) falls through to the quantizer's error."""
+    peaks = np.max(np.abs(np.atleast_2d(rows)), axis=1)
+    first = np.flatnonzero(~(peaks <= config.weight_bound))[:1]
+    if first.size and peaks[first[0]] > config.weight_bound:
+        who = ("broadcast" if clients is None
+               else f"round {t} client {clients[first[0]]}: local weight")
+        raise AssumptionViolation(
+            f"{who} magnitude {peaks[first[0]]:.6g} exceeds weight_bound "
+            f"{config.weight_bound:.6g}"
+        )
 
 
 def broadcast(
@@ -370,88 +382,38 @@ def broadcast(
     """Produce the model delivered to every selected client this round.
 
     One quantization draw is shared by all recipients; a float downlink
-    draws nothing and takes ``rng=None``.  Returns the delivered
-    model, the accounted broadcast bits, and the per-layer extra gains used
-    (layered mode only, for freezing in static mode).
+    draws nothing and takes ``rng=None``.  A quantized downlink is the
+    one-layer case of the layered one.  Returns the delivered model, the
+    accounted broadcast bits, and the per-layer extra gains used (layered
+    mode only, for freezing in static mode).
     """
     values = w_global.values
     if config.downlink_mode is DownlinkMode.FLOAT:
         return w_global.copy(), qz.float_bits(values.size), None
 
-    if config.downlink_mode is DownlinkMode.QUANTIZED:
+    base, symmetric = 2.0 ** (bits - 1), False
+    if config.downlink_mode is DownlinkMode.LAYERED:
+        # per-layer pipeline gains matched to each layer's magnitude
+        layers, extras = w_global.layers, frozen_extra_gains
+        if extras is None:
+            extras = qz.layered_gains(values, layers, bits)[1]
+        scales = base * extras
+    else:
+        layers, extras = ((0, values.size),), None
         if config.grid is qz.GridKind.SYMMETRIC:
-            peak = float(np.max(np.abs(values)))
-            if peak > config.weight_bound:
-                raise AssumptionViolation(
-                    f"broadcast magnitude {peak:.6g} exceeds weight_bound "
-                    f"{config.weight_bound:.6g}"
-                )
-            spec = qz.QuantizerSpec.symmetric_grid(config.weight_bound, bits)
+            _check_weight_bound(values, config)
+            symmetric, scales = True, (config.weight_bound,)
+        elif config.structure is qz.Structure.NATIVE:
+            scales = (base,)
         else:
-            spec = _pipeline_spec(config, _single_gain(config, values, bits), bits)
-        delivered = qz.quantize_vector(values, spec, rng).dequantize()
-        return (w_global.with_values(delivered), qz.wire_bits(values.size, bits), None)
-
-    # layered: per-layer pipeline gains matched to each layer's magnitude
-    if frozen_extra_gains is None:
-        base, extras = qz.layered_gains(values, w_global.layers, bits)
-    else:
-        base, extras = 2.0 ** (bits - 1), frozen_extra_gains
+            scales = base * qz.layered_gains(values, layers, bits)[1]
     delivered = np.empty_like(values)
-    total_bits = 0
-    for (start, stop), extra in zip(w_global.layers, extras):
-        spec = _pipeline_spec(config, base * float(extra), bits)
+    for (start, stop), scale in zip(layers, scales):
+        spec = _link_spec(config, bits, symmetric, float(scale))
         delivered[start:stop] = qz.quantize_vector(
-            values[start:stop], spec, rng
-        ).dequantize()
-        total_bits += qz.wire_bits(stop - start, bits)
+            values[start:stop], spec, rng).dequantize()
+    total_bits = sum(qz.wire_bits(stop - start, bits) for start, stop in layers)
     return w_global.with_values(delivered), total_bits, extras
-
-
-def _quantize_weight_uploads(
-    block: np.ndarray, config: FederationConfig, bits: int,
-    rngs: list[np.random.Generator], t: int, clients: list[int],
-) -> np.ndarray:
-    if config.grid is qz.GridKind.SYMMETRIC or config.structure is qz.Structure.TUNED:
-        # gain is derived from the configured magnitude bound, so a breach
-        # aborts instead of silently clamping.  Clients are checked in order:
-        # the first row over the bound or non-finite decides, and a NaN row
-        # (never over the bound) falls through to the quantizer's own error.
-        peaks = np.max(np.abs(block), axis=1)
-        first = np.flatnonzero(~(peaks <= config.weight_bound))[:1]
-        if first.size and peaks[first[0]] > config.weight_bound:
-            raise AssumptionViolation(
-                f"round {t} client {clients[first[0]]}: local weight magnitude "
-                f"{peaks[first[0]]:.6g} exceeds weight_bound {config.weight_bound:.6g}"
-            )
-    if config.grid is qz.GridKind.SYMMETRIC:
-        spec = qz.QuantizerSpec.symmetric_grid(config.weight_bound, bits)
-    else:
-        gain = (2.0 ** (bits - 1) if config.structure is qz.Structure.NATIVE
-                else 2.0 ** (bits - 1) / config.weight_bound)
-        spec = _pipeline_spec(config, gain, bits)
-    return qz.quantize_vector(block, spec, rngs).dequantize()
-
-
-def _quantize_differential_uploads(
-    block: np.ndarray, config: FederationConfig, bits: int,
-    rngs: list[np.random.Generator],
-) -> np.ndarray:
-    """Each row on its own scale: a symmetric grid over the row's peak for
-    stochastic rounding, the row's differential gain for nearest.  An
-    all-zero row is sent as zeros."""
-    peaks = np.max(np.abs(block), axis=1)
-    zero = peaks == 0.0
-    if config.rounding is qz.Rounding.STOCHASTIC:
-        # the family only: each row's range bound is its own peak
-        spec = qz.QuantizerSpec.symmetric_grid(1.0, bits)
-        scale = np.where(zero, 1.0, peaks)
-    else:
-        spec = _pipeline_spec(config, 2.0 ** (bits - 1), bits)
-        scale = np.array([qz.differential_gain(row, bits) for row in block])
-    uploads = qz.quantize_vector(block, spec, rngs, scale).dequantize()
-    uploads[zero] = 0.0
-    return uploads
 
 
 # ---------------------------------------------------------------------------
@@ -555,19 +517,36 @@ def run_round(
         [train_stream(config.seed, t, c) for c in clients],
     )
     dim = w_locals.shape[1]
+    differential = config.uplink_mode is UplinkMode.DIFFERENTIAL
     if config.uplink_mode is UplinkMode.FLOAT:
         uploads = w_locals
         up_bits = len(clients) * qz.float_bits(dim)
     else:
-        rngs = [uplink_stream(config.seed, t, c) for c in clients]
-        if config.uplink_mode is UplinkMode.WEIGHT:
-            uploads = _quantize_weight_uploads(w_locals, config, bits_up, rngs, t, clients)
+        if differential:
+            # each row on its own scale: a symmetric grid over the row's peak
+            # for stochastic rounding, the row's differential gain for nearest
+            rows = w_locals - delivered.values
+            peaks = np.max(np.abs(rows), axis=1)
+            symmetric = config.rounding is qz.Rounding.STOCHASTIC
+            scales = (np.where(peaks == 0.0, 1.0, peaks) if symmetric
+                      else np.array([qz.differential_gain(row, bits_up) for row in rows]))
         else:
-            uploads = _quantize_differential_uploads(
-                w_locals - delivered.values, config, bits_up, rngs)
+            rows, symmetric = w_locals, config.grid is qz.GridKind.SYMMETRIC
+            tuned = config.structure is qz.Structure.TUNED
+            if symmetric or tuned:
+                _check_weight_bound(rows, config, t, clients)
+            scale = (config.weight_bound if symmetric
+                     else 2.0 ** (bits_up - 1) / (config.weight_bound if tuned else 1.0))
+            scales = np.full(len(clients), scale)
+        # the spec fixes the family only; each row's scale replaces its own
+        spec = _link_spec(config, bits_up, symmetric, 1.0)
+        rngs = [uplink_stream(config.seed, t, c) for c in clients]
+        uploads = qz.quantize_vector(rows, spec, rngs, scales).dequantize()
+        if differential:
+            uploads[peaks == 0.0] = 0.0  # an all-zero row is sent as zeros
         up_bits = len(clients) * qz.wire_bits(dim, bits_up)
 
-    if config.uplink_mode is UplinkMode.DIFFERENTIAL:
+    if differential:
         new_values = aggregate_differentials(delivered.values, uploads)
     else:
         new_values = aggregate_weights(uploads)

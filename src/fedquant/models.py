@@ -39,7 +39,6 @@ __all__ = [
     "local_train",
     "local_train_clients",
     "solve_optimum",
-    "global_loss",
     "pooled_dataset",
     "estimate_smoothness",
     "load_dataset_csv",
@@ -249,12 +248,6 @@ def pooled_dataset(datasets: list[ClientDataset]) -> ClientDataset:
     else:
         labels = None
     return ClientDataset(features, labels)
-
-
-def global_loss(model: LossModel, w: np.ndarray, datasets: list[ClientDataset]) -> float:
-    """Size-weighted average of the client losses (the pooled-sample loss)."""
-    pooled = pooled_dataset(datasets)
-    return loss(model, w, pooled.features, pooled.labels)
 
 
 def estimate_smoothness(model: LossModel, datasets: list[ClientDataset],

@@ -20,9 +20,11 @@ Codewords are integers and the dequantized value is always
 symmetric-grid and one-bit codewords are the odd integers
 ``{-(2^B-1), ..., 2^B-1}`` (2^B values, so still B bits of information).
 
-``quantize_vector`` is the one rounding kernel the engine runs: it takes one
-vector, or a ``(K, d)`` block with one random stream and optionally one gain
-or range bound per row.
+Every family rounds each coordinate to one of two codewords, so one kernel
+gives each coordinate's ``(lo, hi, Pr[hi])`` (a two-point distribution, as in
+QSGD).  ``quantize_vector`` samples from it -- one vector, or a ``(K, d)``
+block with one random stream and optionally one gain or range bound per row
+-- and ``expected_sq_error`` sums its closed-form moments.
 """
 
 from __future__ import annotations
@@ -325,6 +327,47 @@ def quantize_one_bit(
 # Vector operations
 # ---------------------------------------------------------------------------
 
+def _outcomes(
+    v: np.ndarray, spec: QuantizerSpec, gain: float | np.ndarray,
+    m: float | np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each coordinate's two-outcome rounding: codewords ``(lo, hi)`` and
+    ``Pr[hi]``, for gain ``gain`` (and, on the symmetric grid, half-range
+    ``m``).  Under nearest rounding ``Pr[hi]`` is 0 or 1."""
+    if spec.one_bit_enhanced:
+        lo = np.full(v.shape, -1, dtype=np.int64)
+        if spec.rounding is Rounding.NEAREST:
+            return lo, -lo, (v >= 0).astype(np.float64)
+        inv = 1.0 / gain
+        return lo, -lo, np.clip((v + inv) / (2.0 * inv), 0.0, 1.0)
+
+    if spec.grid is GridKind.SYMMETRIC:
+        peaks = np.atleast_1d(np.max(np.abs(v), axis=-1, initial=0.0))
+        bounds = np.broadcast_to(np.ravel(m), peaks.shape)
+        over = np.flatnonzero(peaks > bounds)
+        if over.size:
+            raise GridRangeError(
+                f"vector max magnitude {peaks[over[0]]} exceeds range bound "
+                f"{bounds[over[0]]}"
+            )
+        q = m / (2.0 ** spec.bits - 1.0)
+        n_cells = 2 ** spec.bits - 1
+        j0 = np.floor((v + m) / (2.0 * q)).astype(np.int64)
+        np.clip(j0, 0, n_cells - 1, out=j0)
+        lo = 2 * j0 - n_cells
+        return lo, lo + 2, np.clip((v - lo * q) / (2.0 * q), 0.0, 1.0)
+
+    amplified = v * gain
+    floors = np.floor(amplified)
+    frac = amplified - floors
+    limit = 2 ** (spec.bits - 1)
+    lo = np.clip(floors, -limit, limit - 1).astype(np.int64)
+    hi = np.clip(floors + 1, -limit, limit - 1).astype(np.int64)
+    if spec.rounding is Rounding.NEAREST:
+        return lo, hi, (frac >= 0.5).astype(np.float64)
+    return lo, hi, frac
+
+
 def quantize_vector(
     v: np.ndarray,
     spec: QuantizerSpec,
@@ -339,15 +382,15 @@ def quantize_vector(
     still fixes the family, width and rounding.  Row k draws
     ``rng[k].random(d)`` in coordinate order, exactly as a one-vector call
     on that row does, so the output is bit-identical however rows are
-    batched.
+    batched.  Nearest rounding draws nothing.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2):
         raise ValueError("expected a vector or a (rows, dim) block")
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite coordinate in input vector")
-    if rng is None and (spec.rounding is Rounding.STOCHASTIC
-                        or spec.grid is GridKind.SYMMETRIC):
+    stochastic = spec.rounding is Rounding.STOCHASTIC
+    if rng is None and stochastic:
         raise ValueError("stochastic rounding requires an rng")
     if v.ndim == 2 and rng is not None and len(rng) != v.shape[0]:
         raise ValueError("a block needs one generator per row")
@@ -366,55 +409,19 @@ def quantize_vector(
         else:
             gain, m = column, None
 
-    def uniforms() -> np.ndarray:
-        if v.ndim == 1:
-            return rng.random(v.size)
+    lo, hi, p_hi = _outcomes(v, spec, gain, m)
+    if not stochastic:
+        take_hi = p_hi
+    elif v.ndim == 1:
+        take_hi = rng.random(v.size) < p_hi
+    else:
         draws = np.empty(v.shape)
         for row, gen in zip(draws, rng):
             gen.random(out=row)
-        return draws
-
-    def result(codes: np.ndarray, bits: int, grid: GridKind) -> QuantizedVector:
-        return QuantizedVector(codes, gain[:, 0] if np.ndim(gain) else gain, bits, grid)
-
-    if spec.one_bit_enhanced:
-        if spec.rounding is Rounding.NEAREST:
-            codes = np.where(v >= 0, 1, -1).astype(np.int64)
-        else:
-            inv = 1.0 / gain
-            pr = np.clip((v + inv) / (2.0 * inv), 0.0, 1.0)
-            codes = np.where(uniforms() < pr, 1, -1).astype(np.int64)
-        return result(codes, 1, GridKind.SYMMETRIC)
-
-    if symmetric:
-        peaks = np.atleast_1d(np.max(np.abs(v), axis=-1, initial=0.0))
-        bounds = np.broadcast_to(np.ravel(m), peaks.shape)
-        over = np.flatnonzero(peaks > bounds)
-        if over.size:
-            raise GridRangeError(
-                f"vector max magnitude {peaks[over[0]]} exceeds range bound "
-                f"{bounds[over[0]]}"
-            )
-        q = m / (2.0 ** spec.bits - 1.0)
-        n_cells = 2 ** spec.bits - 1
-        j0 = np.floor((v + m) / (2.0 * q)).astype(np.int64)
-        np.clip(j0, 0, n_cells - 1, out=j0)
-        lo_codes = 2 * j0 - n_cells
-        p_hi = np.clip((v - lo_codes * q) / (2.0 * q), 0.0, 1.0)
-        take_hi = uniforms() < p_hi
-        codes = lo_codes + 2 * take_hi.astype(np.int64)
-        return result(codes, spec.bits, GridKind.SYMMETRIC)
-
-    amplified = v * gain
-    floors = np.floor(amplified)
-    frac = amplified - floors
-    if spec.rounding is Rounding.NEAREST:
-        rounded = floors + (frac >= 0.5)
-    else:
-        rounded = floors + (uniforms() < frac)
-    lo, hi = -(2 ** (spec.bits - 1)), 2 ** (spec.bits - 1) - 1
-    codes = np.clip(rounded, lo, hi).astype(np.int64)
-    return result(codes, spec.bits, GridKind.PIPELINE)
+        take_hi = draws < p_hi
+    codes = np.where(take_hi, hi, lo)
+    grid = GridKind.SYMMETRIC if symmetric or spec.one_bit_enhanced else GridKind.PIPELINE
+    return QuantizedVector(codes, gain[:, 0] if np.ndim(gain) else gain, spec.bits, grid)
 
 
 def differential_gain(d_vec: np.ndarray, bits: int) -> float:
@@ -483,35 +490,14 @@ def layered_gains(
 def expected_sq_error(v: np.ndarray, spec: QuantizerSpec) -> float:
     """Total expected squared quantization error, summed over coordinates.
 
-    Enumerates each coordinate's outcome distribution analytically (after
-    clamping, for the pipeline family), so the result is deterministic.
+    A closed-form sum over each coordinate's two outcomes, the same ones
+    :func:`quantize_vector` samples, so the result is deterministic and, under
+    nearest rounding, equals the realized error.
     """
     v = np.asarray(v, dtype=np.float64)
-
-    if spec.one_bit_enhanced:
-        inv = 1.0 / spec.gain
-        pr = np.clip((v + inv) / (2.0 * inv), 0.0, 1.0)
-        return float(np.sum(pr * (inv - v) ** 2 + (1.0 - pr) * (-inv - v) ** 2))
-
-    if spec.grid is GridKind.SYMMETRIC:
-        grid = GridSpec(spec.range_bound, spec.bits)
-        total = 0.0
-        for w in v:
-            mean, var = grid_moments(float(w), grid)
-            total += var + (mean - w) ** 2
-        return float(total)
-
-    g = spec.gain
-    lo, hi = -(2 ** (spec.bits - 1)), 2 ** (spec.bits - 1) - 1
-    amplified = v * g
-    floors = np.floor(amplified)
-    frac = amplified - floors
-    lo_vals = np.clip(floors, lo, hi) / g
-    hi_vals = np.clip(floors + 1, lo, hi) / g
-    if spec.rounding is Rounding.NEAREST:
-        chosen = np.where(frac >= 0.5, hi_vals, lo_vals)
-        return float(np.sum((chosen - v) ** 2))
-    return float(np.sum((1.0 - frac) * (lo_vals - v) ** 2 + frac * (hi_vals - v) ** 2))
+    lo, hi, p_hi = _outcomes(v, spec, spec.gain, spec.range_bound)
+    return float(np.sum((1.0 - p_hi) * (lo / spec.gain - v) ** 2
+                        + p_hi * (hi / spec.gain - v) ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ class TestRunCommand:
         config = write_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         cli.main(["run", "--config", config, "--out", str(out1)])
-        cli.main(["run", "--config", config, "--out", str(out2), "--threads", "4"])
+        cli.main(["run", "--config", config, "--out", str(out2)])
         assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
 
     def test_seed_override_changes_output(self, tmp_path):
@@ -128,8 +128,27 @@ class TestRunCommand:
         text = BASE_CONFIG.replace("uplink_mode = differential", "uplink_mode = weight")
         text += "weight_bound = 1e-9\n"
         config = write_config(tmp_path, text)
-        code = cli.main(["run", "--config", config, "--out", str(tmp_path / "o")])
+        out = tmp_path / "nested" / "o"
+        code = cli.main(["run", "--config", config, "--out", str(out)])
         assert code == 3
+        assert not out.parent.exists()  # a failed run writes no --out
+
+
+LOGISTIC_UNREGULARIZED = BASE_CONFIG + "model = logistic\nregularization = 0\n"
+
+
+@pytest.mark.parametrize("command", ["run", "bound"])
+def test_unregularized_logistic_is_a_config_error(tmp_path, capsys, command):
+    # a well-formed 12-round metrics.csv, so only the config can fail
+    cli.main(["run", "--config", write_config(tmp_path), "--out", str(tmp_path / "q")])
+    config = write_config(tmp_path, LOGISTIC_UNREGULARIZED, "logistic.cfg")
+    argv = {"run": ["run", "--config", config, "--out", str(tmp_path / "o")],
+            "bound": ["bound", "--config", config, "--out", str(tmp_path / "b.csv"),
+                      str(tmp_path / "q" / "metrics.csv")]}[command]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert "regularization" in err[0]
 
 
 class TestVerifyCommand:

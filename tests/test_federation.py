@@ -271,6 +271,20 @@ class TestBroadcast:
         single_mse = qz.expected_sq_error(values, qz.QuantizerSpec.tuned(bits, single_gain))
         assert per_layer_mse <= single_mse
 
+    @pytest.mark.parametrize("rounding", [qz.Rounding.NEAREST, qz.Rounding.STOCHASTIC])
+    def test_quantized_is_the_one_layer_layered_case(self, rounding):
+        w = m.WeightVector(np.array([0.5, -0.25, 0.003, -0.001, 0.07]))
+        pipeline = dict(grid=qz.GridKind.PIPELINE, structure=qz.Structure.TUNED,
+                        rounding=rounding, dimension=5)
+        quantized = fed.broadcast(
+            w, fed.FederationConfig(downlink_mode=fed.DownlinkMode.QUANTIZED, **pipeline),
+            3, substream(14))
+        layered = fed.broadcast(
+            w, fed.FederationConfig(downlink_mode=fed.DownlinkMode.LAYERED, **pipeline),
+            3, substream(14))
+        assert np.array_equal(quantized[0].values, layered[0].values)
+        assert quantized[1] == layered[1]
+
     def test_layered_broadcast_layer_count_header(self):
         cfg = fed.FederationConfig(
             downlink_mode=fed.DownlinkMode.LAYERED, dimension=4,
@@ -368,7 +382,9 @@ class TestRunRound:
         state = fed.init_state(cfg, model, datasets)
         gamma = fed.gamma_offset(cfg.mu, cfg.lipschitz, cfg.local_steps)
         eta = fed.lr_schedule(0, cfg.mu, gamma)
-        gap0 = m.global_loss(model, np.zeros(cfg.dimension), datasets) - opt.f_star
+        pooled = m.pooled_dataset(datasets)
+        gap0 = m.loss(model, np.zeros(cfg.dimension), pooled.features,
+                      pooled.labels) - opt.f_star
         _, record = fed.run_round(state, cfg, 0)
         assert record.gap == pytest.approx((1 - eta) ** 2 * gap0, rel=1e-12)
 

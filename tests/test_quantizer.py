@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fedquant import quantizer as qz
 from fedquant.streams import substream
@@ -486,6 +486,19 @@ class TestExpectedSqError:
         spec = qz.QuantizerSpec.symmetric_grid(1.0, 2)
         assert qz.expected_sq_error(np.array([0.0]), spec) == pytest.approx(
             1 / 9, abs=1e-15)
+
+    @pytest.mark.parametrize("spec", [
+        qz.QuantizerSpec.native(3, qz.Rounding.NEAREST),
+        qz.QuantizerSpec.tuned(4, 5.5, qz.Rounding.NEAREST),
+        qz.QuantizerSpec.native(1, qz.Rounding.NEAREST, one_bit_enhanced=True),
+        qz.QuantizerSpec.tuned(1, 3.0, qz.Rounding.NEAREST, one_bit_enhanced=True),
+    ], ids=["native", "tuned", "one-bit-native", "one-bit-tuned"])
+    @given(st.lists(st.floats(-2, 2), min_size=1, max_size=12))
+    @example([0.2])  # one-bit at gain 1: nearest makes 0.64, stochastic 0.96
+    def test_nearest_equals_realized_error(self, spec, values):
+        v = np.array(values)
+        realized = np.sum((qz.quantize_vector(v, spec).dequantize() - v) ** 2)
+        assert qz.expected_sq_error(v, spec) == realized
 
 
 class TestSerialization:
