@@ -5,8 +5,9 @@ The corpus covers every uplink mode x downlink mode x (grid, rounding)
 combination on a small quadratic problem, plus native structure, 1-bit
 (enhanced and plain), log-scheduled widths, layered logistic runs with and
 without static gains, and a problem whose differential uploads are all zero.
-``tests/test_corpus.py`` reproduces every hash; a refactor that changes any
-result fails it.  Regenerate only when results change on purpose:
+The corpus records the engine's ``STREAM_SCHEME``, which
+``tests/test_corpus.py`` checks along with every hash; a refactor that changes
+any result fails it.  Regenerate only when results change on purpose:
 
     PYTHONPATH=src python scripts/make_metrics_corpus.py tests/metrics_corpus.json
 """
@@ -130,10 +131,11 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
-    corpus = {name: {"config": entries, "sha256": metrics_sha256(entries)}
-              for name, entries in corpus_configs().items()}
+    runs = {name: {"config": entries, "sha256": metrics_sha256(entries)}
+            for name, entries in corpus_configs().items()}
+    corpus = {"stream_scheme": fed.STREAM_SCHEME, "runs": runs}
     Path(argv[0]).write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
-    print(f"{len(corpus)} entries written to {argv[0]}")
+    print(f"{len(runs)} entries written to {argv[0]}")
     return 0
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from . import federation as fed
 from .models import ClientDataset, LossModel, grad, solve_optimum
 from .quantizer import GridSpec, differential_gain, grid_moments, quantize_grid_sr
-from .streams import substream
+from .streams import k_subset, substream
 
 __all__ = [
     "BoundVariant",
@@ -158,10 +158,9 @@ def estimate_noise_bounds(
         for w in probe_weights:
             w = np.asarray(w, dtype=np.float64)
             full = grad(model, w, ds.features, ds.labels)
-            # each row: a uniform size-bs subset (smallest bs of random keys);
-            # sorted so a full batch reproduces the full gradient exactly
-            keys = rng.random((draws, ds.size))
-            idx = np.sort(np.argpartition(keys, bs - 1, axis=1)[:, :bs], axis=1)
+            # each row a uniform size-bs subset, sorted so that a full batch
+            # reproduces the full gradient exactly
+            idx = k_subset(rng.random((draws, ds.size)), bs)
             labels = ds.labels[idx] if ds.labels is not None else None
             grads = grad(model, w, ds.features[idx], labels)
             sigma_sq[k] = max(

@@ -7,8 +7,8 @@ verify     run an executable moment verifier (sampling / rounding / differential
 bound      compare a finished run's gap trajectory against the analytic bound
 partition  split a dataset CSV across clients and export the assignment
 
-Exit codes: 0 success, 1 failed verification checks, 2 configuration error,
-3 runtime assumption violation.
+Exit codes: 0 success, 1 failed verification checks, 2 configuration error
+or an optimum solver that did not converge, 3 runtime assumption violation.
 
 Config files are flat ``key=value`` text ('#' starts a comment).  Keys match
 the FederationConfig fields; the two schedule fields are flattened as
@@ -183,6 +183,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     manifest = {
         "tool_version": __version__,
         "master_seed": config.seed,
+        "stream_scheme": fed.STREAM_SCHEME,
         "config_path": str(args.config),
         "config": _config_snapshot(config),
         "artifacts": [str(metrics_path)],
@@ -376,7 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except models.SolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return _EXIT_CONFIG
 
 
 if __name__ == "__main__":

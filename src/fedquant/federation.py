@@ -4,13 +4,13 @@ Each round: the server broadcasts the global model to a sampled subset of
 clients (optionally quantized, one draw shared by all recipients), every
 selected client runs local mini-batch SGD, uploads either its weights or its
 weight differential (optionally quantized), and the server averages the
-uploads.  All randomness is drawn from per-(round, operation, client) streams
+uploads.  All randomness is drawn from per-round and per-client streams
 derived from the master seed, so results are independent of execution order.
 
 A round runs its K selected clients as one array program: local SGD advances
 a ``(K, d)`` block of weights (``models.local_train_clients``), the uploads
 are quantized as one ``(K, d)`` block with one stream per row, and the block
-is averaged directly.  Each client still draws only from its own streams, so
+is averaged directly.  Each client still draws only from its own stream, so
 every row is bit-identical to running that client alone.  Every quantized
 link picks its family and one scale per row (or layer), then makes one
 quantizer call per row block (or layer).
@@ -42,7 +42,7 @@ from .models import (
     solve_optimum,
 )
 from .data import gen_logistic_dataset, gen_quadratic_clients, partition_iid
-from .streams import substream
+from .streams import k_subset, substream
 
 __all__ = [
     "UplinkMode",
@@ -69,10 +69,9 @@ __all__ = [
     "init_state",
     "run_round",
     "run_federation",
-    "sampling_stream",
-    "broadcast_stream",
-    "train_stream",
-    "uplink_stream",
+    "STREAM_SCHEME",
+    "round_stream",
+    "client_stream",
 ]
 
 
@@ -190,6 +189,8 @@ class FederationConfig:
             raise ConfigError("grid=symmetric requires rounding=stochastic")
         if self.model is LossKind.LOGISTIC and not self.regularization > 0:
             raise ConfigError("logistic model requires regularization > 0")
+        if self.model is LossKind.QUADRATIC and self.regularization != 0:
+            raise ConfigError("quadratic model takes no regularization")
         if self.dimension < 1:
             raise ConfigError("dimension must be >= 1")
         if self.spread < 0:
@@ -294,24 +295,23 @@ def schedule_bits(spec: ScheduleSpec, t: int, mu: float, gamma: float) -> int:
 # Random-stream addressing (public so reference loops can reproduce runs)
 # ---------------------------------------------------------------------------
 
+# written to manifest.json; a new value means every run draws differently
+STREAM_SCHEME = "round-client/k-smallest-keys"
 _ROUND_DOMAIN = 1
-_OP_SAMPLE, _OP_BROADCAST, _OP_TRAIN, _OP_UPLINK = 0, 1, 2, 3
+# a path ending in zeros addresses the same stream as the path without them,
+# so the tag keeps client 0's stream apart from the round's
+_SERVER, _CLIENT = 0, 1
 
 
-def sampling_stream(seed: int, t: int) -> np.random.Generator:
-    return substream(seed, _ROUND_DOMAIN, t, _OP_SAMPLE)
+def round_stream(seed: int, t: int) -> np.random.Generator:
+    """Round ``t``'s server draws: the client selection, then the broadcast."""
+    return substream(seed, _ROUND_DOMAIN, t, _SERVER)
 
 
-def broadcast_stream(seed: int, t: int) -> np.random.Generator:
-    return substream(seed, _ROUND_DOMAIN, t, _OP_BROADCAST)
-
-
-def train_stream(seed: int, t: int, client: int) -> np.random.Generator:
-    return substream(seed, _ROUND_DOMAIN, t, _OP_TRAIN, client)
-
-
-def uplink_stream(seed: int, t: int, client: int) -> np.random.Generator:
-    return substream(seed, _ROUND_DOMAIN, t, _OP_UPLINK, client)
+def client_stream(seed: int, t: int, client: int) -> np.random.Generator:
+    """``client``'s draws in round ``t``: its ``E x n`` batch keys, then its
+    upload's ``d`` uniforms."""
+    return substream(seed, _ROUND_DOMAIN, t, _CLIENT, client)
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +319,10 @@ def uplink_stream(seed: int, t: int, client: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 def sample_clients(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform K-subset of [0, n) without replacement, sorted for determinism."""
+    """Uniform K-subset of [0, n), sorted: the k smallest of n uniform keys."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    return np.sort(rng.choice(n, size=k, replace=False))
+    return k_subset(rng.random(n), k)
 
 
 def aggregate_weights(uploads: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
@@ -383,9 +383,11 @@ def broadcast(
 
     One quantization draw is shared by all recipients; a float downlink
     draws nothing and takes ``rng=None``.  A quantized downlink is the
-    one-layer case of the layered one.  Returns the delivered model, the
-    accounted broadcast bits, and the per-layer extra gains used (layered
-    mode only, for freezing in static mode).
+    one-layer case of the layered one.  A layered downlink ignores ``grid``
+    and ``structure``: it always uses the pipeline, with per-layer gains set
+    from each layer's 90th-percentile magnitude.  Returns the delivered
+    model, the accounted broadcast bits, and the per-layer extra gains used
+    (layered mode only, for freezing in static mode).
     """
     values = w_global.values
     if config.downlink_mode is DownlinkMode.FLOAT:
@@ -494,14 +496,12 @@ def run_round(
     else:
         bits_up = schedule_bits(config.uplink_schedule, t, config.mu, gamma)
 
-    selected = sample_clients(
-        config.num_clients, config.clients_per_round, sampling_stream(config.seed, t)
-    )
+    server_rng = round_stream(config.seed, t)
+    selected = sample_clients(config.num_clients, config.clients_per_round, server_rng)
 
     quantized_down = config.downlink_mode is not DownlinkMode.FLOAT
     delivered, down_bits, extra_gains = broadcast(
-        state.w_global, config, bits_down,
-        broadcast_stream(config.seed, t) if quantized_down else None,
+        state.w_global, config, bits_down, server_rng if quantized_down else None,
         frozen_extra_gains=state.frozen_extra_gains,
     )
     frozen = state.frozen_extra_gains
@@ -510,11 +510,11 @@ def run_round(
         frozen = extra_gains
 
     clients = [int(c) for c in selected]
+    rngs = [client_stream(config.seed, t, c) for c in clients]
     w_locals = local_train_clients(
         delivered.values, state.model, state.pooled,
         [state.starts[c] for c in clients], [state.sizes[c] for c in clients],
-        config.local_steps, config.batch_size, eta,
-        [train_stream(config.seed, t, c) for c in clients],
+        config.local_steps, config.batch_size, eta, rngs,
     )
     dim = w_locals.shape[1]
     differential = config.uplink_mode is UplinkMode.DIFFERENTIAL
@@ -540,7 +540,6 @@ def run_round(
             scales = np.full(len(clients), scale)
         # the spec fixes the family only; each row's scale replaces its own
         spec = _link_spec(config, bits_up, symmetric, 1.0)
-        rngs = [uplink_stream(config.seed, t, c) for c in clients]
         uploads = qz.quantize_vector(rows, spec, rngs, scales).dequantize()
         if differential:
             uploads[peaks == 0.0] = 0.0  # an all-zero row is sent as zeros

@@ -27,6 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .streams import k_subset
+
 __all__ = [
     "LossKind",
     "LossModel",
@@ -191,16 +193,16 @@ def local_train(
 ) -> np.ndarray:
     """Run ``steps`` sequential mini-batch SGD steps from ``w``.
 
-    Each step draws a fresh uniform batch without replacement within the
-    step (so a full-size batch is exact full-batch descent).
+    Each step uses a fresh uniform batch without replacement within the
+    step, in index order (so a full-size batch is exact full-batch descent);
+    all ``steps`` batches come from one ``rng.random((steps, n))`` draw.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not 1 <= batch_size <= data.size:
         raise ValueError("batch size must be in [1, dataset size]")
     w = np.asarray(w, dtype=np.float64).copy()
-    for _ in range(steps):
-        idx = rng.choice(data.size, size=batch_size, replace=False)
+    for idx in k_subset(rng.random((steps, data.size)), batch_size):
         batch_labels = data.labels[idx] if data.labels is not None else None
         w -= lr * grad(model, w, data.features[idx], batch_labels)
     return w
@@ -220,23 +222,24 @@ def local_train_clients(
     """:func:`local_train` for K clients at once; returns the ``(K, d)`` block.
 
     Client k owns rows ``starts[k]`` to ``starts[k] + sizes[k]`` of ``pooled``
-    and draws each step's batch from ``rngs[k]`` with the same call
-    ``local_train`` makes, so row k is bit-identical to ``local_train`` on
-    that client with that generator, whatever the other rows are.
+    and draws its ``(steps, sizes[k])`` batch keys from ``rngs[k]`` with the
+    call ``local_train`` makes; keys past ``sizes[k]`` are ``+inf``, so row k
+    is bit-identical to ``local_train`` on that client with that generator,
+    whatever the other rows are.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not 1 <= batch_size <= min(sizes):
         raise ValueError("batch size must be in [1, dataset size]")
+    keys = np.full((len(rngs), steps, max(sizes)), np.inf)
+    for k, (rng, size) in enumerate(zip(rngs, sizes)):
+        keys[k, :, :size] = rng.random((steps, size))
+    rows = k_subset(keys, batch_size) + np.asarray(starts, dtype=np.int64)[:, None, None]
     block = np.tile(np.asarray(w, dtype=np.float64), (len(rngs), 1))
-    offsets = np.asarray(starts, dtype=np.int64)[:, None]
-    rows = np.empty((len(rngs), batch_size), dtype=np.int64)
-    for _ in range(steps):
-        for k, (rng, size) in enumerate(zip(rngs, sizes)):
-            rows[k] = rng.choice(size, size=batch_size, replace=False)
-        rows += offsets
-        batch_labels = pooled.labels[rows] if pooled.labels is not None else None
-        block -= lr * grad(model, block, pooled.features[rows], batch_labels)
+    for step in range(steps):
+        idx = rows[:, step]
+        batch_labels = pooled.labels[idx] if pooled.labels is not None else None
+        block -= lr * grad(model, block, pooled.features[idx], batch_labels)
     return block
 
 

@@ -77,6 +77,25 @@ class TestEstimateNoiseBounds:
                                             batch_size=6, draws=2000, seed=2)
         assert np.all(large <= small * 1.1)  # 10% Monte-Carlo slack
 
+    @pytest.mark.parametrize("config, expected", [
+        (dict(num_clients=4, clients_per_round=2, dimension=3, samples_per_client=7,
+              seed=5),
+         ([0.08965621810079033, 0.11994442705383128, 0.10205421003631404,
+           0.10089714749706799], 9.577905958668119)),
+        (dict(model=m.LossKind.LOGISTIC, regularization=0.1, mu=0.1, lipschitz=2.0,
+              num_clients=3, clients_per_round=2, dimension=4, samples_per_client=9,
+              seed=6),
+         ([0.2392583842812132, 0.3586339833561099, 0.1832949185221967],
+          3.0050764773871235)),
+    ], ids=["quadratic", "logistic"])
+    def test_values_on_fixed_probes_unchanged(self, config, expected):
+        # recorded before the batch subsets were drawn through streams.k_subset
+        cfg = fed.FederationConfig(**config)
+        model, datasets = fed.build_problem(cfg)
+        probes = [np.zeros(cfg.dimension), substream(9).standard_normal(cfg.dimension)]
+        sigma_sq, h_sq = an.estimate_noise_bounds(model, datasets, probes, 3, seed=2)
+        assert (sigma_sq.tolist(), h_sq) == expected
+
     def test_draw_floor_enforced(self):
         datasets, probes = self.quadratic_setup()
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import pytest
 
 from fedquant import analysis, cli
 from fedquant import federation as fed
+from fedquant import models
 
 BASE_CONFIG = """\
 # small quadratic testbed
@@ -83,6 +84,7 @@ class TestRunCommand:
         assert len(rows) == 13
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["master_seed"] == 7
+        assert manifest["stream_scheme"] == fed.STREAM_SCHEME
         assert str(out / "metrics.csv") in manifest["artifacts"]
         assert str(out / "manifest.json") in manifest["artifacts"]
 
@@ -137,18 +139,44 @@ class TestRunCommand:
 LOGISTIC_UNREGULARIZED = BASE_CONFIG + "model = logistic\nregularization = 0\n"
 
 
-@pytest.mark.parametrize("command", ["run", "bound"])
-def test_unregularized_logistic_is_a_config_error(tmp_path, capsys, command):
-    # a well-formed 12-round metrics.csv, so only the config can fail
+def failing_argv(tmp_path, command, config_text):
+    """argv of ``command`` on ``config_text``; ``bound`` reads a well-formed
+    12-round metrics.csv, so only its config or its solver can fail."""
     cli.main(["run", "--config", write_config(tmp_path), "--out", str(tmp_path / "q")])
-    config = write_config(tmp_path, LOGISTIC_UNREGULARIZED, "logistic.cfg")
-    argv = {"run": ["run", "--config", config, "--out", str(tmp_path / "o")],
+    config = write_config(tmp_path, config_text, "failing.cfg")
+    return {"run": ["run", "--config", config, "--out", str(tmp_path / "o")],
             "bound": ["bound", "--config", config, "--out", str(tmp_path / "b.csv"),
                       str(tmp_path / "q" / "metrics.csv")]}[command]
-    assert cli.main(argv) == 2
+
+
+@pytest.mark.parametrize("command", ["run", "bound"])
+def test_unregularized_logistic_is_a_config_error(tmp_path, capsys, command):
+    assert cli.main(failing_argv(tmp_path, command, LOGISTIC_UNREGULARIZED)) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
     assert "regularization" in err[0]
+
+
+@pytest.mark.parametrize("command", ["run", "bound"])
+def test_regularized_quadratic_is_a_config_error(tmp_path, capsys, command):
+    argv = failing_argv(tmp_path, command, BASE_CONFIG + "regularization = 0.5\n")
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: quadratic model takes no regularization"]
+
+
+@pytest.mark.parametrize("command", ["run", "bound"])
+def test_solver_failure_is_one_line_exit_2(tmp_path, capsys, monkeypatch, command):
+    argv = failing_argv(tmp_path, command, BASE_CONFIG)
+
+    def fail(*args, **kwargs):
+        raise models.SolverError("gradient norm above 1e-09 after 500000 iterations")
+    for module in (models, fed, analysis):
+        monkeypatch.setattr(module, "solve_optimum", fail)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["solver error: gradient norm above 1e-09 after 500000 iterations"]
+    assert not (tmp_path / "o").exists() and not (tmp_path / "b.csv").exists()
 
 
 class TestVerifyCommand:
@@ -264,8 +292,8 @@ seed = 0
 
 
 def test_testbed_run_and_bound_bytes_unchanged(tmp_path):
-    # sha256 of both files as written before rounds were batched and before
-    # the noise-constant estimate shared models.grad
+    # sha256 of both files as written when fed.STREAM_SCHEME last changed;
+    # bound.csv follows the scheme through the pilot run that sets its probes
     config = write_config(tmp_path, TESTBED_DIFF4_CONFIG)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", config, "--out", str(out)]) == 0
@@ -273,9 +301,9 @@ def test_testbed_run_and_bound_bytes_unchanged(tmp_path):
     assert cli.main(["bound", "--config", config, "--out", str(bound_csv),
                      str(out / "metrics.csv")]) == 0
     assert hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest() == (
-        "2fe343316a28d4aac47548f85cf8cd7ac7fadb64cdd67263849edc570d32413f")
+        "b5b4516204401ea0515245e253b87b6937b1dd6e6cf81a5d0e78cf7eda3e38a8")
     assert hashlib.sha256(bound_csv.read_bytes()).hexdigest() == (
-        "23ea94deba722f44a74fdbef3195c9f61f3b765175dcf663a4ad66594637d7a3")
+        "3ee33b4d4b02b30657ef0101cae18728c09c018c5a85588f393d6edd8740de1e")
 
 
 class TestPartitionCommand:

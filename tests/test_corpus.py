@@ -2,8 +2,9 @@
 
 ``metrics_corpus.json`` holds, per entry, a flat config and the sha256 of the
 ``metrics.csv`` it produced when the corpus was generated
-(``scripts/make_metrics_corpus.py``).  Any change to a result -- a random
-stream, an operation order, a rounding rule -- changes a hash here.
+(``scripts/make_metrics_corpus.py``), and the stream scheme it was generated
+under.  Any change to a result -- a random stream, an operation order, a
+rounding rule -- changes a hash here.
 """
 
 import hashlib
@@ -14,7 +15,13 @@ import pytest
 
 from fedquant import cli, federation as fed
 
-CORPUS = json.loads((Path(__file__).parent / "metrics_corpus.json").read_text())
+CORPUS_FILE = json.loads((Path(__file__).parent / "metrics_corpus.json").read_text())
+CORPUS = CORPUS_FILE["runs"]
+
+
+def test_corpus_was_generated_under_the_engine_stream_scheme():
+    # a new scheme changes every hash on purpose; the corpus is then regenerated
+    assert CORPUS_FILE["stream_scheme"] == fed.STREAM_SCHEME
 
 
 def test_corpus_covers_every_mode_combination():

@@ -405,11 +405,11 @@ class TestFloatEquivalences:
         for t in range(cfg.rounds):
             eta = fed.lr_schedule(t, cfg.mu, gamma)
             selected = fed.sample_clients(cfg.num_clients, cfg.clients_per_round,
-                                          fed.sampling_stream(cfg.seed, t))
+                                          fed.round_stream(cfg.seed, t))
             locals_ = [
                 m.local_train(w, model, datasets[k], cfg.local_steps,
                               cfg.batch_size, eta,
-                              fed.train_stream(cfg.seed, t, int(k)))
+                              fed.client_stream(cfg.seed, t, int(k)))
                 for k in selected
             ]
             w = np.stack(locals_).mean(axis=0)
@@ -427,17 +427,17 @@ class TestFloatEquivalences:
         for t in range(cfg.rounds):
             eta = fed.lr_schedule(t, cfg.mu, gamma)
             selected = fed.sample_clients(cfg.num_clients, cfg.clients_per_round,
-                                          fed.sampling_stream(cfg.seed, t))
+                                          fed.round_stream(cfg.seed, t))
 
             locals_w = [m.local_train(w_weight, model, datasets[k],
                                       cfg.local_steps, cfg.batch_size, eta,
-                                      fed.train_stream(cfg.seed, t, int(k)))
+                                      fed.client_stream(cfg.seed, t, int(k)))
                         for k in selected]
             w_weight = fed.aggregate_weights(locals_w)
 
             locals_d = [m.local_train(w_diff, model, datasets[k],
                                       cfg.local_steps, cfg.batch_size, eta,
-                                      fed.train_stream(cfg.seed, t, int(k)))
+                                      fed.client_stream(cfg.seed, t, int(k)))
                         for k in selected]
             w_diff = fed.aggregate_differentials(
                 w_diff, [wl - w_diff for wl in locals_d])
@@ -446,7 +446,7 @@ class TestFloatEquivalences:
 
 def reference_upload(cfg, w_local, delivered, bits, rng):
     """One client's upload the one-vector way: its own quantize_vector call
-    on its own uplink stream, with the spec the engine's rules give it."""
+    on its own stream, with the spec the engine's rules give it."""
     pipeline = dict(rounding=cfg.rounding,
                     one_bit_enhanced=bits == 1 and cfg.one_bit_enhanced)
     if cfg.uplink_mode is fed.UplinkMode.FLOAT:
@@ -473,7 +473,8 @@ def reference_upload(cfg, w_local, delivered, bits, rng):
 
 def reference_run(cfg, model, datasets):
     """Global model after each round, every client trained and quantized on
-    its own with ``local_train`` and a one-vector ``quantize_vector``."""
+    its own with ``local_train`` and a one-vector ``quantize_vector``, both
+    drawing from the client's stream in that order."""
     gamma = fed.gamma_offset(cfg.mu, cfg.lipschitz, cfg.local_steps)
     w = m.WeightVector(np.zeros(cfg.dimension), cfg.layer_bounds())
     frozen = None
@@ -482,20 +483,19 @@ def reference_run(cfg, model, datasets):
         eta = fed.lr_schedule(t, cfg.mu, gamma)
         bits_up = fed.schedule_bits(cfg.uplink_schedule, t, cfg.mu, gamma)
         bits_down = fed.schedule_bits(cfg.downlink_schedule, t, cfg.mu, gamma)
-        selected = fed.sample_clients(cfg.num_clients, cfg.clients_per_round,
-                                      fed.sampling_stream(cfg.seed, t))
-        delivered, _, extras = fed.broadcast(w, cfg, bits_down,
-                                             fed.broadcast_stream(cfg.seed, t),
+        server_rng = fed.round_stream(cfg.seed, t)
+        selected = fed.sample_clients(cfg.num_clients, cfg.clients_per_round, server_rng)
+        delivered, _, extras = fed.broadcast(w, cfg, bits_down, server_rng,
                                              frozen_extra_gains=frozen)
         if cfg.lq_static and frozen is None:
             frozen = extras
         uploads = []
         for k in selected:
+            rng = fed.client_stream(cfg.seed, t, int(k))
             w_local = m.local_train(delivered.values, model, datasets[k],
-                                    cfg.local_steps, cfg.batch_size, eta,
-                                    fed.train_stream(cfg.seed, t, int(k)))
-            uploads.append(reference_upload(cfg, w_local, delivered.values, bits_up,
-                                            fed.uplink_stream(cfg.seed, t, int(k))))
+                                    cfg.local_steps, cfg.batch_size, eta, rng)
+            uploads.append(
+                reference_upload(cfg, w_local, delivered.values, bits_up, rng))
         mean = np.stack(uploads).mean(axis=0)
         if cfg.uplink_mode is fed.UplinkMode.DIFFERENTIAL:
             mean = delivered.values + mean
@@ -569,13 +569,17 @@ class TestReferenceReplay:
         assert state.sizes == (4, 9, 6, 5) and state.starts == (0, 4, 13, 19)
         self.replay(cfg, QUADRATIC, datasets)
 
-    def test_float_downlink_builds_no_broadcast_stream(self, monkeypatch):
-        def refuse(seed, t):
-            raise AssertionError("float broadcast drew a stream")
-        monkeypatch.setattr(fed, "broadcast_stream", refuse)
+    def test_float_downlink_passes_no_rng_to_broadcast(self, monkeypatch):
+        original, rngs = fed.broadcast, []
+
+        def record(w_global, config, bits, rng, frozen_extra_gains=None):
+            rngs.append(rng)
+            return original(w_global, config, bits, rng, frozen_extra_gains)
+        monkeypatch.setattr(fed, "broadcast", record)
         cfg = fed.FederationConfig(num_clients=4, clients_per_round=2, rounds=3,
                                    dimension=3, samples_per_client=5)
         assert len(fed.run_federation(cfg)) == 3
+        assert rngs == [None, None, None]
 
     def test_violation_names_first_client_in_sorted_order(self):
         # clients 0 and 2 stay at zero; 1 and 3 both leave the bound
