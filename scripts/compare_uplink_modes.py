@@ -16,16 +16,7 @@ import csv
 import numpy as np
 
 from fedquant import federation as fed
-
-
-def tight_weight_bound(datasets, batch_size):
-    worst = 0.0
-    for ds in datasets:
-        ranked = np.sort(ds.features, axis=0)
-        worst = max(worst,
-                    float(np.max(np.abs(ranked[:batch_size].mean(axis=0)))),
-                    float(np.max(np.abs(ranked[-batch_size:].mean(axis=0)))))
-    return worst * (1 + 1e-9)
+from fedquant.data import tight_weight_bound
 
 
 def main():

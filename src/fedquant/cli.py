@@ -2,10 +2,9 @@
 
 Subcommands
 -----------
-run        execute a configured federation, write metrics.csv + manifest.json
-verify     run an executable moment verifier (sampling / rounding / differential)
-bound      compare a finished run's gap trajectory against the analytic bound
-partition  split a dataset CSV across clients and export the assignment
+run     execute a configured federation, write metrics.csv + manifest.json
+verify  run an executable moment verifier (sampling / rounding / differential)
+bound   compare a finished run's gap trajectory against the analytic bound
 
 Exit codes: 0 success, 1 failed verification checks, 2 configuration error
 or an optimum solver that did not converge, 3 runtime assumption violation.
@@ -29,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import analysis, data, federation as fed, models, quantizer as qz
+from . import analysis, federation as fed, models, quantizer as qz
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -304,24 +303,6 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def cmd_partition(args: argparse.Namespace) -> int:
-    try:
-        dataset = models.load_dataset_csv(args.data, labeled=args.labeled)
-        if args.strategy == "iid":
-            part = data.partition_iid(dataset, args.clients, args.seed)
-        else:
-            part = data.partition_label_shards(
-                dataset, args.clients, args.shards_per_client, args.seed
-            )
-    except (ValueError, OSError) as exc:
-        print(f"partition error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    data.export_manifest(part, args.out)
-    sizes = [shard.size for shard in part.client_shards]
-    print(f"clients: {len(sizes)} sizes: min={min(sizes)} max={max(sizes)}")
-    return _EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedquant",
@@ -359,19 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("metrics", nargs="+",
                        help="metrics.csv files (gaps are averaged)")
     bound.set_defaults(func=cmd_bound)
-
-    partition = sub.add_parser("partition", help="partition a dataset CSV")
-    partition.add_argument("--data", required=True, help="dataset CSV path")
-    partition.add_argument("--labeled", action="store_true",
-                           help="last column is a 0/1 label")
-    partition.add_argument("--clients", type=int, required=True)
-    partition.add_argument("--strategy", choices=["iid", "label_shards"],
-                           default="iid")
-    partition.add_argument("--shards-per-client", type=int, default=1,
-                           dest="shards_per_client")
-    partition.add_argument("--seed", type=int, default=0)
-    partition.add_argument("--out", required=True, help="manifest CSV path")
-    partition.set_defaults(func=cmd_partition)
     return parser
 
 

@@ -1,14 +1,14 @@
-"""Synthetic dataset generation and client partitioning.
+"""Synthetic client datasets.
 
-Partitions are deterministic under a seed and always cover the source
-dataset exactly (disjoint shards whose union is the original sample set).
+``gen_quadratic_clients`` builds one sample cloud per client for the
+quadratic model.  The logistic model draws one labeled source set with
+``gen_logistic_dataset``, and ``partition_iid`` splits it into disjoint,
+near-equal client shards that together cover it exactly.  Everything is
+deterministic under its seed.  ``tight_weight_bound`` gives a tight
+``weight_bound`` that every weight of a quadratic run respects.
 """
 
 from __future__ import annotations
-
-import csv
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -16,40 +16,19 @@ from .models import ClientDataset
 from .streams import substream
 
 __all__ = [
-    "PartitionStrategy",
-    "Partition",
     "partition_iid",
-    "partition_label_shards",
     "gen_quadratic_clients",
+    "tight_weight_bound",
     "gen_logistic_dataset",
-    "export_manifest",
 ]
 
 
-class PartitionStrategy(Enum):
-    IID = "iid"
-    LABEL_SHARDS = "label_shards"
+def partition_iid(dataset: ClientDataset, n_clients: int, seed: int) -> list[ClientDataset]:
+    """Shuffle and split into ``n_clients`` near-equal disjoint shards.
 
-
-@dataclass
-class Partition:
-    client_shards: list[ClientDataset]
-    strategy: PartitionStrategy
-    shards_per_client: int
-    client_indices: list[np.ndarray]  # source-dataset index of every sample
-
-
-def _materialize(dataset: ClientDataset, indices: list[np.ndarray],
-                 strategy: PartitionStrategy, shards_per_client: int) -> Partition:
-    shards = []
-    for idx in indices:
-        labels = dataset.labels[idx] if dataset.labels is not None else None
-        shards.append(ClientDataset(dataset.features[idx], labels))
-    return Partition(shards, strategy, shards_per_client, indices)
-
-
-def partition_iid(dataset: ClientDataset, n_clients: int, seed: int) -> Partition:
-    """Shuffle and split into ``n_clients`` near-equal disjoint shards."""
+    Each shard keeps its samples in source order, and the shards' union is
+    the source dataset.
+    """
     if n_clients < 1:
         raise ValueError("n_clients must be >= 1")
     if n_clients > dataset.size:
@@ -58,38 +37,12 @@ def partition_iid(dataset: ClientDataset, n_clients: int, seed: int) -> Partitio
         )
     rng = substream(seed)
     perm = rng.permutation(dataset.size)
-    indices = [np.sort(chunk) for chunk in np.array_split(perm, n_clients)]
-    return _materialize(dataset, indices, PartitionStrategy.IID, 1)
-
-
-def partition_label_shards(dataset: ClientDataset, n_clients: int,
-                           shards_per_client: int, seed: int) -> Partition:
-    """Sort by label, cut into equal contiguous shards, deal shards randomly.
-
-    Requires ``n_clients * shards_per_client`` to divide the dataset size.
-    Ties within a label keep their original order, so the cut is
-    deterministic.
-    """
-    if dataset.labels is None:
-        raise ValueError("label-shard partitioning requires a labeled dataset")
-    if shards_per_client < 1:
-        raise ValueError("shards_per_client must be >= 1")
-    total_shards = n_clients * shards_per_client
-    if dataset.size % total_shards != 0:
-        raise ValueError(
-            f"{dataset.size} samples do not divide into {total_shards} shards"
-        )
-    order = np.argsort(dataset.labels, kind="stable")
-    shard_size = dataset.size // total_shards
-    shards = order.reshape(total_shards, shard_size)
-    rng = substream(seed)
-    deal = rng.permutation(total_shards)
-    indices = []
-    for i in range(n_clients):
-        own = deal[i * shards_per_client: (i + 1) * shards_per_client]
-        indices.append(np.sort(np.concatenate([shards[s] for s in own])))
-    return _materialize(dataset, indices, PartitionStrategy.LABEL_SHARDS,
-                        shards_per_client)
+    shards = []
+    for chunk in np.array_split(perm, n_clients):
+        idx = np.sort(chunk)
+        labels = dataset.labels[idx] if dataset.labels is not None else None
+        shards.append(ClientDataset(dataset.features[idx], labels))
+    return shards
 
 
 def gen_quadratic_clients(
@@ -124,6 +77,24 @@ def gen_quadratic_clients(
     return datasets
 
 
+def tight_weight_bound(datasets: list[ClientDataset], batch_size: int) -> float:
+    """Largest attainable |mini-batch mean| per coordinate, over all clients.
+
+    Quadratic locals are convex combinations of the delivered model and
+    batch means, so this bounds every weight a quadratic run can visit
+    (checked at runtime by the engine).
+    """
+    worst = 0.0
+    for ds in datasets:
+        ranked = np.sort(ds.features, axis=0)
+        worst = max(
+            worst,
+            float(np.max(np.abs(ranked[:batch_size].mean(axis=0)))),
+            float(np.max(np.abs(ranked[-batch_size:].mean(axis=0)))),
+        )
+    return worst * (1 + 1e-9)
+
+
 def gen_logistic_dataset(
     n_samples: int,
     dim: int,
@@ -146,13 +117,3 @@ def gen_logistic_dataset(
     probs = 1.0 / (1.0 + np.exp(-z))
     labels = (rng.random(n_samples) < probs).astype(np.int64)
     return ClientDataset(x, labels)
-
-
-def export_manifest(partition: Partition, path: str) -> None:
-    """Write the (client_id, sample_index) assignment for reproducibility audits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["client_id", "sample_index"])
-        for client_id, idx in enumerate(partition.client_indices):
-            for sample_index in idx:
-                writer.writerow([client_id, int(sample_index)])

@@ -189,6 +189,9 @@ class FederationConfig:
             raise ConfigError("grid=symmetric requires rounding=stochastic")
         if self.model is LossKind.LOGISTIC and not self.regularization > 0:
             raise ConfigError("logistic model requires regularization > 0")
+        if self.model is LossKind.LOGISTIC and self.mu > self.regularization:
+            raise ConfigError("logistic model requires mu <= regularization, "
+                              "its strong convexity")
         if self.model is LossKind.QUADRATIC and self.regularization != 0:
             raise ConfigError("quadratic model takes no regularization")
         if self.dimension < 1:
@@ -456,8 +459,7 @@ def build_problem(config: FederationConfig) -> tuple[LossModel, list[ClientDatas
         config.num_clients * config.samples_per_client, config.dimension,
         seed=config.seed, feature_scales=scales,
     )
-    partition = partition_iid(source, config.num_clients, seed=config.seed + 1)
-    return model, partition.client_shards
+    return model, partition_iid(source, config.num_clients, seed=config.seed + 1)
 
 
 def init_state(

@@ -19,7 +19,6 @@ reference the tests compare against.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -43,7 +42,6 @@ __all__ = [
     "solve_optimum",
     "pooled_dataset",
     "estimate_smoothness",
-    "load_dataset_csv",
 ]
 
 
@@ -304,23 +302,3 @@ def solve_optimum(model: LossModel, datasets: list[ClientDataset],
         f"gradient norm above {grad_tol} after {max_iters} iterations"
     )
 
-
-def load_dataset_csv(path: str, labeled: bool) -> ClientDataset:
-    """Read a dataset CSV: header row, one sample per line; when labeled,
-    the last column is a {0,1} label."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            next(reader)  # header
-        except StopIteration:
-            raise ValueError(f"{path}: missing header row") from None
-        rows = [[float(cell) for cell in row] for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: no samples")
-    table = np.asarray(rows, dtype=np.float64)
-    if labeled:
-        labels = table[:, -1]
-        if not np.all(np.isin(labels, (0.0, 1.0))):
-            raise ValueError(f"{path}: labels must be 0 or 1")
-        return ClientDataset(table[:, :-1], labels.astype(np.int64))
-    return ClientDataset(table, None)

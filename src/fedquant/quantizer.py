@@ -52,8 +52,6 @@ __all__ = [
     "quantize_grid_sr",
     "grid_distribution",
     "grid_moments",
-    "one_bit_plus_probability",
-    "quantize_one_bit",
     "quantize_vector",
     "differential_gain",
     "layered_gains",
@@ -246,7 +244,9 @@ def quantize_pipeline(
 ) -> tuple[int, float]:
     """Run one scalar through scale-up, rounding, limit, scale-down.
 
-    Returns (codeword, dequantized value).
+    Returns (codeword, dequantized value).  The engine never calls this: it
+    is the scalar reference that the tests compare :func:`quantize_vector`'s
+    pipeline family against, draw for draw.
     """
     if spec.grid is not GridKind.PIPELINE:
         raise ValueError("quantize_pipeline requires a pipeline-grid spec")
@@ -296,31 +296,15 @@ def grid_moments(w: float, grid: GridSpec) -> tuple[float, float]:
 
 
 def quantize_grid_sr(w: float, grid: GridSpec, rng: np.random.Generator) -> float:
-    """Stochastically round ``w`` to one of the two bracketing codepoints."""
+    """Stochastically round ``w`` to one of the two bracketing codepoints.
+
+    The engine never calls this: it is the scalar reference for the
+    symmetric grid, which the tests compare :func:`quantize_vector` against
+    and which the ``analysis`` moment verifiers sample.
+    """
     lo_code, hi_code, p_hi = grid_distribution(w, grid)
     code = hi_code if rng.random() < p_hi else lo_code
     return code * grid.half_step
-
-
-def one_bit_plus_probability(w: float, gain: float) -> float:
-    """Probability of emitting +1 in enhanced one-bit stochastic rounding."""
-    inv = 1.0 / gain
-    return min(1.0, max(0.0, (w + inv) / (2.0 * inv)))
-
-
-def quantize_one_bit(
-    w: float, gain: float, rounding: Rounding, rng: np.random.Generator | None = None
-) -> float:
-    """Enhanced one-bit quantizer: emit +1/gain or -1/gain directly."""
-    _require_finite(w)
-    if not gain > 0:
-        raise ValueError("gain must be positive")
-    if rounding is Rounding.NEAREST:
-        return (1.0 if w >= 0 else -1.0) / gain
-    if rng is None:
-        raise ValueError("stochastic rounding requires an rng")
-    pr = one_bit_plus_probability(w, gain)
-    return (1.0 if rng.random() < pr else -1.0) / gain
 
 
 # ---------------------------------------------------------------------------
@@ -514,45 +498,52 @@ def float_bits(dim: int) -> int:
     return dim * FLOAT_BITS_PER_COORD
 
 
-def _code_width(bits: int) -> int:
-    return (bits + 7) // 8
+_SYMMETRIC_FLAG = 0x80  # set in the header's bits byte for odd-integer codewords
 
 
 def serialize(qv: QuantizedVector) -> bytes:
     """Encode little-endian: header (bits, gain, dim) then packed codewords.
 
-    Each codeword is stored as a signed integer of the minimal byte width
-    covering ``bits`` bits.  Symmetric-grid codewords ``c`` are odd; they are
-    stored as ``(c - 1) / 2``, which spans exactly the signed ``bits``-bit
-    range, and widened back on read.
+    The header's bits byte also carries the grid family (``_SYMMETRIC_FLAG``).
+    Each codeword takes exactly ``bits`` bits, most significant first, as a
+    two's-complement integer; the payload is zero-padded only to its last
+    byte, so a blob is ``ceil(wire_bits(dim, bits) / 8)`` bytes.
+    Symmetric-grid codewords ``c`` are odd; they travel as ``(c - 1) / 2``,
+    which spans exactly the signed ``bits``-bit range, so one that is even or
+    outside ``±(2^bits - 1)`` is rejected rather than wrapped.
     """
     if qv.codewords.ndim != 1 or np.ndim(qv.gain):
         raise ValueError("serialize takes one vector with one gain")
-    header = struct.pack("<BdQ", qv.bits, qv.gain, qv.dim)
-    width = _code_width(qv.bits)
-    if qv.grid is GridKind.SYMMETRIC:
-        transport = (qv.codewords - 1) // 2
-    else:
-        transport = qv.codewords
-    body = b"".join(int(c).to_bytes(width, "little", signed=True) for c in transport)
-    return header + body
+    if qv.bits >= 64:
+        raise ValueError("serialize takes at most 63 bits per codeword")
+    symmetric = qv.grid is GridKind.SYMMETRIC
+    if symmetric and qv.codewords.size:
+        hi = 2 ** qv.bits - 1
+        if not (np.all(qv.codewords & 1) and qv.codewords.min() >= -hi
+                and qv.codewords.max() <= hi):
+            raise ValueError(f"symmetric codewords must be odd and within ±{hi}")
+    header = struct.pack("<BdQ", qv.bits | (_SYMMETRIC_FLAG if symmetric else 0),
+                         qv.gain, qv.dim)
+    transport = (qv.codewords - 1) // 2 if symmetric else qv.codewords
+    shifts = np.arange(qv.bits - 1, -1, -1, dtype=np.int64)
+    planes = (transport[:, None] >> shifts) & 1
+    return header + np.packbits(planes.astype(np.uint8)).tobytes()
 
 
-def deserialize(data: bytes, grid: GridKind = GridKind.PIPELINE) -> QuantizedVector:
-    """Inverse of :func:`serialize`; the caller supplies the grid family."""
-    bits, gain, dim = struct.unpack_from("<BdQ", data, 0)
-    width = _code_width(bits)
+def deserialize(data: bytes) -> QuantizedVector:
+    """Inverse of :func:`serialize`; the header names the grid family."""
+    flagged, gain, dim = struct.unpack_from("<BdQ", data, 0)
+    bits = flagged & ~_SYMMETRIC_FLAG
+    if bits < 1:
+        raise ValueError("header declares zero bits per codeword")
     offset = struct.calcsize("<BdQ")
-    expected = offset + dim * width
+    expected = offset + (dim * bits + 7) // 8
     if len(data) != expected:
         raise ValueError(f"expected {expected} bytes, got {len(data)}")
-    transport = np.array(
-        [
-            int.from_bytes(data[offset + i * width: offset + (i + 1) * width],
-                           "little", signed=True)
-            for i in range(dim)
-        ],
-        dtype=np.int64,
-    )
-    codes = transport * 2 + 1 if grid is GridKind.SYMMETRIC else transport
-    return QuantizedVector(codes, gain, bits, grid)
+    planes = np.unpackbits(np.frombuffer(data, np.uint8, offset=offset))
+    weights = np.int64(1) << np.arange(bits - 1, -1, -1, dtype=np.int64)
+    unsigned = planes[:dim * bits].reshape(dim, bits) @ weights
+    transport = unsigned - ((unsigned >> (bits - 1)) << bits)
+    if flagged & _SYMMETRIC_FLAG:
+        return QuantizedVector(transport * 2 + 1, gain, bits, GridKind.SYMMETRIC)
+    return QuantizedVector(transport, gain, bits)

@@ -11,6 +11,7 @@ import pytest
 from fedquant import analysis as an
 from fedquant import federation as fed
 from fedquant import models as m
+from fedquant.data import tight_weight_bound
 
 TESTBED = dict(
     num_clients=20, clients_per_round=5, local_steps=5, rounds=2000,
@@ -26,24 +27,6 @@ def make_testbed_config(**overrides) -> fed.FederationConfig:
     fields.setdefault("seed", DATA_SEED)
     fields.update(overrides)
     return fed.FederationConfig(**fields)
-
-
-def tight_weight_bound(datasets, batch_size: int) -> float:
-    """Largest attainable |mini-batch mean| per coordinate, over all clients.
-
-    Quadratic locals are convex combinations of the delivered model and
-    batch means, so this bounds every weight the run can visit (checked at
-    runtime by the engine).
-    """
-    worst = 0.0
-    for ds in datasets:
-        ranked = np.sort(ds.features, axis=0)
-        worst = max(
-            worst,
-            float(np.max(np.abs(ranked[:batch_size].mean(axis=0)))),
-            float(np.max(np.abs(ranked[-batch_size:].mean(axis=0)))),
-        )
-    return worst * (1 + 1e-9)
 
 
 class QuadraticTestbed:

@@ -179,7 +179,7 @@ def test_c08_layered_quantization_benefit():
     # federation part: two-layer logistic model, layered vs single-gain downlink
     problem_kwargs = dict(
         num_clients=10, clients_per_round=5, local_steps=2, rounds=500,
-        batch_size=10, model=m.LossKind.LOGISTIC, regularization=0.1,
+        batch_size=10, model=m.LossKind.LOGISTIC, regularization=0.1, mu=0.1,
         dimension=10, layer_sizes=(5, 5), layer_feature_scales=(1.0, 4.0),
         samples_per_client=40, grid=qz.GridKind.PIPELINE,
         downlink_schedule=fed.ScheduleSpec.constant(4), seed=3,
@@ -191,7 +191,7 @@ def test_c08_layered_quantization_benefit():
         finals = []
         for seed in RUN_SEEDS:
             cfg = fed.FederationConfig(**{
-                **problem_kwargs, "seed": seed, "mu": 0.1, "lipschitz": smooth,
+                **problem_kwargs, "seed": seed, "lipschitz": smooth,
                 "downlink_mode": downlink_mode,
             })
             finals.append(fed.run_federation(cfg, model, datasets)[-1].train_loss)

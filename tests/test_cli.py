@@ -2,11 +2,17 @@
 
 import csv
 import hashlib
+import importlib
 import json
+import pkgutil
+import re
+import tempfile
+from pathlib import Path
 
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fedquant
 from fedquant import analysis, cli
 from fedquant import federation as fed
 from fedquant import models
@@ -137,6 +143,8 @@ class TestRunCommand:
 
 
 LOGISTIC_UNREGULARIZED = BASE_CONFIG + "model = logistic\nregularization = 0\n"
+# mu = 1 from BASE_CONFIG: a step size the regularization 0.01 does not back
+LOGISTIC_MU_ABOVE_REGULARIZATION = BASE_CONFIG + "model = logistic\nregularization = 0.01\n"
 
 
 def failing_argv(tmp_path, command, config_text):
@@ -155,6 +163,16 @@ def test_unregularized_logistic_is_a_config_error(tmp_path, capsys, command):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
     assert "regularization" in err[0]
+
+
+@pytest.mark.parametrize("command", ["run", "bound"])
+def test_logistic_mu_above_regularization_is_a_config_error(tmp_path, capsys, command):
+    argv = failing_argv(tmp_path, command, LOGISTIC_MU_ABOVE_REGULARIZATION)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: logistic model requires mu <= regularization, "
+                   "its strong convexity"]
+    assert not (tmp_path / "o").exists() and not (tmp_path / "b.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "bound"])
@@ -306,39 +324,74 @@ def test_testbed_run_and_bound_bytes_unchanged(tmp_path):
         "3ee33b4d4b02b30657ef0101cae18728c09c018c5a85588f393d6edd8740de1e")
 
 
-class TestPartitionCommand:
-    def write_dataset(self, tmp_path, labeled=True):
-        path = tmp_path / "data.csv"
-        rows = ["f1,f2,y" if labeled else "f1,f2"]
-        rng = np.random.default_rng(0)
-        for i in range(24):
-            feats = f"{rng.normal():.6f},{rng.normal():.6f}"
-            rows.append(f"{feats},{i % 2}" if labeled else feats)
-        path.write_text("\n".join(rows) + "\n")
-        return str(path)
+def config_text_from_snapshot(snapshot: dict) -> str:
+    """The ``key=value`` text of a manifest's ``config`` snapshot."""
+    lines = []
+    for key, value in snapshot.items():
+        if key.endswith("_schedule"):
+            prefix = key[: -len("_schedule")]
+            lines.append(f"{key} = {value['kind']}")
+            lines += [f"{prefix}_{part} = {value[part]!r}"
+                      for part in ("bits", "f", "p") if value[part] is not None]
+        elif isinstance(value, bool):
+            lines.append(f"{key} = {str(value).lower()}")
+        elif isinstance(value, list):
+            lines.append(f"{key} = {','.join(map(repr, value))}")
+        elif value is not None:
+            lines.append(f"{key} = {value if isinstance(value, str) else repr(value)}")
+    return "\n".join(lines) + "\n"
 
-    def test_iid_manifest(self, tmp_path):
-        dataset = self.write_dataset(tmp_path, labeled=False)
-        out = tmp_path / "manifest.csv"
-        code = cli.main(["partition", "--data", dataset, "--clients", "4",
-                         "--out", str(out)])
-        assert code == 0
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))[1:]
-        assert sorted(int(r[1]) for r in rows) == list(range(24))
 
-    def test_label_shards_manifest(self, tmp_path):
-        dataset = self.write_dataset(tmp_path, labeled=True)
-        out = tmp_path / "manifest.csv"
-        code = cli.main(["partition", "--data", dataset, "--labeled",
-                         "--clients", "4", "--strategy", "label_shards",
-                         "--shards-per-client", "2", "--out", str(out)])
-        assert code == 0
+MANIFEST_MODES = [
+    "uplink_mode = float\ndownlink_mode = float\n",
+    "uplink_mode = differential\nuplink_bits = 2\ndownlink_mode = quantized\n",
+    "uplink_mode = weight\nuplink_schedule = weight_log\n"
+    "downlink_mode = layered\ndownlink_bits = 5\nlayer_sizes = 1,3\n",
+    "uplink_mode = weight\nuplink_schedule = step_log\nuplink_f = 2\nuplink_p = 3.5\n"
+    "grid = pipeline\nrounding = nearest\nstructure = native\n"
+    "downlink_mode = quantized\ndownlink_schedule = downlink_log\n",
+    "uplink_mode = differential\nuplink_bits = 1\none_bit_enhanced = false\n"
+    "grid = pipeline\ndownlink_mode = float\n",
+    "model = logistic\nregularization = 0.25\nmu = 0.125\nlipschitz = 3\n"
+    "layer_sizes = 2,2\nlayer_feature_scales = 1.0,0.3\nuplink_mode = float\n"
+    "downlink_mode = layered\nlq_static = true\n",
+]
 
-    def test_indivisible_exit_code(self, tmp_path):
-        dataset = self.write_dataset(tmp_path, labeled=True)
-        code = cli.main(["partition", "--data", dataset, "--labeled",
-                         "--clients", "5", "--strategy", "label_shards",
-                         "--shards-per-client", "2",
-                         "--out", str(tmp_path / "m.csv")])
-        assert code == 2
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(MANIFEST_MODES), st.integers(0, 2 ** 16), st.integers(1, 6),
+       st.floats(0.0, 2.0))
+def test_run_reproduces_from_manifest_alone(mode, seed, rounds, spread):
+    text = (f"num_clients = 5\nclients_per_round = 2\nlocal_steps = 2\nbatch_size = 2\n"
+            f"dimension = 4\nsamples_per_client = 4\nweight_bound = 8\nseed = {seed}\n"
+            f"rounds = {rounds}\nspread = {spread!r}\n" + mode)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        first = write_config(tmp, text)
+        assert cli.main(["run", "--config", first, "--out", str(tmp / "a")]) == 0
+        snapshot = json.loads((tmp / "a" / "manifest.json").read_text())["config"]
+        rebuilt = write_config(tmp, config_text_from_snapshot(snapshot), "rebuilt.cfg")
+        assert cli.main(["run", "--config", rebuilt, "--out", str(tmp / "b")]) == 0
+        assert (tmp / "a" / "metrics.csv").read_bytes() == (tmp / "b" / "metrics.csv").read_bytes()
+        assert json.loads((tmp / "b" / "manifest.json").read_text())["config"] == snapshot
+
+
+def test_every_exported_name_resolves():
+    for info in pkgutil.iter_modules(fedquant.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"fedquant.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"fedquant.{info.name}.{name}"
+
+
+def test_help_lists_exactly_run_verify_bound(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["--help"])
+    assert exit_info.value.code == 0
+    choices = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1)
+    assert choices.split(",") == ["run", "verify", "bound"]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["partition", "--data", "data.csv", "--clients", "2", "--out", "m.csv"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'partition'" in capsys.readouterr().err

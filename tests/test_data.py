@@ -1,4 +1,4 @@
-"""Partitioning and synthetic-data tests."""
+"""Synthetic-data and i.i.d. partition tests."""
 
 import numpy as np
 import pytest
@@ -9,45 +9,47 @@ from fedquant.models import ClientDataset
 from fedquant.streams import substream
 
 
-def make_labeled(n_per_label: int, labels: list[int]) -> ClientDataset:
-    features = np.arange(n_per_label * len(labels), dtype=float)[:, None]
-    label_col = np.repeat(labels, n_per_label)
-    # interleave so the source is not pre-sorted by label
-    order = substream(100).permutation(features.shape[0])
-    return ClientDataset(features[order], label_col[order])
+def source_ids(size: int) -> ClientDataset:
+    """A dataset whose only feature is each sample's source index."""
+    return ClientDataset(np.arange(size, dtype=float)[:, None])
 
 
-def covers_source(partition: d.Partition, size: int) -> bool:
-    merged = np.sort(np.concatenate(partition.client_indices))
-    return np.array_equal(merged, np.arange(size))
+def covers_source(shards: list[ClientDataset], size: int) -> bool:
+    """The shards of ``source_ids(size)`` are disjoint and cover it."""
+    merged = np.sort(np.concatenate([s.features[:, 0] for s in shards]))
+    return np.array_equal(merged, np.arange(size, dtype=float))
 
 
 class TestPartitionIid:
     def test_equal_sizes(self):
-        ds = ClientDataset(np.arange(100, dtype=float)[:, None])
-        part = d.partition_iid(ds, 10, seed=0)
-        assert [s.size for s in part.client_shards] == [10] * 10
-        assert covers_source(part, 100)
+        shards = d.partition_iid(source_ids(100), 10, seed=0)
+        assert [s.size for s in shards] == [10] * 10
+        assert covers_source(shards, 100)
 
     def test_near_equal_when_indivisible(self):
-        ds = ClientDataset(np.arange(10, dtype=float)[:, None])
-        part = d.partition_iid(ds, 3, seed=0)
-        sizes = [s.size for s in part.client_shards]
+        shards = d.partition_iid(source_ids(10), 3, seed=0)
+        sizes = [s.size for s in shards]
         assert max(sizes) - min(sizes) <= 1
-        assert covers_source(part, 10)
+        assert covers_source(shards, 10)
 
     def test_single_client_is_whole_dataset(self):
-        ds = ClientDataset(np.arange(7, dtype=float)[:, None])
-        part = d.partition_iid(ds, 1, seed=3)
-        assert np.array_equal(np.sort(part.client_shards[0].features[:, 0]),
+        shards = d.partition_iid(source_ids(7), 1, seed=3)
+        assert np.array_equal(np.sort(shards[0].features[:, 0]),
                               np.arange(7, dtype=float))
+
+    def test_shards_keep_source_order_and_labels(self):
+        ds = ClientDataset(np.arange(12, dtype=float)[:, None], np.arange(12) % 2)
+        for shard in d.partition_iid(ds, 4, seed=2):
+            ids = shard.features[:, 0]
+            assert np.all(np.diff(ids) > 0)
+            assert shard.labels.tolist() == (ids.astype(int) % 2).tolist()
 
     def test_deterministic(self):
         ds = ClientDataset(substream(1).standard_normal((50, 2)))
         a = d.partition_iid(ds, 5, seed=9)
         b = d.partition_iid(ds, 5, seed=9)
-        for ia, ib in zip(a.client_indices, b.client_indices):
-            assert np.array_equal(ia, ib)
+        for sa, sb in zip(a, b):
+            assert np.array_equal(sa.features, sb.features)
 
     def test_too_many_clients_rejected(self):
         ds = ClientDataset(np.ones((3, 1)))
@@ -56,50 +58,9 @@ class TestPartitionIid:
 
     @given(st.integers(1, 12), st.integers(12, 60), st.integers(0, 5))
     def test_disjoint_coverage_property(self, n_clients, size, seed):
-        ds = ClientDataset(np.arange(size, dtype=float)[:, None])
-        part = d.partition_iid(ds, n_clients, seed=seed)
-        assert covers_source(part, size)
-
-
-class TestPartitionLabelShards:
-    def test_two_labels_pure_clients(self):
-        ds = make_labeled(4, [0, 1])
-        part = d.partition_label_shards(ds, 2, 1, seed=0)
-        supports = [set(np.unique(s.labels)) for s in part.client_shards]
-        assert sorted(map(tuple, supports)) == [(0,), (1,)]
-        assert covers_source(part, 8)
-
-    def test_single_client_gets_everything(self):
-        ds = make_labeled(3, [0, 1])
-        part = d.partition_label_shards(ds, 1, 2, seed=1)
-        assert part.client_shards[0].size == 6
-        assert covers_source(part, 6)
-
-    def test_label_support_bounded_on_aligned_classes(self):
-        # class sizes are multiples of the shard size, so every shard is
-        # label-pure and each client sees at most shards_per_client labels
-        ds = make_labeled(20, [0, 1, 2, 3])
-        for seed in range(5):
-            part = d.partition_label_shards(ds, 8, 2, seed=seed)
-            for shard in part.client_shards:
-                assert len(np.unique(shard.labels)) <= 3  # s + 1
-
-    def test_indivisible_rejected(self):
-        ds = make_labeled(5, [0, 1])
-        with pytest.raises(ValueError):
-            d.partition_label_shards(ds, 3, 1, seed=0)
-
-    def test_unlabeled_rejected(self):
-        ds = ClientDataset(np.ones((4, 1)))
-        with pytest.raises(ValueError):
-            d.partition_label_shards(ds, 2, 1, seed=0)
-
-    def test_deterministic_and_stable_ties(self):
-        ds = make_labeled(6, [1, 0, 1])
-        a = d.partition_label_shards(ds, 3, 2, seed=4)
-        b = d.partition_label_shards(ds, 3, 2, seed=4)
-        for ia, ib in zip(a.client_indices, b.client_indices):
-            assert np.array_equal(ia, ib)
+        shards = d.partition_iid(source_ids(size), n_clients, seed=seed)
+        assert len(shards) == n_clients
+        assert covers_source(shards, size)
 
 
 class TestGenQuadraticClients:
@@ -155,18 +116,3 @@ class TestGenLogisticDataset:
     def test_bad_scales_rejected(self):
         with pytest.raises(ValueError):
             d.gen_logistic_dataset(10, 2, seed=0, feature_scales=np.array([1.0]))
-
-
-class TestManifest:
-    def test_export_contents(self, tmp_path):
-        ds = ClientDataset(np.arange(4, dtype=float)[:, None])
-        part = d.partition_iid(ds, 2, seed=0)
-        path = tmp_path / "manifest.csv"
-        d.export_manifest(part, str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "client_id,sample_index"
-        rows = [tuple(map(int, line.split(","))) for line in lines[1:]]
-        assert len(rows) == 4
-        assert sorted(idx for _, idx in rows) == [0, 1, 2, 3]
-        for client_id, idx in rows:
-            assert idx in part.client_indices[client_id]

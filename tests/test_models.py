@@ -351,31 +351,3 @@ class TestWeightVector:
         w2 = w.with_values(np.ones(4))
         assert w2.layers == w.layers
         assert w2.values.tolist() == [1.0] * 4
-
-
-class TestDatasetCsv:
-    def test_unlabeled_round_trip(self, tmp_path):
-        path = tmp_path / "points.csv"
-        path.write_text("a,b\n1.0,2.0\n3.0,4.0\n")
-        ds = m.load_dataset_csv(str(path), labeled=False)
-        assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-        assert ds.labels is None
-
-    def test_labeled_last_column(self, tmp_path):
-        path = tmp_path / "labeled.csv"
-        path.write_text("x1,x2,y\n1.0,2.0,1\n3.0,4.0,0\n")
-        ds = m.load_dataset_csv(str(path), labeled=True)
-        assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-        assert ds.labels.tolist() == [1, 0]
-
-    def test_bad_label_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("x,y\n1.0,2\n")
-        with pytest.raises(ValueError):
-            m.load_dataset_csv(str(path), labeled=True)
-
-    def test_empty_rejected(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("x\n")
-        with pytest.raises(ValueError):
-            m.load_dataset_csv(str(path), labeled=False)

@@ -209,37 +209,47 @@ class TestGridStochasticRounding:
         assert abs(out - w) <= grid.step * (1 + 1e-12)
 
 
+def one_bit(gain: float, rounding=qz.Rounding.STOCHASTIC) -> qz.QuantizerSpec:
+    return qz.QuantizerSpec.tuned(1, gain, rounding, one_bit_enhanced=True)
+
+
 class TestOneBit:
+    """The enhanced one-bit branch of the kernel: Pr[+1] = clip((w + 1/G) / (2/G))."""
+
     def test_probability_endpoints(self):
-        g = 2.5
-        assert qz.one_bit_plus_probability(0.0, g) == 0.5
-        assert qz.one_bit_plus_probability(-1.0 / g, g) == 0.0
-        assert qz.one_bit_plus_probability(1.0 / g, g) == 1.0
+        # a code is +1 exactly when its coordinate's uniform draw is below Pr[+1]
+        g, n = 2.5, 200
+        draws = substream(6).random(n)
+        for w, pr in ((0.0, 0.5), (-1.0 / g, 0.0), (1.0 / g, 1.0)):
+            out = qz.quantize_vector(np.full(n, w), one_bit(g), substream(6))
+            assert out.codewords.tolist() == np.where(draws < pr, 1, -1).tolist()
 
     def test_saturated_input_always_plus(self):
         g = 4.0
-        rng = substream(6)
-        assert all(qz.quantize_one_bit(1 / g, g, qz.Rounding.STOCHASTIC, rng)
-                   == 1 / g for _ in range(50))
+        out = qz.quantize_vector(np.full(50, 1 / g), one_bit(g), substream(6))
+        assert np.all(out.dequantize() == 1 / g)
 
     def test_nearest_sign_rule(self):
-        assert qz.quantize_one_bit(-0.2, 1.0, qz.Rounding.NEAREST) == -1.0
-        assert qz.quantize_one_bit(0.0, 1.0, qz.Rounding.NEAREST) == 1.0
-        assert qz.quantize_one_bit(0.2, 2.0, qz.Rounding.NEAREST) == 0.5
+        out = qz.quantize_vector(np.array([-0.2, 0.0]), one_bit(1.0, qz.Rounding.NEAREST))
+        assert out.dequantize().tolist() == [-1.0, 1.0]
+        out = qz.quantize_vector(np.array([0.2]), one_bit(2.0, qz.Rounding.NEAREST))
+        assert out.dequantize().tolist() == [0.5]
 
     @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0.25, 16))
     def test_probability_monotone(self, w1, w2, gain):
+        # on shared draws, a larger input never gives a smaller code
         lo, hi = sorted((w1, w2))
-        assert (qz.one_bit_plus_probability(lo, gain)
-                <= qz.one_bit_plus_probability(hi, gain))
+        low = qz.quantize_vector(np.full(64, lo), one_bit(gain), substream(19))
+        high = qz.quantize_vector(np.full(64, hi), one_bit(gain), substream(19))
+        assert np.all(low.codewords <= high.codewords)
 
     @given(st.floats(-3, 3), st.floats(0.25, 16))
     def test_expectation_equals_clamp(self, w, gain):
+        # E[(Q - w)^2] = 1/G^2 - 2 w E[Q] + w^2 with E[Q] = clamp(w, +-1/G)
         inv = 1.0 / gain
-        pr = qz.one_bit_plus_probability(w, gain)
-        expectation = pr * inv + (1 - pr) * (-inv)
         clamped = min(max(w, -inv), inv)
-        assert expectation == pytest.approx(clamped, abs=1e-12)
+        assert qz.expected_sq_error(np.array([w]), one_bit(gain)) == pytest.approx(
+            inv * inv - 2 * w * clamped + w * w, rel=1e-12, abs=1e-12)
 
 
 class TestQuantizeVector:
@@ -509,28 +519,95 @@ class TestSerialization:
         assert np.array_equal(restored.codewords, original.codewords)
         assert restored.gain == original.gain
         assert restored.bits == original.bits
+        assert restored.grid is qz.GridKind.PIPELINE
 
     def test_round_trip_symmetric_grid(self):
         spec = qz.QuantizerSpec.symmetric_grid(2.0, 9)
         v = substream(17).uniform(-2, 2, 40)
         original = qz.quantize_vector(v, spec, substream(18))
-        restored = qz.deserialize(qz.serialize(original), qz.GridKind.SYMMETRIC)
+        restored = qz.deserialize(qz.serialize(original))
+        assert restored.grid is qz.GridKind.SYMMETRIC
         assert np.array_equal(restored.codewords, original.codewords)
         assert np.array_equal(restored.dequantize(), original.dequantize())
 
     def test_byte_layout(self):
         qv = qz.QuantizedVector(np.array([1, -2, 3]), 4.0, 3)
         blob = qz.serialize(qv)
-        assert len(blob) == qz.HEADER_BYTES + 3  # 1 byte per 3-bit codeword
+        assert len(blob) == qz.HEADER_BYTES + 2  # 9 payload bits
         bits, gain, dim = struct.unpack_from("<BdQ", blob, 0)
         assert (bits, gain, dim) == (3, 4.0, 3)
-        assert blob[17:] == b"\x01\xfe\x03"
+        # 001 110 011, zero-padded to two bytes
+        assert blob[17:] == b"\x39\x80"
+
+    def test_family_in_bits_byte(self):
+        qv = qz.QuantizedVector(np.array([-3, 1, 3]), 1.5, 2, qz.GridKind.SYMMETRIC)
+        blob = qz.serialize(qv)
+        assert blob[0] == 0x82
+        # (c - 1) / 2 = -2, 0, 1: 10 00 01
+        assert blob[17:] == b"\x84"
+
+    @pytest.mark.parametrize("bits", [1, 8, 16])
+    @pytest.mark.parametrize("grid", [qz.GridKind.PIPELINE, qz.GridKind.SYMMETRIC])
+    def test_extreme_codewords_round_trip(self, grid, bits):
+        # the ends of each family's range, where sign extension can go wrong
+        if grid is qz.GridKind.SYMMETRIC:
+            hi = 2 ** bits - 1
+            codes = [-hi, -1, 1, hi]
+        else:
+            codes = [-(2 ** (bits - 1)), -1, 0, 2 ** (bits - 1) - 1]
+        qv = qz.QuantizedVector(np.array(codes), 0.75, bits, grid)
+        blob = qz.serialize(qv)
+        assert len(blob) == math.ceil(qz.wire_bits(4, bits) / 8)
+        decoded = qz.deserialize(blob)
+        assert decoded.grid is grid and decoded.bits == bits
+        assert decoded.codewords.tolist() == codes
+
+    @pytest.mark.parametrize("codes", [[5, 2], [9, 1], [1, -9]],
+                             ids=["even", "above", "below"])
+    def test_symmetric_codeword_off_grid_rejected(self, codes):
+        # at 3 bits the symmetric grid is the odd integers in [-7, 7]
+        qv = qz.QuantizedVector(np.array(codes), 1.0, 3, qz.GridKind.SYMMETRIC)
+        with pytest.raises(ValueError, match="odd and within"):
+            qz.serialize(qv)
 
     def test_wire_accounting(self):
         assert qz.wire_bits(100, 2) == 100 * 2 + 17 * 8
         assert qz.float_bits(10) == 320
 
+    @settings(deadline=None)
+    @given(st.sampled_from(["pipeline", "symmetric", "one_bit"]), st.integers(1, 16),
+           st.integers(0, 40), st.integers(0, 2 ** 32 - 1))
+    def test_length_is_accounted_bits(self, family, bits, dim, seed):
+        rng = substream(seed)
+        v = rng.standard_normal(dim) * rng.uniform(0.1, 10.0)
+        if family == "symmetric":
+            spec = qz.QuantizerSpec.symmetric_grid(float(np.max(np.abs(v), initial=1.0)), bits)
+        elif family == "one_bit":
+            bits = 1
+            spec = qz.QuantizerSpec.tuned(1, rng.uniform(0.25, 4.0), one_bit_enhanced=True)
+        else:
+            spec = qz.QuantizerSpec.tuned(bits, rng.uniform(0.25, 4.0))
+        qv = qz.quantize_vector(v, spec, substream(seed, 1))
+        blob = qz.serialize(qv)
+        assert len(blob) == math.ceil(qz.wire_bits(dim, bits) / 8)
+        # reference payload: each transport code as `bits` two's-complement digits
+        symmetric = qv.grid is qz.GridKind.SYMMETRIC
+        transport = (qv.codewords - 1) // 2 if symmetric else qv.codewords
+        digits = "".join(format(int(t) % 2 ** bits, f"0{bits}b") for t in transport)
+        digits += "0" * (-len(digits) % 8)
+        assert blob[17:] == bytes(int(digits[i:i + 8], 2) for i in range(0, len(digits), 8))
+        decoded = qz.deserialize(blob)
+        assert decoded.grid is qv.grid and decoded.gain == qv.gain
+        assert np.array_equal(decoded.dequantize(), qv.dequantize())
+
     def test_truncated_payload_rejected(self):
         blob = qz.serialize(qz.QuantizedVector(np.array([1, 2]), 2.0, 4))
         with pytest.raises(ValueError):
             qz.deserialize(blob[:-1])
+        with pytest.raises(ValueError, match="zero bits"):
+            qz.deserialize(b"\x00" + blob[1:])
+
+    def test_trailing_bytes_rejected(self):
+        blob = qz.serialize(qz.QuantizedVector(np.array([1, 2]), 2.0, 4))
+        with pytest.raises(ValueError, match="expected 18 bytes, got 19"):
+            qz.deserialize(blob + b"\x00")
