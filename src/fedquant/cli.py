@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import platform
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -165,11 +166,7 @@ def _config_snapshot(config: fed.FederationConfig) -> dict:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        config = load_config(args.config, args.seed)
-    except fed.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
+    config = load_config(args.config, args.seed)
     try:
         records = fed.run_federation(config)
     except fed.AssumptionViolation as exc:
@@ -183,6 +180,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         "tool_version": __version__,
         "master_seed": config.seed,
         "stream_scheme": fed.STREAM_SCHEME,
+        # the engine's draws depend on numpy's Philox and Generator.random
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "config_path": str(args.config),
         "config": _config_snapshot(config),
         "artifacts": [str(metrics_path)],
@@ -271,6 +271,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
     model, datasets = fed.build_problem(config)
     optimum = models.solve_optimum(model, datasets)
+    fed.check_smoothness(config, optimum)
     probes = analysis.pilot_probe_weights(config, model, datasets)
     sigma_sq, h_sq = analysis.estimate_noise_bounds(
         model, datasets, probes, config.batch_size, seed=config.seed
@@ -347,6 +348,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except fed.ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return _EXIT_CONFIG
     except models.SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

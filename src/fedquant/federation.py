@@ -6,6 +6,8 @@ selected client runs local mini-batch SGD, uploads either its weights or its
 weight differential (optionally quantized), and the server averages the
 uploads.  All randomness is drawn from per-round and per-client streams
 derived from the master seed, so results are independent of execution order.
+Both are Philox streams (``streams.philox_stream``); each round re-keys the
+``clients_per_round + 1`` generators that :func:`init_state` pools on the state.
 
 A round runs its K selected clients as one array program: local SGD advances
 a ``(K, d)`` block of weights (``models.local_train_clients``), the uploads
@@ -42,7 +44,7 @@ from .models import (
     solve_optimum,
 )
 from .data import gen_logistic_dataset, gen_quadratic_clients, partition_iid
-from .streams import k_subset, substream
+from .streams import CLIENT, ROUND, k_subset, philox_stream, rekey
 
 __all__ = [
     "UplinkMode",
@@ -66,6 +68,7 @@ __all__ = [
     "aggregate_differentials",
     "broadcast",
     "build_problem",
+    "check_smoothness",
     "init_state",
     "run_round",
     "run_federation",
@@ -182,8 +185,8 @@ class FederationConfig:
             raise ConfigError("lipschitz must be >= mu")
         if not self.weight_bound > 0:
             raise ConfigError("weight_bound must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError("seed must satisfy 0 <= seed < 2**64, a Philox key word")
         if (self.grid is qz.GridKind.SYMMETRIC
                 and self.rounding is not qz.Rounding.STOCHASTIC):
             raise ConfigError("grid=symmetric requires rounding=stochastic")
@@ -298,23 +301,20 @@ def schedule_bits(spec: ScheduleSpec, t: int, mu: float, gamma: float) -> int:
 # Random-stream addressing (public so reference loops can reproduce runs)
 # ---------------------------------------------------------------------------
 
-# written to manifest.json; a new value means every run draws differently
-STREAM_SCHEME = "round-client/k-smallest-keys"
-_ROUND_DOMAIN = 1
-# a path ending in zeros addresses the same stream as the path without them,
-# so the tag keeps client 0's stream apart from the round's
-_SERVER, _CLIENT = 0, 1
+# written to manifest.json; a new value means every run draws differently.
+# The engine's streams are Philox; data generation and analysis keep substream.
+STREAM_SCHEME = "philox-round-client/k-smallest-keys/seedsequence-data-analysis"
 
 
 def round_stream(seed: int, t: int) -> np.random.Generator:
     """Round ``t``'s server draws: the client selection, then the broadcast."""
-    return substream(seed, _ROUND_DOMAIN, t, _SERVER)
+    return philox_stream(seed, ROUND, t)
 
 
 def client_stream(seed: int, t: int, client: int) -> np.random.Generator:
     """``client``'s draws in round ``t``: its ``E x n`` batch keys, then its
     upload's ``d`` uniforms."""
-    return substream(seed, _ROUND_DOMAIN, t, _CLIENT, client)
+    return philox_stream(seed, CLIENT, t, client)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +438,8 @@ class FederationState:
     uplink_bits_cum: int = 0
     downlink_bits_cum: int = 0
     frozen_extra_gains: np.ndarray | None = None
+    # Philox generators each round re-keys: its round stream, then one per client
+    pool: tuple[np.random.Generator, ...] = ()
 
 
 def build_problem(config: FederationConfig) -> tuple[LossModel, list[ClientDataset]]:
@@ -462,23 +464,39 @@ def build_problem(config: FederationConfig) -> tuple[LossModel, list[ClientDatas
     return model, partition_iid(source, config.num_clients, seed=config.seed + 1)
 
 
+def check_smoothness(config: FederationConfig, optimum: OptimumInfo) -> None:
+    """Reject a ``lipschitz`` below the smoothness estimate the optimum solver
+    used: the step-size offset ``gamma`` would not be backed by it."""
+    if config.lipschitz < optimum.smoothness:
+        raise ConfigError(f"lipschitz {config.lipschitz:.6g} is below the problem's "
+                          f"smoothness estimate {optimum.smoothness:.6g}")
+
+
 def init_state(
     config: FederationConfig,
     model: LossModel | None = None,
     datasets: list[ClientDataset] | None = None,
 ) -> FederationState:
-    """Solve the optimum oracle and set up the zero-initialized global model."""
+    """Solve the optimum oracle and set up the zero-initialized global model
+    and the round streams' generator pool.  A problem built here from the
+    config is checked against the config's ``lipschitz``; a caller that
+    supplies ``model`` and ``datasets`` owns that check."""
     if (model is None) != (datasets is None):
         raise ValueError("supply both model and datasets, or neither")
-    if model is None:
+    built = model is None
+    if built:
         model, datasets = build_problem(config)
     optimum = solve_optimum(model, datasets)
+    if built:
+        check_smoothness(config, optimum)
     w0 = WeightVector(np.zeros(config.dimension), config.layer_bounds())
     sizes = tuple(ds.size for ds in datasets)
     starts = tuple(int(a) for a in np.cumsum((0,) + sizes[:-1]))
+    pool = tuple(np.random.Generator(np.random.Philox(key=0))
+                 for _ in range(config.clients_per_round + 1))
     return FederationState(
         w_global=w0, model=model, datasets=datasets, optimum=optimum,
-        pooled=pooled_dataset(datasets), starts=starts, sizes=sizes,
+        pooled=pooled_dataset(datasets), starts=starts, sizes=sizes, pool=pool,
     )
 
 
@@ -498,7 +516,7 @@ def run_round(
     else:
         bits_up = schedule_bits(config.uplink_schedule, t, config.mu, gamma)
 
-    server_rng = round_stream(config.seed, t)
+    server_rng = rekey(state.pool[0], config.seed, ROUND, t)
     selected = sample_clients(config.num_clients, config.clients_per_round, server_rng)
 
     quantized_down = config.downlink_mode is not DownlinkMode.FLOAT
@@ -512,7 +530,8 @@ def run_round(
         frozen = extra_gains
 
     clients = [int(c) for c in selected]
-    rngs = [client_stream(config.seed, t, c) for c in clients]
+    rngs = [rekey(rng, config.seed, CLIENT, t, c)
+            for rng, c in zip(state.pool[1:], clients)]
     w_locals = local_train_clients(
         delivered.values, state.model, state.pooled,
         [state.starts[c] for c in clients], [state.sizes[c] for c in clients],

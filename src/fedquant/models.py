@@ -129,6 +129,7 @@ class ClientDataset:
 class OptimumInfo:
     w_star: np.ndarray
     f_star: float
+    smoothness: float  # estimate_smoothness of the pooled problem
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -282,12 +283,13 @@ def solve_optimum(model: LossModel, datasets: list[ClientDataset],
 
     Quadratic uses the closed form (mean of all samples); logistic runs
     full-batch gradient descent at step 1/L until the gradient norm is
-    within tolerance.
+    within tolerance.  The returned info carries L, the
+    :func:`estimate_smoothness` value (exactly 1 for quadratic).
     """
     pooled = pooled_dataset(datasets)
     if model.kind is LossKind.QUADRATIC:
         w_star = pooled.features.mean(axis=0)
-        return OptimumInfo(w_star, loss(model, w_star, pooled.features))
+        return OptimumInfo(w_star, loss(model, w_star, pooled.features), 1.0)
     if model.regularization <= 0:
         raise ValueError("logistic solve requires positive regularization")
     smooth = estimate_smoothness(model, datasets)
@@ -296,7 +298,7 @@ def solve_optimum(model: LossModel, datasets: list[ClientDataset],
     for _ in range(max_iters):
         g = grad(model, w, pooled.features, pooled.labels)
         if float(np.linalg.norm(g)) <= grad_tol:
-            return OptimumInfo(w, loss(model, w, pooled.features, pooled.labels))
+            return OptimumInfo(w, loss(model, w, pooled.features, pooled.labels), smooth)
         w -= lr * g
     raise SolverError(
         f"gradient norm above {grad_tol} after {max_iters} iterations"

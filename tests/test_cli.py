@@ -5,10 +5,12 @@ import hashlib
 import importlib
 import json
 import pkgutil
+import platform
 import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -91,6 +93,8 @@ class TestRunCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["master_seed"] == 7
         assert manifest["stream_scheme"] == fed.STREAM_SCHEME
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
         assert str(out / "metrics.csv") in manifest["artifacts"]
         assert str(out / "manifest.json") in manifest["artifacts"]
 
@@ -194,6 +198,50 @@ def test_solver_failure_is_one_line_exit_2(tmp_path, capsys, monkeypatch, comman
     assert cli.main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["solver error: gradient norm above 1e-09 after 500000 iterations"]
+    assert not (tmp_path / "o").exists() and not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "bound"])
+def test_seed_beyond_a_philox_key_word_is_a_config_error(tmp_path, capsys, command):
+    text = BASE_CONFIG.replace("seed = 7", f"seed = {2 ** 64}")
+    assert cli.main(failing_argv(tmp_path, command, text)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: seed must satisfy 0 <= seed < 2**64, a Philox key word"]
+    assert not (tmp_path / "o").exists() and not (tmp_path / "b.csv").exists()
+
+
+def test_seed_override_beyond_a_philox_key_word_is_a_config_error(tmp_path, capsys):
+    argv = ["run", "--config", write_config(tmp_path), "--out", str(tmp_path / "o"),
+            "--seed", str(2 ** 64)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: seed must satisfy 0 <= seed < 2**64, a Philox key word"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_largest_seed_runs_and_bounds(tmp_path):
+    config = write_config(tmp_path, BASE_CONFIG.replace("seed = 7", f"seed = {2 ** 64 - 1}"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", config, "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["master_seed"] == 2 ** 64 - 1
+    assert cli.main(["bound", "--config", config, "--out", str(tmp_path / "b.csv"),
+                     str(out / "metrics.csv")]) == 0
+
+
+# smoothness is regularization 0.25 plus the top feature eigenvalue, above 0.3
+LOGISTIC_LIPSCHITZ_BELOW_SMOOTHNESS = BASE_CONFIG.replace("mu = 1.0", "mu = 0.125").replace(
+    "lipschitz = 1.0", "lipschitz = 0.3") + "model = logistic\nregularization = 0.25\n"
+
+
+@pytest.mark.parametrize("command", ["run", "bound"])
+def test_lipschitz_below_smoothness_is_a_config_error(tmp_path, capsys, command):
+    argv = failing_argv(tmp_path, command, LOGISTIC_LIPSCHITZ_BELOW_SMOOTHNESS)
+    assert cli.main(argv) == 2
+    config = cli.parse_config_text(LOGISTIC_LIPSCHITZ_BELOW_SMOOTHNESS)
+    smooth = models.estimate_smoothness(*fed.build_problem(config))
+    assert smooth > 0.3
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: lipschitz 0.3 is below the problem's smoothness estimate {smooth:.6g}"]
     assert not (tmp_path / "o").exists() and not (tmp_path / "b.csv").exists()
 
 
@@ -319,9 +367,9 @@ def test_testbed_run_and_bound_bytes_unchanged(tmp_path):
     assert cli.main(["bound", "--config", config, "--out", str(bound_csv),
                      str(out / "metrics.csv")]) == 0
     assert hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest() == (
-        "b5b4516204401ea0515245e253b87b6937b1dd6e6cf81a5d0e78cf7eda3e38a8")
+        "100a8665332e07af382ff78dc8915962123b5f7a1d44c94aa4bd226a65b3ddce")
     assert hashlib.sha256(bound_csv.read_bytes()).hexdigest() == (
-        "3ee33b4d4b02b30657ef0101cae18728c09c018c5a85588f393d6edd8740de1e")
+        "537e8d962691b6ba38154defaa4caf302b461925352bc388f9ffadf98a1756ef")
 
 
 def config_text_from_snapshot(snapshot: dict) -> str:
