@@ -4,7 +4,9 @@
 The corpus covers every uplink mode x downlink mode x (grid, rounding)
 combination on a small quadratic problem, plus native structure, 1-bit
 (enhanced and plain), log-scheduled widths, layered logistic runs with and
-without static gains, and a problem whose differential uploads are all zero.
+without static gains (also at a weight bound small enough for nearest-rounded
+weight uploads to move the model), and a problem whose differential uploads
+are all zero.
 The corpus records the engine's ``STREAM_SCHEME``, which
 ``tests/test_corpus.py`` checks along with every hash; a refactor that changes
 any result fails it.  Regenerate only when results change on purpose:
@@ -108,6 +110,14 @@ def corpus_configs() -> dict[str, dict]:
         configs[f"logistic-{up}-layered-{grid}-{rounding}-static_{static}"] = {
             **LOGISTIC, "uplink_mode": up, "downlink_mode": "layered",
             "grid": grid, "rounding": rounding, "lq_static": static,
+        }
+    # at weight_bound 8 every nearest-rounded weight upload above rounds to
+    # zero and the model never moves; at 1 the uploads carry the round
+    for static in ("true", "false"):
+        configs[f"logistic-weight-layered-pipeline-nearest-static_{static}-bound_1"] = {
+            **LOGISTIC, "uplink_mode": "weight", "downlink_mode": "layered",
+            "grid": "pipeline", "rounding": "nearest", "lq_static": static,
+            "weight_bound": 1.0,
         }
     return {name: {k: v for k, v in cfg.items() if v is not None}
             for name, cfg in configs.items()}

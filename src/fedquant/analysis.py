@@ -120,7 +120,7 @@ def pilot_probe_weights(
     visited: list[np.ndarray] = [np.zeros(config.dimension)]
     fed.run_federation(
         pilot_cfg, model, datasets,
-        observer=lambda t, w: visited.append(w.values.copy())
+        observer=lambda t, w: visited.append(w.copy())
         if (t + 1) % stride == 0 else None,
     )
     rng = substream(config.seed if seed is None else seed, _ANALYSIS_DOMAIN, 0)

@@ -4,7 +4,9 @@ Each round: the server broadcasts the global model to a sampled subset of
 clients (optionally quantized, one draw shared by all recipients), every
 selected client runs local mini-batch SGD, uploads either its weights or its
 weight differential (optionally quantized), and the server averages the
-uploads.  All randomness is drawn from per-round and per-client streams
+uploads.  The global model is a plain array; a layered broadcast takes its
+layer layout from ``FederationConfig.layer_bounds``, and its static gains
+(``lq_static``) are fixed once by :func:`init_state`.  All randomness is drawn from per-round and per-client streams
 derived from the master seed, so results are independent of execution order.
 Both are Philox streams (``streams.philox_stream``); each round re-keys the
 ``clients_per_round + 1`` generators that :func:`init_state` pools on the state.
@@ -37,7 +39,6 @@ from .models import (
     LossKind,
     LossModel,
     OptimumInfo,
-    WeightVector,
     local_train_clients,
     loss,
     pooled_dataset,
@@ -56,7 +57,6 @@ __all__ = [
     "FederationState",
     "ConfigError",
     "AssumptionViolation",
-    "StateError",
     "gamma_offset",
     "lr_schedule",
     "weight_uplink_bits",
@@ -84,10 +84,6 @@ class ConfigError(ValueError):
 
 class AssumptionViolation(RuntimeError):
     """A runtime weight exceeded the configured magnitude bound."""
-
-
-class StateError(RuntimeError):
-    """Server state required by the transmission mode is missing."""
 
 
 class UplinkMode(Enum):
@@ -340,11 +336,9 @@ def aggregate_weights(uploads: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     return stack.mean(axis=0)
 
 
-def aggregate_differentials(prev_global: np.ndarray | None,
+def aggregate_differentials(prev_global: np.ndarray,
                             uploads: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     """Previous global plus the mean of the uploaded differentials."""
-    if prev_global is None:
-        raise StateError("differential aggregation requires the retained global model")
     return np.asarray(prev_global, dtype=np.float64) + aggregate_weights(uploads)
 
 
@@ -376,49 +370,49 @@ def _check_weight_bound(rows: np.ndarray, config: FederationConfig,
 
 
 def broadcast(
-    w_global: WeightVector,
+    w_global: np.ndarray,
     config: FederationConfig,
     bits: int,
     rng: np.random.Generator | None,
     frozen_extra_gains: np.ndarray | None = None,
-) -> tuple[WeightVector, int, np.ndarray | None]:
+) -> tuple[np.ndarray, int]:
     """Produce the model delivered to every selected client this round.
 
     One quantization draw is shared by all recipients; a float downlink
-    draws nothing and takes ``rng=None``.  A quantized downlink is the
-    one-layer case of the layered one.  A layered downlink ignores ``grid``
-    and ``structure``: it always uses the pipeline, with per-layer gains set
-    from each layer's 90th-percentile magnitude.  Returns the delivered
-    model, the accounted broadcast bits, and the per-layer extra gains used
-    (layered mode only, for freezing in static mode).
+    draws nothing, takes ``rng=None`` and delivers ``w_global`` itself, not a
+    copy.  A quantized downlink is the one-layer case of the layered one.  A
+    layered downlink ignores ``grid`` and ``structure``: it quantizes each
+    layer of ``config.layer_bounds()`` on the pipeline, with extra gains set
+    from each layer's 90th-percentile magnitude, or ``frozen_extra_gains``
+    when given (static layered quantization).  Returns the delivered model
+    and the accounted broadcast bits.
     """
-    values = w_global.values
     if config.downlink_mode is DownlinkMode.FLOAT:
-        return w_global.copy(), qz.float_bits(values.size), None
+        return w_global, qz.float_bits(w_global.size)
 
     base, symmetric = 2.0 ** (bits - 1), False
     if config.downlink_mode is DownlinkMode.LAYERED:
         # per-layer pipeline gains matched to each layer's magnitude
-        layers, extras = w_global.layers, frozen_extra_gains
+        layers, extras = config.layer_bounds(), frozen_extra_gains
         if extras is None:
-            extras = qz.layered_gains(values, layers, bits)[1]
+            extras = qz.layered_gains(w_global, layers, bits)[1]
         scales = base * extras
     else:
-        layers, extras = ((0, values.size),), None
+        layers = ((0, w_global.size),)
         if config.grid is qz.GridKind.SYMMETRIC:
-            _check_weight_bound(values, config)
+            _check_weight_bound(w_global, config)
             symmetric, scales = True, (config.weight_bound,)
         elif config.structure is qz.Structure.NATIVE:
             scales = (base,)
         else:
-            scales = base * qz.layered_gains(values, layers, bits)[1]
-    delivered = np.empty_like(values)
+            scales = base * qz.layered_gains(w_global, layers, bits)[1]
+    delivered = np.empty_like(w_global)
     for (start, stop), scale in zip(layers, scales):
         spec = _link_spec(config, bits, symmetric, float(scale))
         delivered[start:stop] = qz.quantize_vector(
-            values[start:stop], spec, rng).dequantize()
+            w_global[start:stop], spec, rng).dequantize()
     total_bits = sum(qz.wire_bits(stop - start, bits) for start, stop in layers)
-    return w_global.with_values(delivered), total_bits, extras
+    return delivered, total_bits
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +421,8 @@ def broadcast(
 
 @dataclass
 class FederationState:
-    w_global: WeightVector
+    w_global: np.ndarray
     model: LossModel
-    datasets: list[ClientDataset]
     optimum: OptimumInfo
     pooled: ClientDataset
     # client k's samples are pooled rows starts[k] : starts[k] + sizes[k]
@@ -437,6 +430,8 @@ class FederationState:
     sizes: tuple[int, ...] = ()
     uplink_bits_cum: int = 0
     downlink_bits_cum: int = 0
+    # static layered quantization: the extra gains of the initial model, kept
+    # for every round's broadcast
     frozen_extra_gains: np.ndarray | None = None
     # Philox generators each round re-keys: its round stream, then one per client
     pool: tuple[np.random.Generator, ...] = ()
@@ -477,9 +472,10 @@ def init_state(
     model: LossModel | None = None,
     datasets: list[ClientDataset] | None = None,
 ) -> FederationState:
-    """Solve the optimum oracle and set up the zero-initialized global model
-    and the round streams' generator pool.  A problem built here from the
-    config is checked against the config's ``lipschitz``; a caller that
+    """Solve the optimum oracle and set up the zero-initialized global model,
+    the static layered gains (fixed from that model at round 0's downlink
+    width) and the round streams' generator pool.  A problem built here from
+    the config is checked against the config's ``lipschitz``; a caller that
     supplies ``model`` and ``datasets`` owns that check."""
     if (model is None) != (datasets is None):
         raise ValueError("supply both model and datasets, or neither")
@@ -489,14 +485,20 @@ def init_state(
     optimum = solve_optimum(model, datasets)
     if built:
         check_smoothness(config, optimum)
-    w0 = WeightVector(np.zeros(config.dimension), config.layer_bounds())
+    w0 = np.zeros(config.dimension)
+    frozen = None
+    if config.downlink_mode is DownlinkMode.LAYERED and config.lq_static:
+        gamma = gamma_offset(config.mu, config.lipschitz, config.local_steps)
+        bits = schedule_bits(config.downlink_schedule, 0, config.mu, gamma)
+        frozen = qz.layered_gains(w0, config.layer_bounds(), bits)[1]
     sizes = tuple(ds.size for ds in datasets)
     starts = tuple(int(a) for a in np.cumsum((0,) + sizes[:-1]))
     pool = tuple(np.random.Generator(np.random.Philox(key=0))
                  for _ in range(config.clients_per_round + 1))
     return FederationState(
-        w_global=w0, model=model, datasets=datasets, optimum=optimum,
-        pooled=pooled_dataset(datasets), starts=starts, sizes=sizes, pool=pool,
+        w_global=w0, model=model, optimum=optimum,
+        pooled=pooled_dataset(datasets), starts=starts, sizes=sizes,
+        frozen_extra_gains=frozen, pool=pool,
     )
 
 
@@ -520,20 +522,16 @@ def run_round(
     selected = sample_clients(config.num_clients, config.clients_per_round, server_rng)
 
     quantized_down = config.downlink_mode is not DownlinkMode.FLOAT
-    delivered, down_bits, extra_gains = broadcast(
+    delivered, down_bits = broadcast(
         state.w_global, config, bits_down, server_rng if quantized_down else None,
         frozen_extra_gains=state.frozen_extra_gains,
     )
-    frozen = state.frozen_extra_gains
-    if (config.downlink_mode is DownlinkMode.LAYERED and config.lq_static
-            and frozen is None):
-        frozen = extra_gains
 
     clients = [int(c) for c in selected]
     rngs = [rekey(rng, config.seed, CLIENT, t, c)
             for rng, c in zip(state.pool[1:], clients)]
     w_locals = local_train_clients(
-        delivered.values, state.model, state.pooled,
+        delivered, state.model, state.pooled,
         [state.starts[c] for c in clients], [state.sizes[c] for c in clients],
         config.local_steps, config.batch_size, eta, rngs,
     )
@@ -546,7 +544,7 @@ def run_round(
         if differential:
             # each row on its own scale: a symmetric grid over the row's peak
             # for stochastic rounding, the row's differential gain for nearest
-            rows = w_locals - delivered.values
+            rows = w_locals - delivered
             peaks = np.max(np.abs(rows), axis=1)
             symmetric = config.rounding is qz.Rounding.STOCHASTIC
             scales = (np.where(peaks == 0.0, 1.0, peaks) if symmetric
@@ -567,12 +565,11 @@ def run_round(
         up_bits = len(clients) * qz.wire_bits(dim, bits_up)
 
     if differential:
-        new_values = aggregate_differentials(delivered.values, uploads)
+        new_global = aggregate_differentials(delivered, uploads)
     else:
-        new_values = aggregate_weights(uploads)
+        new_global = aggregate_weights(uploads)
 
-    new_global = state.w_global.with_values(new_values)
-    train_loss = loss(state.model, new_values, state.pooled.features,
+    train_loss = loss(state.model, new_global, state.pooled.features,
                       state.pooled.labels)
     record = RoundRecord(
         round=t,
@@ -588,7 +585,6 @@ def run_round(
         state, w_global=new_global,
         uplink_bits_cum=record.uplink_bits_cum,
         downlink_bits_cum=record.downlink_bits_cum,
-        frozen_extra_gains=frozen,
     )
     return new_state, record
 
@@ -597,9 +593,11 @@ def run_federation(
     config: FederationConfig,
     model: LossModel | None = None,
     datasets: list[ClientDataset] | None = None,
-    observer: Callable[[int, WeightVector], None] | None = None,
+    observer: Callable[[int, np.ndarray], None] | None = None,
 ) -> list[RoundRecord]:
-    """Run all configured rounds; deterministic given the config seed."""
+    """Run all configured rounds; deterministic given the config seed.
+    ``observer(t, w)`` sees the global model after round ``t``; the engine
+    never writes to that array again."""
     state = init_state(config, model, datasets)
     records: list[RoundRecord] = []
     for t in range(config.rounds):

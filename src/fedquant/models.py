@@ -31,7 +31,6 @@ from .streams import k_subset
 __all__ = [
     "LossKind",
     "LossModel",
-    "WeightVector",
     "ClientDataset",
     "OptimumInfo",
     "SolverError",
@@ -65,43 +64,6 @@ class LossModel:
         if self.kind is LossKind.QUADRATIC and self.regularization != 0.0:
             # keeps the quadratic model's constants mu = L = 1 exact
             raise ValueError("quadratic model does not take regularization")
-
-
-@dataclass
-class WeightVector:
-    """Flat parameter vector with layer boundaries for per-layer quantization."""
-
-    values: np.ndarray
-    layers: tuple[tuple[int, int], ...] | None = None
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise ValueError("weights must be one-dimensional")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("non-finite weight value")
-        d = self.values.size
-        if self.layers is None:
-            self.layers = ((0, d),)
-        else:
-            self.layers = tuple((int(a), int(b)) for a, b in self.layers)
-            cursor = 0
-            for start, stop in self.layers:
-                if start != cursor or stop <= start:
-                    raise ValueError(f"layer ranges must partition [0, {d})")
-                cursor = stop
-            if cursor != d:
-                raise ValueError(f"layer ranges must partition [0, {d})")
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.size)
-
-    def copy(self) -> "WeightVector":
-        return WeightVector(self.values.copy(), self.layers)
-
-    def with_values(self, values: np.ndarray) -> "WeightVector":
-        return WeightVector(np.asarray(values, dtype=np.float64), self.layers)
 
 
 @dataclass

@@ -74,7 +74,8 @@ class Rounding(Enum):
 
 
 class Structure(Enum):
-    """Gain structure: native fixes G = 2^(B-1); tuned allows any G > 0."""
+    """A config's pipeline gain: native fixes G = 2^(B-1); tuned lets the
+    engine scale it (by the weight bound, or to the vector's magnitude)."""
 
     NATIVE = "native"
     TUNED = "tuned"
@@ -104,7 +105,6 @@ class QuantizerSpec:
 
     bits: int
     gain: float
-    structure: Structure = Structure.TUNED
     rounding: Rounding = Rounding.STOCHASTIC
     grid: GridKind = GridKind.PIPELINE
     one_bit_enhanced: bool = False
@@ -115,8 +115,6 @@ class QuantizerSpec:
             raise ValueError("bits must be >= 1")
         if not (self.gain > 0 and math.isfinite(self.gain)):
             raise ValueError("gain must be a positive finite real")
-        if self.structure is Structure.NATIVE and self.gain != 2.0 ** (self.bits - 1):
-            raise ValueError("native structure requires gain == 2^(bits-1)")
         if self.one_bit_enhanced and self.bits != 1:
             raise ValueError("enhanced one-bit mode requires bits == 1")
         if self.grid is GridKind.SYMMETRIC:
@@ -124,12 +122,6 @@ class QuantizerSpec:
                 raise ValueError("symmetric grid supports stochastic rounding only")
             if self.range_bound is None or not self.range_bound > 0:
                 raise ValueError("symmetric grid requires a positive range_bound")
-
-    @classmethod
-    def native(cls, bits: int, rounding: Rounding = Rounding.STOCHASTIC,
-               one_bit_enhanced: bool = False) -> "QuantizerSpec":
-        return cls(bits=bits, gain=2.0 ** (bits - 1), structure=Structure.NATIVE,
-                   rounding=rounding, one_bit_enhanced=one_bit_enhanced)
 
     @classmethod
     def tuned(cls, bits: int, gain: float, rounding: Rounding = Rounding.STOCHASTIC,

@@ -81,7 +81,7 @@ def test_c04_float_equivalence(quadratic_testbed):
     cfg = make_testbed_config(rounds=200)
     engine_track = []
     fed.run_federation(cfg, tb.model, tb.datasets,
-                       observer=lambda t, w: engine_track.append(w.values.copy()))
+                       observer=lambda t, w: engine_track.append(w.copy()))
 
     gamma = fed.gamma_offset(cfg.mu, cfg.lipschitz, cfg.local_steps)
     w = np.zeros(cfg.dimension)

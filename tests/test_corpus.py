@@ -9,6 +9,7 @@ rounding rule -- changes a hash here.
 
 import hashlib
 import json
+import runpy
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from fedquant import cli, federation as fed
 
 CORPUS_FILE = json.loads((Path(__file__).parent / "metrics_corpus.json").read_text())
 CORPUS = CORPUS_FILE["runs"]
+SCRIPT = Path(__file__).parents[1] / "scripts" / "make_metrics_corpus.py"
 
 
 def test_corpus_was_generated_under_the_engine_stream_scheme():
@@ -32,6 +34,12 @@ def test_corpus_covers_every_mode_combination():
     assert len(seen) == 27
     assert any(e["config"].get("structure") == "native" for e in CORPUS.values())
     assert any(e["config"].get("lq_static") == "true" for e in CORPUS.values())
+
+
+def test_corpus_holds_exactly_the_generator_configs():
+    # the committed corpus and the script that writes it cannot drift apart
+    configs = runpy.run_path(str(SCRIPT))["corpus_configs"]()
+    assert {name: entry["config"] for name, entry in CORPUS.items()} == configs
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

@@ -194,10 +194,6 @@ class TestAggregation:
         via_weight = fed.aggregate_weights(locals_)
         assert np.allclose(via_diff, via_weight, atol=1e-12)
 
-    def test_missing_state_rejected(self):
-        with pytest.raises(fed.StateError):
-            fed.aggregate_differentials(None, [np.zeros(2)])
-
 
 class TestConfigValidation:
     def test_participation_bounds(self):
@@ -226,13 +222,13 @@ class TestConfigValidation:
 
 class TestBroadcast:
     def small_weights(self):
-        return m.WeightVector(np.array([0.5, -0.25, 0.75, -0.125]))
+        return np.array([0.5, -0.25, 0.75, -0.125])
 
     def test_float_is_identity(self):
         cfg = fed.FederationConfig(downlink_mode=fed.DownlinkMode.FLOAT)
         w = self.small_weights()
-        delivered, bits, _ = fed.broadcast(w, cfg, 0, substream(8))
-        assert np.array_equal(delivered.values, w.values)
+        delivered, bits = fed.broadcast(w, cfg, 0, substream(8))
+        assert delivered is w
         assert bits == 32 * 4
 
     def test_quantized_grid_unbiased_monte_carlo(self):
@@ -273,7 +269,7 @@ class TestBroadcast:
 
     @pytest.mark.parametrize("rounding", [qz.Rounding.NEAREST, qz.Rounding.STOCHASTIC])
     def test_quantized_is_the_one_layer_layered_case(self, rounding):
-        w = m.WeightVector(np.array([0.5, -0.25, 0.003, -0.001, 0.07]))
+        w = np.array([0.5, -0.25, 0.003, -0.001, 0.07])
         pipeline = dict(grid=qz.GridKind.PIPELINE, structure=qz.Structure.TUNED,
                         rounding=rounding, dimension=5)
         quantized = fed.broadcast(
@@ -282,30 +278,27 @@ class TestBroadcast:
         layered = fed.broadcast(
             w, fed.FederationConfig(downlink_mode=fed.DownlinkMode.LAYERED, **pipeline),
             3, substream(14))
-        assert np.array_equal(quantized[0].values, layered[0].values)
+        assert np.array_equal(quantized[0], layered[0])
         assert quantized[1] == layered[1]
 
     def test_layered_broadcast_layer_count_header(self):
         cfg = fed.FederationConfig(
             downlink_mode=fed.DownlinkMode.LAYERED, dimension=4,
             layer_sizes=(2, 2), grid=qz.GridKind.PIPELINE)
-        w = m.WeightVector(np.array([0.5, -0.25, 0.003, -0.001]), ((0, 2), (2, 4)))
-        _, bits, extras = fed.broadcast(w, cfg, 4, substream(12))
+        w = np.array([0.5, -0.25, 0.003, -0.001])
+        _, bits = fed.broadcast(w, cfg, 4, substream(12))
         assert bits == 2 * (2 * 4 + 17 * 8)
-        assert extras.shape == (2,)
 
     def test_static_layered_freezes_gains(self):
+        # given extra gains replace the per-round ones (init_state supplies them)
         cfg = fed.FederationConfig(
             downlink_mode=fed.DownlinkMode.LAYERED, dimension=4,
             layer_sizes=(2, 2), grid=qz.GridKind.PIPELINE, lq_static=True)
-        w = m.WeightVector(np.array([0.5, -0.25, 0.003, -0.001]), ((0, 2), (2, 4)))
-        frozen = np.array([4.0, 4.0])
-        delivered, _, extras = fed.broadcast(w, cfg, 4, substream(13),
-                                             frozen_extra_gains=frozen)
-        assert np.array_equal(extras, frozen)
+        w = np.array([0.5, -0.25, 0.003, -0.001])
+        delivered, _ = fed.broadcast(w, cfg, 4, substream(13),
+                                     frozen_extra_gains=np.array([4.0, 4.0]))
         # codewords decode against the frozen gain 8 * 4
-        assert np.all(np.abs(delivered.values * 32.0 - np.round(
-            delivered.values * 32.0)) < 1e-9)
+        assert np.all(np.abs(delivered * 32.0 - np.round(delivered * 32.0)) < 1e-9)
 
 
 class TestRunRound:
@@ -388,6 +381,65 @@ class TestRunRound:
         _, record = fed.run_round(state, cfg, 0)
         assert record.gap == pytest.approx((1 - eta) ** 2 * gap0, rel=1e-12)
 
+    @pytest.mark.parametrize("overrides", [
+        dict(),
+        dict(uplink_mode=fed.UplinkMode.DIFFERENTIAL,
+             uplink_schedule=fed.ScheduleSpec.constant(3)),
+        dict(downlink_mode=fed.DownlinkMode.LAYERED, layer_sizes=(1, 3),
+             grid=qz.GridKind.PIPELINE),
+    ], ids=["float-float", "differential", "layered"])
+    def test_observed_models_are_never_written(self, overrides):
+        # a float broadcast delivers the global array itself, so the engine
+        # must not write to an array once it has handed it out
+        kept, copies = [], []
+
+        def observe(t, w):
+            kept.append(w)
+            copies.append(w.copy())
+        fed.run_federation(self.base_config(rounds=10, **overrides), observer=observe)
+        assert len(kept) == 10
+        for t, (a, b) in enumerate(zip(kept, copies)):
+            assert np.array_equal(a, b), f"round {t}"
+
+
+class TestStaticLayeredGains:
+    def config(self, **overrides):
+        fields = dict(num_clients=6, clients_per_round=3, local_steps=2, rounds=6,
+                      batch_size=2, dimension=4, layer_sizes=(1, 3),
+                      samples_per_client=6, seed=3, grid=qz.GridKind.PIPELINE,
+                      downlink_mode=fed.DownlinkMode.LAYERED, lq_static=True,
+                      downlink_schedule=fed.ScheduleSpec(fed.ScheduleKind.DOWNLINK_LOG))
+        fields.update(overrides)
+        return fed.FederationConfig(**fields)
+
+    def test_init_state_fixes_the_zero_model_gains(self):
+        cfg = self.config()
+        gamma = fed.gamma_offset(cfg.mu, cfg.lipschitz, cfg.local_steps)
+        bits0 = fed.schedule_bits(cfg.downlink_schedule, 0, cfg.mu, gamma)
+        expected = qz.layered_gains(np.zeros(4), cfg.layer_bounds(), bits0)[1]
+        frozen = fed.init_state(cfg).frozen_extra_gains
+        assert np.array_equal(frozen, expected)
+        # every layer of the all-zero start is at the extra-gain cap
+        assert frozen.tolist() == [2.0 ** 30, 2.0 ** 30]
+
+    def test_gains_kept_across_rounds(self):
+        cfg = self.config()
+        state = fed.init_state(cfg)
+        frozen = state.frozen_extra_gains.copy()
+        for t in range(cfg.rounds):
+            state, _ = fed.run_round(state, cfg, t)
+            assert np.array_equal(state.frozen_extra_gains, frozen), f"round {t}"
+        assert np.any(state.w_global != 0.0)
+
+    @pytest.mark.parametrize("downlink, static", [
+        (fed.DownlinkMode.LAYERED, False),
+        (fed.DownlinkMode.QUANTIZED, True),
+        (fed.DownlinkMode.FLOAT, True),
+    ], ids=["layered-dynamic", "quantized-static", "float-static"])
+    def test_none_unless_layered_and_static(self, downlink, static):
+        cfg = self.config(downlink_mode=downlink, lq_static=static)
+        assert fed.init_state(cfg).frozen_extra_gains is None
+
 
 class TestFloatEquivalences:
     def test_float_float_matches_reference_loop(self):
@@ -398,7 +450,7 @@ class TestFloatEquivalences:
 
         engine_track = []
         fed.run_federation(cfg, model, datasets,
-                           observer=lambda t, w: engine_track.append(w.values.copy()))
+                           observer=lambda t, w: engine_track.append(w.copy()))
 
         gamma = fed.gamma_offset(cfg.mu, cfg.lipschitz, cfg.local_steps)
         w = np.zeros(cfg.dimension)
@@ -476,8 +528,12 @@ def reference_run(cfg, model, datasets):
     its own with ``local_train`` and a one-vector ``quantize_vector``, both
     drawing from the client's stream in that order."""
     gamma = fed.gamma_offset(cfg.mu, cfg.lipschitz, cfg.local_steps)
-    w = m.WeightVector(np.zeros(cfg.dimension), cfg.layer_bounds())
+    w = np.zeros(cfg.dimension)
     frozen = None
+    if cfg.lq_static:
+        # static gains: those of the initial model at round 0's width
+        bits0 = fed.schedule_bits(cfg.downlink_schedule, 0, cfg.mu, gamma)
+        frozen = qz.layered_gains(w, cfg.layer_bounds(), bits0)[1]
     track = []
     for t in range(cfg.rounds):
         eta = fed.lr_schedule(t, cfg.mu, gamma)
@@ -485,22 +541,19 @@ def reference_run(cfg, model, datasets):
         bits_down = fed.schedule_bits(cfg.downlink_schedule, t, cfg.mu, gamma)
         server_rng = fed.round_stream(cfg.seed, t)
         selected = fed.sample_clients(cfg.num_clients, cfg.clients_per_round, server_rng)
-        delivered, _, extras = fed.broadcast(w, cfg, bits_down, server_rng,
-                                             frozen_extra_gains=frozen)
-        if cfg.lq_static and frozen is None:
-            frozen = extras
+        delivered, _ = fed.broadcast(w, cfg, bits_down, server_rng,
+                                     frozen_extra_gains=frozen)
         uploads = []
         for k in selected:
             rng = fed.client_stream(cfg.seed, t, int(k))
-            w_local = m.local_train(delivered.values, model, datasets[k],
+            w_local = m.local_train(delivered, model, datasets[k],
                                     cfg.local_steps, cfg.batch_size, eta, rng)
             uploads.append(
-                reference_upload(cfg, w_local, delivered.values, bits_up, rng))
-        mean = np.stack(uploads).mean(axis=0)
+                reference_upload(cfg, w_local, delivered, bits_up, rng))
+        w = np.stack(uploads).mean(axis=0)
         if cfg.uplink_mode is fed.UplinkMode.DIFFERENTIAL:
-            mean = delivered.values + mean
-        w = w.with_values(mean)
-        track.append(mean)
+            w = delivered + w
+        track.append(w)
     return track
 
 
@@ -526,9 +579,10 @@ class TestReferenceReplay:
     def replay(self, cfg, model=None, datasets=None):
         if model is None:
             model, datasets = fed.build_problem(cfg)
+            fed.check_smoothness(cfg, m.solve_optimum(model, datasets))
         engine = []
         fed.run_federation(cfg, model, datasets,
-                           observer=lambda t, w: engine.append(w.values.copy()))
+                           observer=lambda t, w: engine.append(w.copy()))
         reference = reference_run(cfg, model, datasets)
         assert len(engine) == cfg.rounds
         for t, (a, b) in enumerate(zip(engine, reference)):
@@ -545,7 +599,7 @@ class TestReferenceReplay:
     def test_logistic_layered_static(self, mode):
         self.replay(fed.FederationConfig(
             model=m.LossKind.LOGISTIC, regularization=0.05, mu=0.05,
-            lipschitz=1.3, num_clients=5, clients_per_round=3, local_steps=2,
+            lipschitz=1.5, num_clients=5, clients_per_round=3, local_steps=2,
             rounds=8, batch_size=6, dimension=6, layer_sizes=(2, 4),
             samples_per_client=12, weight_bound=8.0,
             downlink_mode=fed.DownlinkMode.LAYERED, lq_static=True, seed=17,

@@ -329,25 +329,3 @@ class TestEstimateSmoothness:
         expected = 0.2 + float(np.linalg.eigvalsh(gram)[-1])
         assert m.estimate_smoothness(model, [data]) == pytest.approx(expected, rel=1e-6)
 
-
-class TestWeightVector:
-    def test_default_single_layer(self):
-        w = m.WeightVector(np.zeros(4))
-        assert w.layers == ((0, 4),)
-
-    def test_layer_partition_validated(self):
-        with pytest.raises(ValueError):
-            m.WeightVector(np.zeros(4), ((0, 2), (3, 4)))
-        with pytest.raises(ValueError):
-            m.WeightVector(np.zeros(4), ((0, 2), (2, 3)))
-        m.WeightVector(np.zeros(4), ((0, 2), (2, 4)))
-
-    def test_finite_values_required(self):
-        with pytest.raises(ValueError):
-            m.WeightVector(np.array([1.0, np.inf]))
-
-    def test_with_values_keeps_layout(self):
-        w = m.WeightVector(np.zeros(4), ((0, 1), (1, 4)))
-        w2 = w.with_values(np.ones(4))
-        assert w2.layers == w.layers
-        assert w2.values.tolist() == [1.0] * 4

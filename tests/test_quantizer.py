@@ -86,11 +86,6 @@ class TestClampLimit:
 
 
 class TestQuantizerSpec:
-    def test_native_gain_enforced(self):
-        qz.QuantizerSpec.native(3)
-        with pytest.raises(ValueError):
-            qz.QuantizerSpec(bits=3, gain=5.0, structure=qz.Structure.NATIVE)
-
     def test_one_bit_flag_requires_one_bit(self):
         with pytest.raises(ValueError):
             qz.QuantizerSpec(bits=2, gain=2.0, one_bit_enhanced=True)
@@ -498,9 +493,10 @@ class TestExpectedSqError:
             1 / 9, abs=1e-15)
 
     @pytest.mark.parametrize("spec", [
-        qz.QuantizerSpec.native(3, qz.Rounding.NEAREST),
+        qz.QuantizerSpec.tuned(3, 2.0 ** (3 - 1), qz.Rounding.NEAREST),
         qz.QuantizerSpec.tuned(4, 5.5, qz.Rounding.NEAREST),
-        qz.QuantizerSpec.native(1, qz.Rounding.NEAREST, one_bit_enhanced=True),
+        qz.QuantizerSpec.tuned(1, 2.0 ** (1 - 1), qz.Rounding.NEAREST,
+                               one_bit_enhanced=True),
         qz.QuantizerSpec.tuned(1, 3.0, qz.Rounding.NEAREST, one_bit_enhanced=True),
     ], ids=["native", "tuned", "one-bit-native", "one-bit-tuned"])
     @given(st.lists(st.floats(-2, 2), min_size=1, max_size=12))
