@@ -6,8 +6,9 @@ run     execute a configured federation, write metrics.csv + manifest.json
 verify  run an executable moment verifier (sampling / rounding / differential)
 bound   compare a finished run's gap trajectory against the analytic bound
 
-Exit codes: 0 success, 1 failed verification checks, 2 configuration error
-or an optimum solver that did not converge, 3 runtime assumption violation.
+Exit codes: 0 success, 1 failed verification checks, 2 configuration error,
+an output path that cannot be written or an optimum solver that did not
+converge, 3 runtime assumption violation.
 
 Config files are flat ``key=value`` text ('#' starts a comment).  Keys match
 the FederationConfig fields; the two schedule fields are flattened as
@@ -165,14 +166,18 @@ def _config_snapshot(config: fed.FederationConfig) -> dict:
     return snap
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    config = load_config(args.config, args.seed)
-    try:
-        records = fed.run_federation(config)
-    except fed.AssumptionViolation as exc:
-        print(f"assumption violation: {exc}", file=sys.stderr)
-        return _EXIT_ASSUMPTION
-    out_dir = Path(args.out)
+def _check_out(path: Path, directory: bool) -> None:
+    """Reject, before any work, an output ``path`` that cannot be created as
+    a directory (``directory``) or a file: it exists as the other kind, or
+    its nearest existing ancestor is not a directory."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if existing.is_dir() != (directory or existing != path):
+        kind = "a directory" if existing.is_dir() else "not a directory"
+        raise fed.ConfigError(f"cannot write {path}: {existing} is {kind}")
+
+
+def _write_run(out_dir: Path, config_path: str, config: fed.FederationConfig,
+               records: list[fed.RoundRecord]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.csv"
     write_metrics_csv(metrics_path, records)
@@ -183,13 +188,28 @@ def cmd_run(args: argparse.Namespace) -> int:
         # the engine's draws depend on numpy's Philox and Generator.random
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "config_path": str(args.config),
+        "config_path": str(config_path),
         "config": _config_snapshot(config),
         "artifacts": [str(metrics_path)],
     }
     manifest_path = out_dir / "manifest.json"
     manifest["artifacts"].append(str(manifest_path))
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    config = load_config(args.config, args.seed)
+    out_dir = Path(args.out)
+    _check_out(out_dir, directory=True)
+    try:
+        records = fed.run_federation(config)
+    except fed.AssumptionViolation as exc:
+        print(f"assumption violation: {exc}", file=sys.stderr)
+        return _EXIT_ASSUMPTION
+    try:
+        _write_run(out_dir, args.config, config, records)
+    except OSError as exc:
+        raise fed.ConfigError(f"cannot write {out_dir}: {exc}") from exc
     if records:
         last = records[-1]
         print(
@@ -236,10 +256,17 @@ def _read_gap_column(path: str, expected_rounds: int) -> np.ndarray:
             f"{path}: {len(rows)} rows do not match configured rounds "
             f"{expected_rounds}"
         )
+    gaps = np.empty(len(rows))
     for t, row in enumerate(rows):
-        if int(row[0]) != t:
+        try:
+            if len(row) != len(METRICS_HEADER):
+                raise ValueError(f"{len(row)} fields, expected {len(METRICS_HEADER)}")
+            round_, gaps[t] = int(row[0]), float(row[5])
+        except ValueError as exc:
+            raise fed.ConfigError(f"{path}: malformed row {t}: {exc}") from exc
+        if round_ != t:
             raise fed.ConfigError(f"{path}: round column mismatch at row {t}")
-    return np.array([float(row[5]) for row in rows])
+    return gaps
 
 
 def _bound_variant(config: fed.FederationConfig) -> tuple[analysis.BoundVariant, int | None]:
@@ -258,7 +285,9 @@ def _bound_variant(config: fed.FederationConfig) -> tuple[analysis.BoundVariant,
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
+    out_path = Path(args.out)
     try:
+        _check_out(out_path, directory=False)
         config = load_config(args.config)
         variant, bits = _bound_variant(config)
         gaps = np.stack([
@@ -290,13 +319,15 @@ def cmd_bound(args: argparse.Namespace) -> int:
         analysis.convergence_bound(t + 1, params, d_const)
         for t in range(config.rounds)
     ])
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "gap_mean", "bound_rhs"])
-        for t in range(config.rounds):
-            writer.writerow([t, g17(gap_mean[t]), g17(bounds[t])])
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        with open(out_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["round", "gap_mean", "bound_rhs"])
+            for t in range(config.rounds):
+                writer.writerow([t, g17(gap_mean[t]), g17(bounds[t])])
+    except OSError as exc:
+        raise fed.ConfigError(f"cannot write {out_path}: {exc}") from exc
     within = int(np.sum(gap_mean <= bounds))
     frac = within / config.rounds if config.rounds else 1.0
     print(f"variant: {variant.value}")

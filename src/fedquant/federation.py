@@ -27,7 +27,7 @@ Downlink cost is counted once per round (broadcast), uplink once per client.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -329,11 +329,11 @@ def aggregate_weights(uploads: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     a sequence of vectors or as a ``(K, d)`` block."""
     if len(uploads) == 0:
         raise ValueError("no uploads to aggregate")
-    # row-major, so the mean adds rows in client order however it was built
+    # row-major, so the sum adds rows in client order however it was built
     stack = np.ascontiguousarray(uploads, dtype=np.float64)
     if stack.ndim != 2:
         raise ValueError("uploads must share one dimension")
-    return stack.mean(axis=0)
+    return stack.sum(axis=0) / stack.shape[0]
 
 
 def aggregate_differentials(prev_global: np.ndarray,
@@ -545,7 +545,7 @@ def run_round(
             # each row on its own scale: a symmetric grid over the row's peak
             # for stochastic rounding, the row's differential gain for nearest
             rows = w_locals - delivered
-            peaks = np.max(np.abs(rows), axis=1)
+            peaks = np.abs(rows).max(axis=1)
             symmetric = config.rounding is qz.Rounding.STOCHASTIC
             scales = (np.where(peaks == 0.0, 1.0, peaks) if symmetric
                       else np.array([qz.differential_gain(row, bits_up) for row in rows]))
@@ -581,10 +581,12 @@ def run_round(
         uplink_bits_cum=state.uplink_bits_cum + up_bits,
         downlink_bits_cum=state.downlink_bits_cum + down_bits,
     )
-    new_state = replace(
-        state, w_global=new_global,
+    new_state = FederationState(
+        w_global=new_global, model=state.model, optimum=state.optimum,
+        pooled=state.pooled, starts=state.starts, sizes=state.sizes,
         uplink_bits_cum=record.uplink_bits_cum,
         downlink_bits_cum=record.downlink_bits_cum,
+        frozen_extra_gains=state.frozen_extra_gains, pool=state.pool,
     )
     return new_state, record
 

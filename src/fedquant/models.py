@@ -104,19 +104,22 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def loss(model: LossModel, w: np.ndarray, features: np.ndarray,
          labels: np.ndarray | None = None) -> float:
     """Average per-sample loss plus the l2 penalty."""
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if features.shape[0] == 0:
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim < 2:
+        features = features.reshape(1, -1)
+    n = features.shape[0]
+    if n == 0:
         raise ValueError("empty sample set")
     w = np.asarray(w, dtype=np.float64)
     if model.kind is LossKind.QUADRATIC:
         diffs = w[None, :] - features
-        return 0.5 * float(np.mean(np.sum(diffs * diffs, axis=1)))
+        return 0.5 * float((diffs * diffs).sum(axis=1).sum() / n)
     if labels is None:
         raise ValueError("logistic loss requires labels")
     z = features @ w
     ce = np.logaddexp(0.0, z) - labels * z
     penalty = 0.5 * model.regularization * float(w @ w)
-    return float(np.mean(ce)) + penalty
+    return float(ce.sum() / n) + penalty
 
 
 def grad(model: LossModel, w: np.ndarray, features: np.ndarray,
@@ -127,14 +130,17 @@ def grad(model: LossModel, w: np.ndarray, features: np.ndarray,
     ``w`` of shape ``(d,)`` or ``(..., d)`` and ``labels`` ``(..., bs)``; each
     stacked gradient equals the one-batch call on its slice bit for bit,
     because every slice goes through the same matrix-vector products.
+    Averages are a sum divided by the count, the two steps of ``np.mean``.
     """
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim < 2:
+        features = features.reshape(1, -1)
     batch = features.shape[-2]
     if batch == 0:
         raise ValueError("empty batch")
     w = np.asarray(w, dtype=np.float64)
     if model.kind is LossKind.QUADRATIC:
-        return w - features.mean(axis=-2)
+        return w - features.sum(axis=-2) / batch
     if labels is None:
         raise ValueError("logistic gradient requires labels")
     z = np.matmul(features, w[..., None])[..., 0]

@@ -176,19 +176,18 @@ class QuantizedVector:
     grid: GridKind = GridKind.PIPELINE
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "codewords", np.asarray(self.codewords, dtype=np.int64))
-        if self.codewords.ndim not in (1, 2):
+        codes = np.asarray(self.codewords, dtype=np.int64)
+        object.__setattr__(self, "codewords", codes)
+        if codes.ndim not in (1, 2):
             raise ValueError("codewords must be a vector or a (rows, dim) block")
-        if np.ndim(self.gain) and (self.codewords.ndim != 2
-                                   or np.shape(self.gain) != self.codewords.shape[:1]):
+        gain = np.asarray(self.gain)
+        if gain.ndim and (codes.ndim != 2 or gain.shape != codes.shape[:1]):
             raise ValueError("per-row gains need a block with one row per gain")
-        if not np.all(np.asarray(self.gain) > 0):
+        if not (gain > 0).all():
             raise ValueError("gain must be positive")
-        if self.grid is GridKind.PIPELINE:
+        if self.grid is GridKind.PIPELINE and codes.size:
             lo, hi = -(2 ** (self.bits - 1)), 2 ** (self.bits - 1) - 1
-            if self.codewords.size and not (
-                self.codewords.min() >= lo and self.codewords.max() <= hi
-            ):
+            if not (codes.min() >= lo and codes.max() <= hi):
                 raise ValueError(f"pipeline codewords outside [{lo}, {hi}]")
 
     @property
@@ -309,36 +308,40 @@ def _outcomes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each coordinate's two-outcome rounding: codewords ``(lo, hi)`` and
     ``Pr[hi]``, for gain ``gain`` (and, on the symmetric grid, half-range
-    ``m``).  Under nearest rounding ``Pr[hi]`` is 0 or 1."""
+    ``m``).  Under nearest rounding ``Pr[hi]`` is 0 or 1.  The symmetric
+    range check compares the row peaks with ``m`` in one step and locates
+    the offending row only when it fails."""
     if spec.one_bit_enhanced:
         lo = np.full(v.shape, -1, dtype=np.int64)
         if spec.rounding is Rounding.NEAREST:
             return lo, -lo, (v >= 0).astype(np.float64)
         inv = 1.0 / gain
-        return lo, -lo, np.clip((v + inv) / (2.0 * inv), 0.0, 1.0)
+        return lo, -lo, ((v + inv) / (2.0 * inv)).clip(0.0, 1.0)
 
     if spec.grid is GridKind.SYMMETRIC:
-        peaks = np.atleast_1d(np.max(np.abs(v), axis=-1, initial=0.0))
-        bounds = np.broadcast_to(np.ravel(m), peaks.shape)
-        over = np.flatnonzero(peaks > bounds)
-        if over.size:
+        peaks = np.abs(v).max(axis=-1, keepdims=True, initial=0.0)
+        if (peaks > m).any():
+            peaks = peaks.ravel()
+            bounds = np.broadcast_to(np.ravel(m), peaks.shape)
+            over = np.flatnonzero(peaks > bounds)
             raise GridRangeError(
                 f"vector max magnitude {peaks[over[0]]} exceeds range bound "
                 f"{bounds[over[0]]}"
             )
         q = m / (2.0 ** spec.bits - 1.0)
+        step = 2.0 * q
         n_cells = 2 ** spec.bits - 1
-        j0 = np.floor((v + m) / (2.0 * q)).astype(np.int64)
-        np.clip(j0, 0, n_cells - 1, out=j0)
+        j0 = np.floor((v + m) / step).astype(np.int64)
+        j0.clip(0, n_cells - 1, out=j0)
         lo = 2 * j0 - n_cells
-        return lo, lo + 2, np.clip((v - lo * q) / (2.0 * q), 0.0, 1.0)
+        return lo, lo + 2, ((v - lo * q) / step).clip(0.0, 1.0)
 
     amplified = v * gain
     floors = np.floor(amplified)
     frac = amplified - floors
     limit = 2 ** (spec.bits - 1)
-    lo = np.clip(floors, -limit, limit - 1).astype(np.int64)
-    hi = np.clip(floors + 1, -limit, limit - 1).astype(np.int64)
+    lo = floors.clip(-limit, limit - 1).astype(np.int64)
+    hi = (floors + 1).clip(-limit, limit - 1).astype(np.int64)
     if spec.rounding is Rounding.NEAREST:
         return lo, hi, (frac >= 0.5).astype(np.float64)
     return lo, hi, frac
@@ -363,7 +366,7 @@ def quantize_vector(
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2):
         raise ValueError("expected a vector or a (rows, dim) block")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("non-finite coordinate in input vector")
     stochastic = spec.rounding is Rounding.STOCHASTIC
     if rng is None and stochastic:
@@ -377,7 +380,7 @@ def quantize_vector(
         scale = np.asarray(scale, dtype=np.float64)
         if v.ndim != 2 or scale.shape != v.shape[:1]:
             raise ValueError("scale needs a block with one entry per row")
-        if not np.all((scale > 0) & np.isfinite(scale)):
+        if not ((scale > 0) & np.isfinite(scale)).all():
             raise ValueError("scale must be positive and finite")
         column = scale[:, None]
         if symmetric:

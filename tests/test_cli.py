@@ -336,6 +336,64 @@ class TestBoundCommand:
         assert code == 2
 
 
+# a well-formed row of metrics.csv edited into each malformation
+MALFORMED_ROWS = {
+    "short row": lambda row: row[:3],
+    "gap not a float": lambda row: row[:5] + ["oops"] + row[6:],
+    "round not an int": lambda row: ["x"] + row[1:],
+}
+
+
+@pytest.mark.parametrize("malformation", MALFORMED_ROWS)
+def test_malformed_metrics_row_is_a_config_error(tmp_path, capsys, malformation):
+    config = write_config(tmp_path)
+    metrics = tmp_path / "out" / "metrics.csv"
+    cli.main(["run", "--config", config, "--out", str(metrics.parent)])
+    with open(metrics, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[3] = MALFORMED_ROWS[malformation](rows[3])  # data row 2
+    with open(metrics, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    code = cli.main(["bound", "--config", config, "--out", str(tmp_path / "b.csv"),
+                     str(metrics)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {metrics}: ")
+    assert "row 2" in err[0]
+    assert not (tmp_path / "b.csv").exists()
+
+
+# --out targets that cannot be written: an existing file given as the run's
+# directory, a path below a file, and an existing directory given as bound.csv
+UNWRITABLE_OUT = [
+    ("run", "file"),
+    ("run", "file/sub"),
+    ("bound", "file/b.csv"),
+    ("bound", "dir"),
+]
+
+
+@pytest.mark.parametrize("command, target", UNWRITABLE_OUT)
+def test_unwritable_out_is_one_line_exit_2(tmp_path, capsys, command, target):
+    config = write_config(tmp_path)
+    metrics = tmp_path / "q" / "metrics.csv"
+    cli.main(["run", "--config", config, "--out", str(metrics.parent)])
+    (tmp_path / "file").write_text("kept\n")
+    (tmp_path / "dir").mkdir()
+    out = tmp_path / target
+    argv = {"run": ["run", "--config", config, "--out", str(out)],
+            "bound": ["bound", "--config", config, "--out", str(out), str(metrics)]}
+    capsys.readouterr()
+    assert cli.main(argv[command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # rejected before the run or the bound
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and str(out) in err[0]
+    assert (tmp_path / "file").read_text() == "kept\n"
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
 TESTBED_DIFF4_CONFIG = """\
 # the README testbed with a 4-bit differential uplink
 model = quadratic
@@ -370,6 +428,39 @@ def test_testbed_run_and_bound_bytes_unchanged(tmp_path):
         "100a8665332e07af382ff78dc8915962123b5f7a1d44c94aa4bd226a65b3ddce")
     assert hashlib.sha256(bound_csv.read_bytes()).hexdigest() == (
         "537e8d962691b6ba38154defaa4caf302b461925352bc388f9ffadf98a1756ef")
+
+
+LOGISTIC_LAYERED_CONFIG = """\
+# the benchmark's logistic_layered workload cut to 200 rounds: d=40 in layers
+# of 8 and 32, bs=20, float uplink, 6-bit layered broadcast
+model = logistic
+regularization = 0.05
+dimension = 40
+layer_sizes = 8,32
+layer_feature_scales = 1.0,0.05
+samples_per_client = 100
+num_clients = 20
+clients_per_round = 5
+local_steps = 5
+batch_size = 20
+rounds = 200
+mu = 0.05
+lipschitz = 1.3
+uplink_mode = float
+downlink_mode = layered
+downlink_schedule = constant
+downlink_bits = 6
+seed = 0
+"""
+
+
+def test_logistic_layered_run_bytes_unchanged(tmp_path):
+    # sha256 of metrics.csv as written when fed.STREAM_SCHEME last changed
+    config = write_config(tmp_path, LOGISTIC_LAYERED_CONFIG)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", config, "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest() == (
+        "2ad5f42a8737e5358ad717534bae772dca66177f831a41741b48ba7d5d07afe3")
 
 
 def config_text_from_snapshot(snapshot: dict) -> str:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedquant import federation as fed
 from fedquant import models as m
@@ -176,6 +177,13 @@ class TestAggregation:
         sizes = np.full(5, 13.0)
         weighted = sum((s / sizes.sum()) * u for s, u in zip(sizes, uploads))
         assert np.allclose(fed.aggregate_weights(uploads), weighted, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+    def test_block_matches_numpy_mean(self, k, d, seed):
+        block = substream(seed).standard_normal((k, d)) * 3.0
+        assert np.array_equal(fed.aggregate_weights(block), np.mean(block, axis=0))
+        assert np.array_equal(fed.aggregate_weights(list(block)), np.mean(block, axis=0))
 
     def test_differential_zero_is_identity(self):
         prev = substream(6).standard_normal(4)

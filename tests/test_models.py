@@ -212,6 +212,36 @@ class TestBatchedGradient:
                 assert np.array_equal(batched[0], g)
 
 
+class TestReductionsMatchMean:
+    """``grad`` and ``loss`` divide a sum by the count; numpy's mean is that
+    sum followed by the same division, so each must reproduce the ``np.mean``
+    formula it replaced bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 4), max_size=2), st.integers(1, 20),
+           st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
+    def test_quadratic_grad(self, lead, bs, d, seed):
+        rng = substream(seed)
+        features = rng.standard_normal((*lead, bs, d)) * 3.0
+        w = rng.standard_normal((*lead, d))
+        assert np.array_equal(m.grad(QUADRATIC, w, features), w - features.mean(axis=-2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
+    def test_loss(self, n, d, seed):
+        rng = substream(seed)
+        features = rng.standard_normal((n, d)) * 3.0
+        labels = rng.integers(0, 2, n)
+        w = rng.standard_normal(d)
+        diffs = w[None, :] - features
+        assert m.loss(QUADRATIC, w, features) == 0.5 * float(
+            np.mean(np.sum(diffs * diffs, axis=1)))
+        z = features @ w
+        ce = np.logaddexp(0.0, z) - labels * z
+        assert m.loss(LOGISTIC, w, features, labels) == (
+            float(np.mean(ce)) + 0.5 * LOGISTIC.regularization * float(w @ w))
+
+
 def make_clients(sizes, dim, seed, labeled):
     rng = substream(seed)
     return [m.ClientDataset(rng.standard_normal((n, dim)),
