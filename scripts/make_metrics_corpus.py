@@ -3,7 +3,8 @@
 
 The corpus covers every uplink mode x downlink mode x (grid, rounding)
 combination on a small quadratic problem, plus native structure, 1-bit
-(enhanced and plain), log-scheduled widths, layered logistic runs with and
+(enhanced and plain), a 3-bit nearest weight upload that moves the model where
+its plain 1-bit twin does not, log-scheduled widths, layered logistic runs with and
 without static gains (also at a weight bound small enough for nearest-rounded
 weight uploads to move the model), and a problem whose differential uploads
 are all zero.
@@ -74,6 +75,14 @@ def corpus_configs() -> dict[str, dict]:
                 "grid": grid, "rounding": rounding, "one_bit_enhanced": enhanced,
                 "uplink_bits": 1, "downlink_bits": 1,
             }
+    # every plain 1-bit nearest weight upload above rounds to zero (and a
+    # weight_bound small enough to avoid that is exceeded); at 3 bits the
+    # uploads carry the round
+    configs["quad-3bit-weight-pipeline-nearest"] = {
+        **QUADRATIC, "uplink_mode": "weight", "downlink_mode": "quantized",
+        "grid": "pipeline", "rounding": "nearest",
+        "uplink_bits": 3, "downlink_bits": 3,
+    }
     configs["quad-weight_log-downlink_log"] = {
         **QUADRATIC, "uplink_mode": "weight", "downlink_mode": "quantized",
         "grid": "symmetric", "rounding": "stochastic",
