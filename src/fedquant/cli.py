@@ -262,6 +262,8 @@ def _read_gap_column(path: str, expected_rounds: int) -> np.ndarray:
             if len(row) != len(METRICS_HEADER):
                 raise ValueError(f"{len(row)} fields, expected {len(METRICS_HEADER)}")
             round_, gaps[t] = int(row[0]), float(row[5])
+            if not np.isfinite(gaps[t]):
+                raise ValueError(f"gap {row[5]} is not finite")
         except ValueError as exc:
             raise fed.ConfigError(f"{path}: malformed row {t}: {exc}") from exc
         if round_ != t:

@@ -9,15 +9,18 @@ layer layout from ``FederationConfig.layer_bounds``, and its static gains
 (``lq_static``) are fixed once by :func:`init_state`.  All randomness is drawn from per-round and per-client streams
 derived from the master seed, so results are independent of execution order.
 Both are Philox streams (``streams.philox_stream``); each round re-keys the
-``clients_per_round + 1`` generators that :func:`init_state` pools on the state.
+``clients_per_round + 1`` generators that :func:`init_state` pools on the state
+and draws from each exactly once: ``N + d`` uniforms from the round stream,
+``E * n_k + d`` from client k's.  The kernels take slices of those blocks,
+never a generator.
 
 A round runs its K selected clients as one array program: local SGD advances
 a ``(K, d)`` block of weights (``models.local_train_clients``), the uploads
-are quantized as one ``(K, d)`` block with one stream per row, and the block
-is averaged directly.  Each client still draws only from its own stream, so
-every row is bit-identical to running that client alone.  Every quantized
-link picks its family and one scale per row (or layer), then makes one
-quantizer call per row block (or layer).
+are quantized as one ``(K, d)`` block, and the block is averaged directly.
+Each client still draws only from its own stream, so every row is
+bit-identical to running that client alone.  Every quantized link picks its
+family once per width and one scale per row (or per coordinate, from its
+layer), then makes one quantizer call.
 
 Link cost accounting: a quantized vector costs ``dim * bits`` payload bits
 plus a 17-byte gain header; unquantized vectors cost 32 bits per coordinate.
@@ -26,6 +29,7 @@ Downlink cost is counted once per round (broadcast), uplink once per client.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -303,13 +307,16 @@ STREAM_SCHEME = "philox-round-client/k-smallest-keys/seedsequence-data-analysis"
 
 
 def round_stream(seed: int, t: int) -> np.random.Generator:
-    """Round ``t``'s server draws: the client selection, then the broadcast."""
+    """A fresh generator for round ``t``'s server draws: ``N`` selection keys,
+    then the broadcast's ``d`` uniforms.  The engine draws the ``N + d`` in
+    one call; drawn in parts, they come out the same."""
     return philox_stream(seed, ROUND, t)
 
 
 def client_stream(seed: int, t: int, client: int) -> np.random.Generator:
-    """``client``'s draws in round ``t``: its ``E x n`` batch keys, then its
-    upload's ``d`` uniforms."""
+    """A fresh generator for ``client``'s draws in round ``t``: its ``E x n``
+    batch keys, then its upload's ``d`` uniforms.  The engine draws the
+    ``E * n + d`` in one call; drawn in parts, they come out the same."""
     return philox_stream(seed, CLIENT, t, client)
 
 
@@ -317,11 +324,14 @@ def client_stream(seed: int, t: int, client: int) -> np.random.Generator:
 # Round primitives
 # ---------------------------------------------------------------------------
 
-def sample_clients(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform K-subset of [0, n), sorted: the k smallest of n uniform keys."""
+def sample_clients(n: int, k: int, keys: np.ndarray) -> np.ndarray:
+    """Uniform K-subset of [0, n), sorted: the k smallest of the n uniform
+    ``keys``."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    return k_subset(rng.random(n), k)
+    if np.shape(keys) != (n,):
+        raise ValueError("need one key per client")
+    return k_subset(keys, k)
 
 
 def aggregate_weights(uploads: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
@@ -342,14 +352,16 @@ def aggregate_differentials(prev_global: np.ndarray,
     return np.asarray(prev_global, dtype=np.float64) + aggregate_weights(uploads)
 
 
-def _link_spec(config: FederationConfig, bits: int, symmetric: bool,
-               scale: float) -> qz.QuantizerSpec:
-    """A symmetric grid of half-range ``scale``, or a pipeline of gain
-    ``scale`` in the configured rounding (enhanced at one bit if configured)."""
+@functools.lru_cache
+def _link_spec(bits: int, symmetric: bool, rounding: qz.Rounding,
+               one_bit_enhanced: bool) -> qz.QuantizerSpec:
+    """A link's quantizer family at one width: the symmetric grid, or the
+    pipeline in ``rounding`` (enhanced at one bit if configured).  Every
+    call passes its own scales, so the spec's unit gain is never used; one
+    spec is built per width and reused."""
     if symmetric:
-        return qz.QuantizerSpec.symmetric_grid(scale, bits)
-    return qz.QuantizerSpec.tuned(bits, scale, config.rounding,
-                                  bits == 1 and config.one_bit_enhanced)
+        return qz.QuantizerSpec.symmetric_grid(1.0, bits)
+    return qz.QuantizerSpec.tuned(bits, 1.0, rounding, bits == 1 and one_bit_enhanced)
 
 
 def _check_weight_bound(rows: np.ndarray, config: FederationConfig,
@@ -373,19 +385,21 @@ def broadcast(
     w_global: np.ndarray,
     config: FederationConfig,
     bits: int,
-    rng: np.random.Generator | None,
+    uniforms: np.ndarray | None,
     frozen_extra_gains: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Produce the model delivered to every selected client this round.
 
-    One quantization draw is shared by all recipients; a float downlink
-    draws nothing, takes ``rng=None`` and delivers ``w_global`` itself, not a
-    copy.  A quantized downlink is the one-layer case of the layered one.  A
-    layered downlink ignores ``grid`` and ``structure``: it quantizes each
-    layer of ``config.layer_bounds()`` on the pipeline, with extra gains set
-    from each layer's 90th-percentile magnitude, or ``frozen_extra_gains``
-    when given (static layered quantization).  Returns the delivered model
-    and the accounted broadcast bits.
+    One quantization, on ``uniforms`` (one per coordinate), is shared by all
+    recipients; a float downlink reads no uniforms and delivers ``w_global``
+    itself, not a copy, and nearest rounding reads none either.  A quantized
+    downlink is the one-layer case of the layered one: either way, one
+    quantizer call takes each coordinate's scale from its layer.  A layered
+    downlink ignores ``grid`` and ``structure``: it quantizes each layer of
+    ``config.layer_bounds()`` on the pipeline, with extra gains set from each
+    layer's 90th-percentile magnitude, or ``frozen_extra_gains`` when given
+    (static layered quantization).  Returns the delivered model and the
+    accounted broadcast bits.
     """
     if config.downlink_mode is DownlinkMode.FLOAT:
         return w_global, qz.float_bits(w_global.size)
@@ -406,13 +420,11 @@ def broadcast(
             scales = (base,)
         else:
             scales = base * qz.layered_gains(w_global, layers, bits)[1]
-    delivered = np.empty_like(w_global)
-    for (start, stop), scale in zip(layers, scales):
-        spec = _link_spec(config, bits, symmetric, float(scale))
-        delivered[start:stop] = qz.quantize_vector(
-            w_global[start:stop], spec, rng).dequantize()
-    total_bits = sum(qz.wire_bits(stop - start, bits) for start, stop in layers)
-    return delivered, total_bits
+    sizes = [stop - start for start, stop in layers]
+    spec = _link_spec(bits, symmetric, config.rounding, config.one_bit_enhanced)
+    delivered = qz.quantize_vector(w_global, spec, uniforms,
+                                   np.repeat(scales, sizes)).dequantize()
+    return delivered, sum(qz.wire_bits(size, bits) for size in sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -518,24 +530,37 @@ def run_round(
     else:
         bits_up = schedule_bits(config.uplink_schedule, t, config.mu, gamma)
 
-    server_rng = rekey(state.pool[0], config.seed, ROUND, t)
-    selected = sample_clients(config.num_clients, config.clients_per_round, server_rng)
-
-    quantized_down = config.downlink_mode is not DownlinkMode.FLOAT
+    # each pool generator is re-keyed and drawn from exactly once a round; a
+    # float or nearest link ignores its uniforms
+    n, dim, steps = config.num_clients, config.dimension, config.local_steps
+    server = rekey(state.pool[0], config.seed, ROUND, t).random(n + dim)
+    selected = sample_clients(n, config.clients_per_round, server[:n])
     delivered, down_bits = broadcast(
-        state.w_global, config, bits_down, server_rng if quantized_down else None,
+        state.w_global, config, bits_down, server[n:],
         frozen_extra_gains=state.frozen_extra_gains,
     )
 
-    clients = [int(c) for c in selected]
-    rngs = [rekey(rng, config.seed, CLIENT, t, c)
-            for rng, c in zip(state.pool[1:], clients)]
+    clients = selected.tolist()
+    sizes = [state.sizes[c] for c in clients]
+    n_max = max(sizes)
+    if min(sizes) == n_max:
+        draws = np.empty((len(clients), steps * n_max + dim))
+        for row, rng, c in zip(draws, state.pool[1:], clients):
+            rekey(rng, config.seed, CLIENT, t, c).random(out=row)
+        keys = draws[:, :steps * n_max].reshape(len(clients), steps, n_max)
+        uniforms = draws[:, steps * n_max:]
+    else:
+        # clients of different sizes: each key row is padded with +inf
+        keys = np.full((len(clients), steps, n_max), np.inf)
+        uniforms = np.empty((len(clients), dim))
+        for k, (rng, c, size) in enumerate(zip(state.pool[1:], clients, sizes)):
+            row = rekey(rng, config.seed, CLIENT, t, c).random(steps * size + dim)
+            keys[k, :, :size] = row[:steps * size].reshape(steps, size)
+            uniforms[k] = row[steps * size:]
     w_locals = local_train_clients(
-        delivered, state.model, state.pooled,
-        [state.starts[c] for c in clients], [state.sizes[c] for c in clients],
-        config.local_steps, config.batch_size, eta, rngs,
+        delivered, state.model, state.pooled, [state.starts[c] for c in clients],
+        sizes, config.batch_size, eta, keys,
     )
-    dim = w_locals.shape[1]
     differential = config.uplink_mode is UplinkMode.DIFFERENTIAL
     if config.uplink_mode is UplinkMode.FLOAT:
         uploads = w_locals
@@ -558,8 +583,8 @@ def run_round(
                      else 2.0 ** (bits_up - 1) / (config.weight_bound if tuned else 1.0))
             scales = np.full(len(clients), scale)
         # the spec fixes the family only; each row's scale replaces its own
-        spec = _link_spec(config, bits_up, symmetric, 1.0)
-        uploads = qz.quantize_vector(rows, spec, rngs, scales).dequantize()
+        spec = _link_spec(bits_up, symmetric, config.rounding, config.one_bit_enhanced)
+        uploads = qz.quantize_vector(rows, spec, uniforms, scales).dequantize()
         if differential:
             uploads[peaks == 0.0] = 0.0  # an all-zero row is sent as zeros
         up_bits = len(clients) * qz.wire_bits(dim, bits_up)

@@ -11,10 +11,10 @@ checked against closed forms at desk scale:
 
 :func:`grad` also takes batched features ``(..., bs, d)`` with weights
 ``(..., d)``, one gradient per leading index.  :func:`local_train_clients`
-uses it to run one round's selected clients as one array program: every
-client keeps its own batch stream, and its row of the result is
-bit-identical to :func:`local_train` on that client alone, which stays as the
-reference the tests compare against.
+uses it to run one round's selected clients as one array program on a block
+of caller-drawn batch keys: each client's row of the result is bit-identical
+to :func:`local_train` on that client alone, which stays as the reference the
+tests compare against.
 """
 
 from __future__ import annotations
@@ -181,32 +181,33 @@ def local_train_clients(
     pooled: ClientDataset,
     starts: Sequence[int],
     sizes: Sequence[int],
-    steps: int,
     batch_size: int,
     lr: float,
-    rngs: Sequence[np.random.Generator],
+    keys: np.ndarray,
 ) -> np.ndarray:
     """:func:`local_train` for K clients at once; returns the ``(K, d)`` block.
 
-    Client k owns rows ``starts[k]`` to ``starts[k] + sizes[k]`` of ``pooled``
-    and draws its ``(steps, sizes[k])`` batch keys from ``rngs[k]`` with the
-    call ``local_train`` makes; keys past ``sizes[k]`` are ``+inf``, so row k
-    is bit-identical to ``local_train`` on that client with that generator,
-    whatever the other rows are.
+    Client k owns rows ``starts[k]`` to ``starts[k] + sizes[k]`` of ``pooled``.
+    ``keys`` is the ``(K, E, n_max)`` block of batch keys: row k holds the
+    ``(E, sizes[k])`` uniforms ``local_train`` would draw for client k, then
+    ``+inf`` up to ``n_max``, so row k is bit-identical to ``local_train`` on
+    that client with a generator that yields those keys, whatever the other
+    rows are.  Every step's batch is gathered in one indexing call.
     """
+    if keys.ndim != 3 or keys.shape[0] != len(starts):
+        raise ValueError("keys need one (steps, n_max) block per client")
+    steps = keys.shape[1]
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not 1 <= batch_size <= min(sizes):
         raise ValueError("batch size must be in [1, dataset size]")
-    keys = np.full((len(rngs), steps, max(sizes)), np.inf)
-    for k, (rng, size) in enumerate(zip(rngs, sizes)):
-        keys[k, :, :size] = rng.random((steps, size))
     rows = k_subset(keys, batch_size) + np.asarray(starts, dtype=np.int64)[:, None, None]
-    block = np.tile(np.asarray(w, dtype=np.float64), (len(rngs), 1))
+    features = pooled.features[rows]
+    labels = pooled.labels[rows] if pooled.labels is not None else None
+    block = np.repeat(np.asarray(w, dtype=np.float64)[None, :], len(starts), axis=0)
     for step in range(steps):
-        idx = rows[:, step]
-        batch_labels = pooled.labels[idx] if pooled.labels is not None else None
-        block -= lr * grad(model, block, pooled.features[idx], batch_labels)
+        batch_labels = labels[:, step] if labels is not None else None
+        block -= lr * grad(model, block, features[:, step], batch_labels)
     return block
 
 

@@ -22,9 +22,10 @@ symmetric-grid and one-bit codewords are the odd integers
 
 Every family rounds each coordinate to one of two codewords, so one kernel
 gives each coordinate's ``(lo, hi, Pr[hi])`` (a two-point distribution, as in
-QSGD).  ``quantize_vector`` samples from it -- one vector, or a ``(K, d)``
-block with one random stream and optionally one gain or range bound per row
--- and ``expected_sq_error`` sums its closed-form moments.
+QSGD).  ``quantize_vector`` samples from it with caller-drawn uniforms -- one
+vector, optionally with one gain or range bound per coordinate, or a
+``(K, d)`` block, optionally with one per row -- and ``expected_sq_error``
+sums its closed-form moments.
 """
 
 from __future__ import annotations
@@ -167,7 +168,8 @@ class GridSpec:
 class QuantizedVector:
     """Integer codewords plus the gain needed to dequantize them.
 
-    A block of rows ``(K, d)`` carries either one gain or one gain per row.
+    A vector ``(d,)`` carries one gain or one gain per coordinate; a block of
+    rows ``(K, d)`` carries one gain or one gain per row.
     """
 
     codewords: np.ndarray
@@ -181,8 +183,9 @@ class QuantizedVector:
         if codes.ndim not in (1, 2):
             raise ValueError("codewords must be a vector or a (rows, dim) block")
         gain = np.asarray(self.gain)
-        if gain.ndim and (codes.ndim != 2 or gain.shape != codes.shape[:1]):
-            raise ValueError("per-row gains need a block with one row per gain")
+        if gain.ndim and gain.shape != codes.shape[:1]:
+            raise ValueError("gains must be one per row of a block or one per "
+                             "coordinate of a vector")
         if not (gain > 0).all():
             raise ValueError("gain must be positive")
         if self.grid is GridKind.PIPELINE and codes.size:
@@ -195,7 +198,7 @@ class QuantizedVector:
         return int(self.codewords.shape[-1])
 
     def dequantize(self) -> np.ndarray:
-        if np.ndim(self.gain):
+        if self.codewords.ndim == 2 and np.ndim(self.gain):
             return self.codewords / np.asarray(self.gain)[:, None]
         return self.codewords / self.gain
 
@@ -308,9 +311,10 @@ def _outcomes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each coordinate's two-outcome rounding: codewords ``(lo, hi)`` and
     ``Pr[hi]``, for gain ``gain`` (and, on the symmetric grid, half-range
-    ``m``).  Under nearest rounding ``Pr[hi]`` is 0 or 1.  The symmetric
-    range check compares the row peaks with ``m`` in one step and locates
-    the offending row only when it fails."""
+    ``m``), each a scalar or broadcast against ``v``.  Under nearest rounding
+    ``Pr[hi]`` is 0 or 1.  The symmetric range check compares every
+    coordinate with its bound in one step and locates the first offender
+    only when it fails."""
     if spec.one_bit_enhanced:
         lo = np.full(v.shape, -1, dtype=np.int64)
         if spec.rounding is Rounding.NEAREST:
@@ -319,20 +323,19 @@ def _outcomes(
         return lo, -lo, ((v + inv) / (2.0 * inv)).clip(0.0, 1.0)
 
     if spec.grid is GridKind.SYMMETRIC:
-        peaks = np.abs(v).max(axis=-1, keepdims=True, initial=0.0)
-        if (peaks > m).any():
-            peaks = peaks.ravel()
-            bounds = np.broadcast_to(np.ravel(m), peaks.shape)
-            over = np.flatnonzero(peaks > bounds)
+        mags = np.abs(v)
+        over = mags > m
+        if over.any():
+            first = over.argmax()  # in row-major order
             raise GridRangeError(
-                f"vector max magnitude {peaks[over[0]]} exceeds range bound "
-                f"{bounds[over[0]]}"
+                f"coordinate magnitude {mags.flat[first]} exceeds range bound "
+                f"{np.broadcast_to(m, v.shape).flat[first]}"
             )
         q = m / (2.0 ** spec.bits - 1.0)
         step = 2.0 * q
         n_cells = 2 ** spec.bits - 1
-        j0 = np.floor((v + m) / step).astype(np.int64)
-        j0.clip(0, n_cells - 1, out=j0)
+        # clip the float: an integer .clip builds np.iinfo twice a call
+        j0 = np.floor((v + m) / step).clip(0, n_cells - 1).astype(np.int64)
         lo = 2 * j0 - n_cells
         return lo, lo + 2, ((v - lo * q) / step).clip(0.0, 1.0)
 
@@ -350,18 +353,21 @@ def _outcomes(
 def quantize_vector(
     v: np.ndarray,
     spec: QuantizerSpec,
-    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
+    uniforms: np.ndarray | None = None,
     scale: np.ndarray | None = None,
 ) -> QuantizedVector:
-    """Quantize coordinate-wise with independent randomness per coordinate.
+    """Quantize coordinate-wise, each coordinate on its own uniform draw.
 
-    ``v`` is one vector ``(d,)`` with one generator, or a block ``(K, d)``
-    with one generator per row.  ``scale`` (blocks only) replaces the spec's
-    gain -- on the symmetric grid, its range bound -- row by row; the spec
-    still fixes the family, width and rounding.  Row k draws
-    ``rng[k].random(d)`` in coordinate order, exactly as a one-vector call
-    on that row does, so the output is bit-identical however rows are
-    batched.  Nearest rounding draws nothing.
+    ``v`` is one vector ``(d,)`` or a block ``(K, d)``; ``uniforms`` are
+    caller-drawn values in ``[0, 1)`` of ``v``'s shape, and a coordinate
+    rounds up exactly when its uniform is below ``Pr[hi]``.  Nearest rounding
+    reads no uniforms and may take none.  ``scale`` replaces the spec's gain
+    -- on the symmetric grid, its range bound -- row by row for a block, or
+    coordinate by coordinate for a vector; the spec still fixes the family,
+    width and rounding.  Each output coordinate depends only on its own input,
+    scale and uniform, so one call over a block, or over a vector with
+    per-layer scales, is bit-identical to separate calls on its rows or
+    layers with the matching slices of the uniforms.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2):
@@ -369,38 +375,32 @@ def quantize_vector(
     if not np.isfinite(v).all():
         raise ValueError("non-finite coordinate in input vector")
     stochastic = spec.rounding is Rounding.STOCHASTIC
-    if rng is None and stochastic:
-        raise ValueError("stochastic rounding requires an rng")
-    if v.ndim == 2 and rng is not None and len(rng) != v.shape[0]:
-        raise ValueError("a block needs one generator per row")
+    if uniforms is None:
+        if stochastic:
+            raise ValueError("stochastic rounding requires uniforms")
+    elif np.shape(uniforms) != v.shape:
+        raise ValueError("uniforms must have the input's shape")
     symmetric = spec.grid is GridKind.SYMMETRIC
+    per_row = scale is not None and v.ndim == 2
     if scale is None:
         gain, m = spec.gain, spec.range_bound
     else:
         scale = np.asarray(scale, dtype=np.float64)
-        if v.ndim != 2 or scale.shape != v.shape[:1]:
-            raise ValueError("scale needs a block with one entry per row")
+        if scale.shape != v.shape[:1]:
+            raise ValueError("scale needs one entry per row of a block, or one "
+                             "per coordinate of a vector")
         if not ((scale > 0) & np.isfinite(scale)).all():
             raise ValueError("scale must be positive and finite")
-        column = scale[:, None]
+        column = scale[:, None] if per_row else scale
         if symmetric:
             gain, m = (2.0 ** spec.bits - 1.0) / column, column
         else:
             gain, m = column, None
 
     lo, hi, p_hi = _outcomes(v, spec, gain, m)
-    if not stochastic:
-        take_hi = p_hi
-    elif v.ndim == 1:
-        take_hi = rng.random(v.size) < p_hi
-    else:
-        draws = np.empty(v.shape)
-        for row, gen in zip(draws, rng):
-            gen.random(out=row)
-        take_hi = draws < p_hi
-    codes = np.where(take_hi, hi, lo)
+    codes = np.where(uniforms < p_hi if stochastic else p_hi, hi, lo)
     grid = GridKind.SYMMETRIC if symmetric or spec.one_bit_enhanced else GridKind.PIPELINE
-    return QuantizedVector(codes, gain[:, 0] if np.ndim(gain) else gain, spec.bits, grid)
+    return QuantizedVector(codes, gain[:, 0] if per_row else gain, spec.bits, grid)
 
 
 def differential_gain(d_vec: np.ndarray, bits: int) -> float:

@@ -89,7 +89,7 @@ def test_c04_float_equivalence(quadratic_testbed):
     for t in range(cfg.rounds):
         eta = fed.lr_schedule(t, cfg.mu, gamma)
         selected = fed.sample_clients(cfg.num_clients, cfg.clients_per_round,
-                                      fed.round_stream(cfg.seed, t))
+                                      fed.round_stream(cfg.seed, t).random(cfg.num_clients))
         locals_ = [
             m.local_train(w, tb.model, tb.datasets[k], cfg.local_steps,
                           cfg.batch_size, eta, fed.client_stream(cfg.seed, t, int(k)))

@@ -341,6 +341,10 @@ MALFORMED_ROWS = {
     "short row": lambda row: row[:3],
     "gap not a float": lambda row: row[:5] + ["oops"] + row[6:],
     "round not an int": lambda row: ["x"] + row[1:],
+    # a run writes a finite gap (a loss minus the optimum), never these
+    "gap nan": lambda row: row[:5] + ["nan"] + row[6:],
+    "gap inf": lambda row: row[:5] + ["inf"] + row[6:],
+    "gap -inf": lambda row: row[:5] + ["-inf"] + row[6:],
 }
 
 

@@ -4,17 +4,20 @@
 ``metrics.csv`` it produced when the corpus was generated
 (``scripts/make_metrics_corpus.py``), and the stream scheme it was generated
 under.  Any change to a result -- a random stream, an operation order, a
-rounding rule -- changes a hash here.
+rounding rule -- changes a hash here.  Each corpus config also runs 3 rounds
+with every quantized link passed through the wire codec.
 """
 
 import hashlib
 import json
+import math
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fedquant import cli, federation as fed
+from fedquant import cli, federation as fed, quantizer as qz
 
 CORPUS_FILE = json.loads((Path(__file__).parent / "metrics_corpus.json").read_text())
 CORPUS = CORPUS_FILE["runs"]
@@ -50,3 +53,60 @@ def test_metrics_bytes_reproduced(name, tmp_path):
     path = tmp_path / "metrics.csv"
     cli.write_metrics_csv(path, records)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == entry["sha256"]
+
+
+def _serialized_bits(qv, bounds):
+    """Serialize each ``(start, stop)`` slice of a quantized vector with its
+    own gain; check the round trip and return the accounted bits."""
+    gains = np.broadcast_to(qv.gain, qv.codewords.shape)
+    deq = qv.dequantize()
+    total = 0
+    for start, stop in bounds:
+        assert np.all(gains[start:stop] == gains[start])
+        part = qz.QuantizedVector(qv.codewords[start:stop], float(gains[start]),
+                                  qv.bits, qv.grid)
+        blob = qz.serialize(part)
+        accounted = qz.wire_bits(stop - start, qv.bits)
+        assert len(blob) == math.ceil(accounted / 8)
+        assert np.array_equal(qz.deserialize(blob).dequantize(), deq[start:stop])
+        total += accounted
+    return total
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_accounted_link_bits_are_the_serialized_bytes(name, monkeypatch):
+    # every quantized upload row and broadcast layer of 3 rounds goes through
+    # the codec: its blob is its accounted bits, and it decodes to its values
+    entries = {**CORPUS[name]["config"], "rounds": 3}
+    config = cli.parse_config_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+    calls, original = [], qz.quantize_vector
+
+    def spy(v, spec, uniforms=None, scale=None):
+        calls.append(original(v, spec, uniforms, scale))
+        return calls[-1]
+    monkeypatch.setattr(qz, "quantize_vector", spy)
+    records = fed.run_federation(config)
+    broadcasts = [qv for qv in calls if qv.codewords.ndim == 1]
+    uploads = [qv for qv in calls if qv.codewords.ndim == 2]
+    k, d = config.clients_per_round, config.dimension
+    layers = (config.layer_bounds() if config.downlink_mode is fed.DownlinkMode.LAYERED
+              else ((0, d),))
+    previous = (0, 0)
+    for t, record in enumerate(records):
+        up = record.uplink_bits_cum - previous[0]
+        down = record.downlink_bits_cum - previous[1]
+        previous = (record.uplink_bits_cum, record.downlink_bits_cum)
+        if config.uplink_mode is fed.UplinkMode.FLOAT:
+            assert not uploads and up == k * qz.float_bits(d)
+        else:
+            assert uploads[t].bits == record.bits_up
+            rows = [(i * d, (i + 1) * d) for i in range(k)]
+            flat = qz.QuantizedVector(uploads[t].codewords.ravel(),
+                                      np.repeat(uploads[t].gain, d), uploads[t].bits,
+                                      uploads[t].grid)
+            assert _serialized_bits(flat, rows) == up
+        if config.downlink_mode is fed.DownlinkMode.FLOAT:
+            assert not broadcasts and down == qz.float_bits(d)
+        else:
+            assert broadcasts[t].bits == record.bits_down
+            assert _serialized_bits(broadcasts[t], layers) == down

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fedquant import federation as fed
 from fedquant import models as m
 from fedquant import quantizer as qz
-from fedquant.streams import substream
+from fedquant.streams import CLIENT, ROUND, substream
 
 QUADRATIC = m.LossModel(m.LossKind.QUADRATIC)
 
@@ -124,22 +124,22 @@ class TestStepLogBits:
 
 class TestSampleClients:
     def test_full_participation(self):
-        sel = fed.sample_clients(5, 5, substream(0))
+        sel = fed.sample_clients(5, 5, substream(0).random(5))
         assert sel.tolist() == [0, 1, 2, 3, 4]
 
     def test_deterministic(self):
-        assert np.array_equal(fed.sample_clients(10, 3, substream(1)),
-                              fed.sample_clients(10, 3, substream(1)))
+        assert np.array_equal(fed.sample_clients(10, 3, substream(1).random(10)),
+                              fed.sample_clients(10, 3, substream(1).random(10)))
 
     def test_sorted_subset_without_replacement(self):
-        sel = fed.sample_clients(20, 8, substream(2))
+        sel = fed.sample_clients(20, 8, substream(2).random(20))
         assert len(set(sel.tolist())) == 8
         assert sel.tolist() == sorted(sel.tolist())
 
     def test_all_subsets_reachable(self):
         seen = set()
         for seed in range(200):
-            seen.add(tuple(fed.sample_clients(4, 2, substream(seed))))
+            seen.add(tuple(fed.sample_clients(4, 2, substream(seed).random(4))))
         assert seen == set(itertools.combinations(range(4), 2))
 
     def test_uniformity_chi_square(self):
@@ -147,7 +147,7 @@ class TestSampleClients:
         counts = {s: 0 for s in itertools.combinations(range(4), 2)}
         draws = 60_000
         for _ in range(draws):
-            counts[tuple(fed.sample_clients(4, 2, rng))] += 1
+            counts[tuple(fed.sample_clients(4, 2, rng.random(4)))] += 1
         expected = draws / 6
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         # central 99% band of chi-square with 5 degrees of freedom
@@ -155,7 +155,13 @@ class TestSampleClients:
 
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
-            fed.sample_clients(3, 4, substream(0))
+            fed.sample_clients(3, 4, substream(0).random(3))
+
+    def test_one_key_per_client(self):
+        with pytest.raises(ValueError, match="one key per client"):
+            fed.sample_clients(4, 2, substream(0).random(3))
+        with pytest.raises(ValueError, match="one key per client"):
+            fed.sample_clients(4, 2, substream(0))
 
 
 class TestAggregation:
@@ -235,7 +241,7 @@ class TestBroadcast:
     def test_float_is_identity(self):
         cfg = fed.FederationConfig(downlink_mode=fed.DownlinkMode.FLOAT)
         w = self.small_weights()
-        delivered, bits = fed.broadcast(w, cfg, 0, substream(8))
+        delivered, bits = fed.broadcast(w, cfg, 0, None)
         assert delivered is w
         assert bits == 32 * 4
 
@@ -247,7 +253,7 @@ class TestBroadcast:
         bits = 3
         draws = 10 ** 5
         spec = qz.QuantizerSpec.symmetric_grid(bound, bits)
-        tiled = qz.quantize_vector(np.tile(w, draws), spec, substream(9))
+        tiled = qz.quantize_vector(np.tile(w, draws), spec, substream(9).random(4 * draws))
         means = tiled.dequantize().reshape(draws, 4).mean(axis=0)
         sigma = qz.GridSpec(bound, bits).half_step / math.sqrt(draws)
         assert np.all(np.abs(means - w) <= 3 * sigma + 1e-12)
@@ -257,7 +263,7 @@ class TestBroadcast:
                                    weight_bound=0.5)
         w = self.small_weights()
         with pytest.raises(fed.AssumptionViolation):
-            fed.broadcast(w, cfg, 4, substream(10))
+            fed.broadcast(w, cfg, 4, substream(10).random(w.size))
 
     def test_layered_beats_single_gain_on_split_ranges(self):
         rng = substream(11)
@@ -282,10 +288,10 @@ class TestBroadcast:
                         rounding=rounding, dimension=5)
         quantized = fed.broadcast(
             w, fed.FederationConfig(downlink_mode=fed.DownlinkMode.QUANTIZED, **pipeline),
-            3, substream(14))
+            3, substream(14).random(w.size))
         layered = fed.broadcast(
             w, fed.FederationConfig(downlink_mode=fed.DownlinkMode.LAYERED, **pipeline),
-            3, substream(14))
+            3, substream(14).random(w.size))
         assert np.array_equal(quantized[0], layered[0])
         assert quantized[1] == layered[1]
 
@@ -294,7 +300,7 @@ class TestBroadcast:
             downlink_mode=fed.DownlinkMode.LAYERED, dimension=4,
             layer_sizes=(2, 2), grid=qz.GridKind.PIPELINE)
         w = np.array([0.5, -0.25, 0.003, -0.001])
-        _, bits = fed.broadcast(w, cfg, 4, substream(12))
+        _, bits = fed.broadcast(w, cfg, 4, substream(12).random(w.size))
         assert bits == 2 * (2 * 4 + 17 * 8)
 
     def test_static_layered_freezes_gains(self):
@@ -303,7 +309,7 @@ class TestBroadcast:
             downlink_mode=fed.DownlinkMode.LAYERED, dimension=4,
             layer_sizes=(2, 2), grid=qz.GridKind.PIPELINE, lq_static=True)
         w = np.array([0.5, -0.25, 0.003, -0.001])
-        delivered, _ = fed.broadcast(w, cfg, 4, substream(13),
+        delivered, _ = fed.broadcast(w, cfg, 4, substream(13).random(w.size),
                                      frozen_extra_gains=np.array([4.0, 4.0]))
         # codewords decode against the frozen gain 8 * 4
         assert np.all(np.abs(delivered * 32.0 - np.round(delivered * 32.0)) < 1e-9)
@@ -341,6 +347,53 @@ class TestRunRound:
             downs = [r.downlink_bits_cum for r in records]
             assert all(a < b for a, b in zip(ups, ups[1:]))
             assert all(a < b for a, b in zip(downs, downs[1:]))
+
+    @pytest.mark.parametrize("sizes", [None, (5, 7, 5, 9, 6, 4)], ids=["even", "uneven"])
+    def test_each_pool_generator_is_rekeyed_and_drawn_once(self, monkeypatch, sizes):
+        cfg = self.base_config(uplink_mode=fed.UplinkMode.DIFFERENTIAL,
+                               downlink_mode=fed.DownlinkMode.QUANTIZED,
+                               weight_bound=8.0, samples_per_client=5)
+        datasets = fed.build_problem(cfg)[1]
+        if sizes is not None:
+            rng = substream(37)
+            datasets = [m.ClientDataset(rng.standard_normal((n, cfg.dimension)))
+                        for n in sizes]
+        state = fed.init_state(cfg, QUADRATIC, datasets)
+        rekeys, draws, real_rekey = [], [], fed.rekey
+
+        class Recorder:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self, size=None, out=None):
+                drawn = self.rng.random(size, out=out)
+                draws.append((self.rng, drawn.copy()))
+                return drawn
+
+        def spy(rng, seed, role, t, client=0):
+            rekeys.append((rng, role, client))
+            return Recorder(real_rekey(rng, seed, role, t, client))
+        monkeypatch.setattr(fed, "rekey", spy)
+        n, d, steps = cfg.num_clients, cfg.dimension, cfg.local_steps
+        for t in range(cfg.rounds):
+            rekeys.clear()
+            draws.clear()
+            state, _ = fed.run_round(state, cfg, t)
+            # the round stream, then one client per pool generator, each once
+            assert [rng for rng, _, _ in rekeys] == list(state.pool)
+            assert [rng for rng, _ in draws] == list(state.pool)
+            assert [role for _, role, _ in rekeys] == [ROUND] + [CLIENT] * 3
+            server = draws[0][1]
+            assert np.array_equal(server, fed.round_stream(cfg.seed, t).random(n + d))
+            clients = [c for _, _, c in rekeys[1:]]
+            assert clients == fed.sample_clients(n, 3, server[:n]).tolist()
+            for (rng, drawn), c in zip(draws[1:], clients):
+                fresh = fed.client_stream(cfg.seed, t, c)
+                assert np.array_equal(drawn, fresh.random(steps * datasets[c].size + d))
+                # nothing else was drawn: both streams stand at the same place
+                assert np.array_equal(rng.random(3), fresh.random(3))
+            assert np.array_equal(state.pool[0].random(3),
+                                  fed.round_stream(cfg.seed, t).random(n + d + 3)[-3:])
 
     def test_weight_mode_assumption_violation(self):
         cfg = self.base_config(uplink_mode=fed.UplinkMode.WEIGHT,
@@ -465,7 +518,7 @@ class TestFloatEquivalences:
         for t in range(cfg.rounds):
             eta = fed.lr_schedule(t, cfg.mu, gamma)
             selected = fed.sample_clients(cfg.num_clients, cfg.clients_per_round,
-                                          fed.round_stream(cfg.seed, t))
+                                          fed.round_stream(cfg.seed, t).random(cfg.num_clients))
             locals_ = [
                 m.local_train(w, model, datasets[k], cfg.local_steps,
                               cfg.batch_size, eta,
@@ -487,7 +540,7 @@ class TestFloatEquivalences:
         for t in range(cfg.rounds):
             eta = fed.lr_schedule(t, cfg.mu, gamma)
             selected = fed.sample_clients(cfg.num_clients, cfg.clients_per_round,
-                                          fed.round_stream(cfg.seed, t))
+                                          fed.round_stream(cfg.seed, t).random(cfg.num_clients))
 
             locals_w = [m.local_train(w_weight, model, datasets[k],
                                       cfg.local_steps, cfg.batch_size, eta,
@@ -519,7 +572,7 @@ def reference_upload(cfg, w_local, delivered, bits, rng):
             if cfg.structure is qz.Structure.TUNED:
                 gain /= cfg.weight_bound
             spec = qz.QuantizerSpec.tuned(bits, gain, **pipeline)
-        return qz.quantize_vector(w_local, spec, rng).dequantize()
+        return qz.quantize_vector(w_local, spec, rng.random(w_local.size)).dequantize()
     diff = w_local - delivered
     peak = float(np.max(np.abs(diff)))
     if peak == 0.0:
@@ -528,7 +581,7 @@ def reference_upload(cfg, w_local, delivered, bits, rng):
         spec = qz.QuantizerSpec.symmetric_grid(peak, bits)
     else:
         spec = qz.QuantizerSpec.tuned(bits, qz.differential_gain(diff, bits), **pipeline)
-    return qz.quantize_vector(diff, spec, rng).dequantize()
+    return qz.quantize_vector(diff, spec, rng.random(diff.size)).dequantize()
 
 
 def reference_run(cfg, model, datasets):
@@ -548,8 +601,9 @@ def reference_run(cfg, model, datasets):
         bits_up = fed.schedule_bits(cfg.uplink_schedule, t, cfg.mu, gamma)
         bits_down = fed.schedule_bits(cfg.downlink_schedule, t, cfg.mu, gamma)
         server_rng = fed.round_stream(cfg.seed, t)
-        selected = fed.sample_clients(cfg.num_clients, cfg.clients_per_round, server_rng)
-        delivered, _ = fed.broadcast(w, cfg, bits_down, server_rng,
+        selected = fed.sample_clients(cfg.num_clients, cfg.clients_per_round,
+                                      server_rng.random(cfg.num_clients))
+        delivered, _ = fed.broadcast(w, cfg, bits_down, server_rng.random(w.size),
                                      frozen_extra_gains=frozen)
         uploads = []
         for k in selected:
@@ -631,17 +685,27 @@ class TestReferenceReplay:
         assert state.sizes == (4, 9, 6, 5) and state.starts == (0, 4, 13, 19)
         self.replay(cfg, QUADRATIC, datasets)
 
-    def test_float_downlink_passes_no_rng_to_broadcast(self, monkeypatch):
-        original, rngs = fed.broadcast, []
-
-        def record(w_global, config, bits, rng, frozen_extra_gains=None):
-            rngs.append(rng)
-            return original(w_global, config, bits, rng, frozen_extra_gains)
-        monkeypatch.setattr(fed, "broadcast", record)
+    @pytest.mark.parametrize("downlink, rounding", [
+        (fed.DownlinkMode.FLOAT, qz.Rounding.STOCHASTIC),
+        (fed.DownlinkMode.QUANTIZED, qz.Rounding.NEAREST),
+        (fed.DownlinkMode.LAYERED, qz.Rounding.NEAREST),
+    ], ids=["float", "quantized-nearest", "layered-nearest"])
+    def test_float_or_nearest_downlink_reads_no_uniforms(self, monkeypatch, downlink,
+                                                         rounding):
+        # the engine hands broadcast d uniforms; withholding them changes nothing
         cfg = fed.FederationConfig(num_clients=4, clients_per_round=2, rounds=3,
-                                   dimension=3, samples_per_client=5)
-        assert len(fed.run_federation(cfg)) == 3
-        assert rngs == [None, None, None]
+                                   dimension=3, samples_per_client=5, layer_sizes=(1, 2),
+                                   downlink_mode=downlink, rounding=rounding,
+                                   grid=qz.GridKind.PIPELINE)
+        expected = fed.run_federation(cfg)
+        original, shapes = fed.broadcast, []
+
+        def withheld(w_global, config, bits, uniforms, frozen_extra_gains=None):
+            shapes.append(uniforms.shape)
+            return original(w_global, config, bits, None, frozen_extra_gains)
+        monkeypatch.setattr(fed, "broadcast", withheld)
+        assert fed.run_federation(cfg) == expected
+        assert shapes == [(3,)] * 3
 
     def test_violation_names_first_client_in_sorted_order(self):
         # clients 0 and 2 stay at zero; 1 and 3 both leave the bound

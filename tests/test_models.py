@@ -250,13 +250,16 @@ def make_clients(sizes, dim, seed, labeled):
 
 
 def train_clients(model, datasets, order, w, steps, bs, lr, seed):
-    """local_train_clients over ``order``, each client on its own stream."""
+    """local_train_clients over ``order``, each client's keys drawn from its
+    own stream and padded with ``+inf``."""
     pooled = m.pooled_dataset(datasets)
     starts = np.cumsum([0] + [ds.size for ds in datasets])
+    sizes = [datasets[k].size for k in order]
+    keys = np.full((len(order), steps, max(sizes)), np.inf)
+    for row, k, size in zip(keys, order, sizes):
+        row[:, :size] = substream(seed, int(k)).random((steps, size))
     return m.local_train_clients(
-        w, model, pooled, [int(starts[k]) for k in order],
-        [datasets[k].size for k in order], steps, bs, lr,
-        [substream(seed, int(k)) for k in order])
+        w, model, pooled, [int(starts[k]) for k in order], sizes, bs, lr, keys)
 
 
 class TestLocalTrainClients:
@@ -288,6 +291,13 @@ class TestLocalTrainClients:
         datasets = make_clients([5, 2], 2, 47, False)
         with pytest.raises(ValueError):
             train_clients(QUADRATIC, datasets, [0, 1], np.zeros(2), 1, 3, 0.1, 48)
+
+    def test_one_key_block_per_client(self):
+        pooled = m.pooled_dataset(make_clients([5, 5], 2, 49, False))
+        for keys in (substream(50).random((1, 2, 5)), substream(50).random((2, 5))):
+            with pytest.raises(ValueError, match="one .* block per client"):
+                m.local_train_clients(np.zeros(2), QUADRATIC, pooled, [0, 5], [5, 5],
+                                      2, 0.1, keys)
 
 
 class TestSolveOptimum:

@@ -216,12 +216,12 @@ class TestOneBit:
         g, n = 2.5, 200
         draws = substream(6).random(n)
         for w, pr in ((0.0, 0.5), (-1.0 / g, 0.0), (1.0 / g, 1.0)):
-            out = qz.quantize_vector(np.full(n, w), one_bit(g), substream(6))
+            out = qz.quantize_vector(np.full(n, w), one_bit(g), substream(6).random(n))
             assert out.codewords.tolist() == np.where(draws < pr, 1, -1).tolist()
 
     def test_saturated_input_always_plus(self):
         g = 4.0
-        out = qz.quantize_vector(np.full(50, 1 / g), one_bit(g), substream(6))
+        out = qz.quantize_vector(np.full(50, 1 / g), one_bit(g), substream(6).random(50))
         assert np.all(out.dequantize() == 1 / g)
 
     def test_nearest_sign_rule(self):
@@ -234,8 +234,8 @@ class TestOneBit:
     def test_probability_monotone(self, w1, w2, gain):
         # on shared draws, a larger input never gives a smaller code
         lo, hi = sorted((w1, w2))
-        low = qz.quantize_vector(np.full(64, lo), one_bit(gain), substream(19))
-        high = qz.quantize_vector(np.full(64, hi), one_bit(gain), substream(19))
+        low = qz.quantize_vector(np.full(64, lo), one_bit(gain), substream(19).random(64))
+        high = qz.quantize_vector(np.full(64, hi), one_bit(gain), substream(19).random(64))
         assert np.all(low.codewords <= high.codewords)
 
     @given(st.floats(-3, 3), st.floats(0.25, 16))
@@ -250,7 +250,7 @@ class TestOneBit:
 class TestQuantizeVector:
     def test_zero_vector(self):
         spec = qz.QuantizerSpec.tuned(3, 4.0)
-        out = qz.quantize_vector(np.zeros(5), spec, substream(7))
+        out = qz.quantize_vector(np.zeros(5), spec, substream(7).random(5))
         assert np.array_equal(out.codewords, np.zeros(5, dtype=np.int64))
         assert np.array_equal(out.dequantize(), np.zeros(5))
 
@@ -263,8 +263,8 @@ class TestQuantizeVector:
     def test_grid_determinism_under_fixed_seed(self):
         spec = qz.QuantizerSpec.symmetric_grid(1.0, 4)
         v = substream(8).uniform(-1, 1, 50)
-        a = qz.quantize_vector(v, spec, substream(9))
-        b = qz.quantize_vector(v, spec, substream(9))
+        a = qz.quantize_vector(v, spec, substream(9).random(v.size))
+        b = qz.quantize_vector(v, spec, substream(9).random(v.size))
         assert np.array_equal(a.codewords, b.codewords)
         assert a.gain == b.gain and a.bits == b.bits
 
@@ -272,7 +272,7 @@ class TestQuantizeVector:
         # one uniform draw per coordinate, in coordinate order
         spec = qz.QuantizerSpec.tuned(4, 8.0)
         v = substream(10).uniform(-1, 1, 20)
-        vec_out = qz.quantize_vector(v, spec, substream(11))
+        vec_out = qz.quantize_vector(v, spec, substream(11).random(v.size))
         rng = substream(11)
         scalar_out = [qz.quantize_pipeline(float(w), spec, rng)[0] for w in v]
         assert vec_out.codewords.tolist() == scalar_out
@@ -282,7 +282,7 @@ class TestQuantizeVector:
         spec = qz.QuantizerSpec.symmetric_grid(m, bits)
         grid = qz.GridSpec(m, bits)
         v = substream(12).uniform(-m, m, 20)
-        vec_out = qz.quantize_vector(v, spec, substream(13)).codewords
+        vec_out = qz.quantize_vector(v, spec, substream(13).random(v.size)).codewords
         rng = substream(13)
         scalar_vals = np.array([qz.quantize_grid_sr(float(w), grid, rng) for w in v])
         assert np.allclose(vec_out * grid.half_step, scalar_vals, atol=0)
@@ -290,7 +290,7 @@ class TestQuantizeVector:
     def test_dequantized_is_codeword_over_gain(self):
         spec = qz.QuantizerSpec.symmetric_grid(1.5, 5)
         v = substream(14).uniform(-1.5, 1.5, 30)
-        out = qz.quantize_vector(v, spec, substream(15))
+        out = qz.quantize_vector(v, spec, substream(15).random(v.size))
         assert np.array_equal(out.dequantize(), out.codewords / out.gain)
 
     def test_one_bit_enhanced_codewords(self):
@@ -307,7 +307,15 @@ class TestQuantizeVector:
     def test_non_finite_rejected(self):
         spec = qz.QuantizerSpec.tuned(3, 4.0)
         with pytest.raises(ValueError):
-            qz.quantize_vector(np.array([np.nan]), spec, substream(0))
+            qz.quantize_vector(np.array([np.nan]), spec, substream(0).random(1))
+
+    def test_stochastic_needs_uniforms_of_the_input_shape(self):
+        spec = qz.QuantizerSpec.tuned(3, 4.0)
+        with pytest.raises(ValueError, match="requires uniforms"):
+            qz.quantize_vector(np.zeros(3), spec)
+        for bad in (substream(0), substream(0).random(4), substream(0).random((1, 3))):
+            with pytest.raises(ValueError, match="the input's shape"):
+                qz.quantize_vector(np.zeros(3), spec, bad)
 
 
 def row_spec(family: str, bits: int, scale: float) -> qz.QuantizerSpec:
@@ -340,12 +348,13 @@ class TestBlockQuantize:
     @pytest.mark.parametrize("family", BLOCK_FAMILIES)
     def test_rows_equal_one_vector_calls(self, family):
         block, scale, spec = block_case(family, 5, 7, 60)
-        out = qz.quantize_vector(block, spec, [substream(61, k) for k in range(5)], scale)
+        draws = np.stack([substream(61, k).random(7) for k in range(5)])
+        out = qz.quantize_vector(block, spec, draws, scale)
         assert out.codewords.shape == (5, 7)
         deq = out.dequantize()
         for k in range(5):
             one = qz.quantize_vector(block[k], row_spec(family, spec.bits, scale[k]),
-                                     substream(61, k))
+                                     substream(61, k).random(7))
             assert np.array_equal(out.codewords[k], one.codewords)
             assert out.gain[k] == one.gain
             assert np.array_equal(deq[k], one.dequantize())
@@ -353,10 +362,11 @@ class TestBlockQuantize:
     def test_spec_scale_shared_by_all_rows(self):
         spec = qz.QuantizerSpec.symmetric_grid(2.0, 4)
         block = substream(62).uniform(-2.0, 2.0, (3, 6))
-        out = qz.quantize_vector(block, spec, [substream(63, k) for k in range(3)])
+        out = qz.quantize_vector(block, spec,
+                                 np.stack([substream(63, k).random(6) for k in range(3)]))
         assert out.gain == spec.gain
         for k in range(3):
-            one = qz.quantize_vector(block[k], spec, substream(63, k))
+            one = qz.quantize_vector(block[k], spec, substream(63, k).random(6))
             assert np.array_equal(out.dequantize()[k], one.dequantize())
 
     @settings(max_examples=40, deadline=None)
@@ -366,41 +376,72 @@ class TestBlockQuantize:
         block, scale, spec = block_case(family, rows, dim, seed)
         perm = list(range(rows))
         shuffler.shuffle(perm)
-        base = qz.quantize_vector(block, spec, [substream(seed, 1, k) for k in range(rows)],
-                                  scale)
-        permuted = qz.quantize_vector(block[perm], spec, [substream(seed, 1, k) for k in perm],
-                                      scale[perm])
+        draws = np.stack([substream(seed, 1, k).random(dim) for k in range(rows)])
+        base = qz.quantize_vector(block, spec, draws, scale)
+        permuted = qz.quantize_vector(block[perm], spec, draws[perm], scale[perm])
         assert np.array_equal(permuted.codewords, base.codewords[perm])
         assert np.array_equal(permuted.dequantize(), base.dequantize()[perm])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(BLOCK_FAMILIES),
+           st.lists(st.integers(1, 6), min_size=1, max_size=4),
+           st.integers(0, 2 ** 32 - 1))
+    def test_per_coordinate_scale_equals_per_layer_calls(self, family, sizes, seed):
+        # a layered vector in one call: each coordinate takes its layer's scale
+        layers = [block_case(family, 1, size, seed + i) for i, size in enumerate(sizes)]
+        v = np.concatenate([block[0] for block, _, _ in layers])
+        scales = np.array([scale[0] for _, scale, _ in layers])
+        spec = layers[0][2]
+        draws = substream(seed, 2).random(v.size)
+        out = qz.quantize_vector(v, spec, draws, np.repeat(scales, sizes))
+        deq = out.dequantize()
+        start = 0
+        for size, scale in zip(sizes, scales):
+            stop = start + size
+            one = qz.quantize_vector(v[start:stop], row_spec(family, spec.bits, scale),
+                                     draws[start:stop])
+            assert np.array_equal(out.codewords[start:stop], one.codewords)
+            assert np.all(out.gain[start:stop] == one.gain)
+            assert np.array_equal(deq[start:stop], one.dequantize())
+            start = stop
 
     def test_range_error_names_first_row_over_bound(self):
         spec = qz.QuantizerSpec.symmetric_grid(1.0, 3)
         block = np.array([[0.5, 0.1], [0.2, 3.0], [9.0, 0.0]])
         with pytest.raises(qz.GridRangeError, match="magnitude 3.0 exceeds range bound 2.0"):
-            qz.quantize_vector(block, spec, [substream(k) for k in range(3)],
+            qz.quantize_vector(block, spec, substream(0).random((3, 2)),
                                np.array([1.0, 2.0, 4.0]))
+
+    def test_per_coordinate_range_bounds_checked_per_coordinate(self):
+        spec = qz.QuantizerSpec.symmetric_grid(1.0, 3)
+        with pytest.raises(qz.GridRangeError, match="magnitude 0.5 exceeds range bound 0.25"):
+            qz.quantize_vector(np.array([0.9, 0.5, 0.1]), spec, substream(0).random(3),
+                               np.array([1.0, 0.25, 0.25]))
 
     def test_block_arguments_validated(self):
         spec = qz.QuantizerSpec.tuned(3, 4.0)
         block = np.zeros((2, 3))
-        with pytest.raises(ValueError, match="one generator per row"):
-            qz.quantize_vector(block, spec, [substream(0)])
+        draws = substream(0).random((2, 3))
+        with pytest.raises(ValueError, match="the input's shape"):
+            qz.quantize_vector(block, spec, draws[:1])
         with pytest.raises(ValueError, match="one entry per row"):
-            qz.quantize_vector(block, spec, [substream(0), substream(1)], np.ones(3))
+            qz.quantize_vector(block, spec, draws, np.ones(3))
         with pytest.raises(ValueError, match="positive and finite"):
-            qz.quantize_vector(block, spec, [substream(0), substream(1)],
-                               np.array([1.0, 0.0]))
+            qz.quantize_vector(block, spec, draws, np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="non-finite"):
-            qz.quantize_vector(np.array([[0.0], [np.inf]]), spec,
-                               [substream(0), substream(1)])
+            qz.quantize_vector(np.array([[0.0], [np.inf]]), spec, draws[:, :1])
 
-    def test_per_row_gains_need_a_block(self):
+    def test_gains_per_row_of_a_block_or_per_coordinate_of_a_vector(self):
         with pytest.raises(ValueError):
-            qz.QuantizedVector(np.array([1, 2]), np.array([1.0, 2.0]), 3)
+            qz.QuantizedVector(np.array([1, 2]), np.array([1.0, 2.0, 4.0]), 3)
         with pytest.raises(ValueError):
             qz.QuantizedVector(np.array([[1], [2]]), np.array([1.0, 2.0, 4.0]), 3)
+        with pytest.raises(ValueError):
+            qz.QuantizedVector(np.array([[1, 2]]), np.array([1.0, 4.0]), 3)
         qv = qz.QuantizedVector(np.array([[1], [2]]), np.array([1.0, 4.0]), 3)
         assert qv.dequantize().tolist() == [[1.0], [0.5]]
+        qv = qz.QuantizedVector(np.array([1, 2]), np.array([1.0, 4.0]), 3)
+        assert qv.dequantize().tolist() == [1.0, 0.5]
 
     def test_serialize_takes_one_vector(self):
         with pytest.raises(ValueError):
@@ -520,7 +561,7 @@ class TestSerialization:
     def test_round_trip_symmetric_grid(self):
         spec = qz.QuantizerSpec.symmetric_grid(2.0, 9)
         v = substream(17).uniform(-2, 2, 40)
-        original = qz.quantize_vector(v, spec, substream(18))
+        original = qz.quantize_vector(v, spec, substream(18).random(v.size))
         restored = qz.deserialize(qz.serialize(original))
         assert restored.grid is qz.GridKind.SYMMETRIC
         assert np.array_equal(restored.codewords, original.codewords)
@@ -583,7 +624,7 @@ class TestSerialization:
             spec = qz.QuantizerSpec.tuned(1, rng.uniform(0.25, 4.0), one_bit_enhanced=True)
         else:
             spec = qz.QuantizerSpec.tuned(bits, rng.uniform(0.25, 4.0))
-        qv = qz.quantize_vector(v, spec, substream(seed, 1))
+        qv = qz.quantize_vector(v, spec, substream(seed, 1).random(dim))
         blob = qz.serialize(qv)
         assert len(blob) == math.ceil(qz.wire_bits(dim, bits) / 8)
         # reference payload: each transport code as `bits` two's-complement digits
