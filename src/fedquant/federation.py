@@ -18,9 +18,9 @@ A round runs its K selected clients as one array program: local SGD advances
 a ``(K, d)`` block of weights (``models.local_train_clients``), the uploads
 are quantized as one ``(K, d)`` block, and the block is averaged directly.
 Each client still draws only from its own stream, so every row is
-bit-identical to running that client alone.  Every quantized link picks its
-family once per width and one scale per row (or per coordinate, from its
-layer), then makes one quantizer call.
+bit-identical to running that client alone.  Every quantized link builds
+one spec for its family and width, sets one scale per row (or per
+coordinate, from its layer), then makes one quantizer call.
 
 Link cost accounting: a quantized vector costs ``dim * bits`` payload bits
 plus a 17-byte gain header; unquantized vectors cost 32 bits per coordinate.
@@ -29,7 +29,6 @@ Downlink cost is counted once per round (broadcast), uplink once per client.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -352,16 +351,14 @@ def aggregate_differentials(prev_global: np.ndarray,
     return np.asarray(prev_global, dtype=np.float64) + aggregate_weights(uploads)
 
 
-@functools.lru_cache
-def _link_spec(bits: int, symmetric: bool, rounding: qz.Rounding,
-               one_bit_enhanced: bool) -> qz.QuantizerSpec:
+def _link_spec(bits: int, symmetric: bool, config: FederationConfig) -> qz.QuantizerSpec:
     """A link's quantizer family at one width: the symmetric grid, or the
-    pipeline in ``rounding`` (enhanced at one bit if configured).  Every
-    call passes its own scales, so the spec's unit gain is never used; one
-    spec is built per width and reused."""
+    pipeline in ``config.rounding`` (enhanced at one bit if configured).
+    Every call passes its own scales, so the spec's unit gain is never used."""
     if symmetric:
         return qz.QuantizerSpec.symmetric_grid(1.0, bits)
-    return qz.QuantizerSpec.tuned(bits, 1.0, rounding, bits == 1 and one_bit_enhanced)
+    return qz.QuantizerSpec.tuned(bits, 1.0, config.rounding,
+                                  bits == 1 and config.one_bit_enhanced)
 
 
 def _check_weight_bound(rows: np.ndarray, config: FederationConfig,
@@ -421,7 +418,7 @@ def broadcast(
         else:
             scales = base * qz.layered_gains(w_global, layers, bits)[1]
     sizes = [stop - start for start, stop in layers]
-    spec = _link_spec(bits, symmetric, config.rounding, config.one_bit_enhanced)
+    spec = _link_spec(bits, symmetric, config)
     delivered = qz.quantize_vector(w_global, spec, uniforms,
                                    np.repeat(scales, sizes)).dequantize()
     return delivered, sum(qz.wire_bits(size, bits) for size in sizes)
@@ -542,21 +539,13 @@ def run_round(
 
     clients = selected.tolist()
     sizes = [state.sizes[c] for c in clients]
-    n_max = max(sizes)
-    if min(sizes) == n_max:
-        draws = np.empty((len(clients), steps * n_max + dim))
-        for row, rng, c in zip(draws, state.pool[1:], clients):
-            rekey(rng, config.seed, CLIENT, t, c).random(out=row)
-        keys = draws[:, :steps * n_max].reshape(len(clients), steps, n_max)
-        uniforms = draws[:, steps * n_max:]
-    else:
-        # clients of different sizes: each key row is padded with +inf
-        keys = np.full((len(clients), steps, n_max), np.inf)
-        uniforms = np.empty((len(clients), dim))
-        for k, (rng, c, size) in enumerate(zip(state.pool[1:], clients, sizes)):
-            row = rekey(rng, config.seed, CLIENT, t, c).random(steps * size + dim)
-            keys[k, :, :size] = row[:steps * size].reshape(steps, size)
-            uniforms[k] = row[steps * size:]
+    # a client with fewer samples than the largest pads its key rows with +inf
+    keys = np.full((len(clients), steps, max(sizes)), np.inf)
+    uniforms = np.empty((len(clients), dim))
+    for k, (rng, c, size) in enumerate(zip(state.pool[1:], clients, sizes)):
+        row = rekey(rng, config.seed, CLIENT, t, c).random(steps * size + dim)
+        keys[k, :, :size] = row[:steps * size].reshape(steps, size)
+        uniforms[k] = row[steps * size:]
     w_locals = local_train_clients(
         delivered, state.model, state.pooled, [state.starts[c] for c in clients],
         sizes, config.batch_size, eta, keys,
@@ -583,7 +572,7 @@ def run_round(
                      else 2.0 ** (bits_up - 1) / (config.weight_bound if tuned else 1.0))
             scales = np.full(len(clients), scale)
         # the spec fixes the family only; each row's scale replaces its own
-        spec = _link_spec(bits_up, symmetric, config.rounding, config.one_bit_enhanced)
+        spec = _link_spec(bits_up, symmetric, config)
         uploads = qz.quantize_vector(rows, spec, uniforms, scales).dequantize()
         if differential:
             uploads[peaks == 0.0] = 0.0  # an all-zero row is sent as zeros

@@ -365,8 +365,8 @@ class TestRunRound:
             def __init__(self, rng):
                 self.rng = rng
 
-            def random(self, size=None, out=None):
-                drawn = self.rng.random(size, out=out)
+            def random(self, size):
+                drawn = self.rng.random(size)
                 draws.append((self.rng, drawn.copy()))
                 return drawn
 
