@@ -32,7 +32,7 @@ import numpy as np
 
 from . import federation as fed
 from .models import ClientDataset, LossModel, grad, solve_optimum
-from .quantizer import GridSpec, differential_gain, grid_moments, quantize_grid_sr
+from .quantizer import differential_gain, grid_moments, half_step, quantize_grid_sr
 from .streams import k_subset, substream
 
 __all__ = [
@@ -282,19 +282,19 @@ def check_rounding_moments(range_bound: float, bits: int,
     """
     if trials < 10_000:
         raise ValueError("trials must be >= 10000")
-    grid = GridSpec(range_bound, bits)
+    var_bound = half_step(range_bound, bits) ** 2
     rng = substream(seed, _ANALYSIS_DOMAIN, 2)
     probes = rng.uniform(-range_bound, range_bound, size=1000)
-    var_bound = grid.half_step ** 2
     worst_bias, worst_excess = 0.0, -math.inf
     for w in probes:
-        mean, var = grid_moments(float(w), grid)
+        mean, var = grid_moments(float(w), range_bound, bits)
         worst_bias = max(worst_bias, abs(mean - float(w)))
         worst_excess = max(worst_excess, var - var_bound)
 
     w_mc = float(rng.uniform(-range_bound, range_bound))
-    _, var_mc = grid_moments(w_mc, grid)
-    draws = np.array([quantize_grid_sr(w_mc, grid, rng) for _ in range(trials)])
+    _, var_mc = grid_moments(w_mc, range_bound, bits)
+    draws = np.array([quantize_grid_sr(w_mc, range_bound, bits, rng)
+                      for _ in range(trials)])
     se = math.sqrt(var_mc / trials)
     mc_dev = abs(float(draws.mean()) - w_mc)
     mc_limit = 4.0 * se if se > 0 else 1e-12
@@ -318,14 +318,15 @@ def check_differential_moments(d_vec: np.ndarray, bits: int,
     mean squared error cross-checks the analytic value.
     """
     d_vec = np.asarray(d_vec, dtype=np.float64)
+    if d_vec.size == 0:
+        raise ValueError("differential vector must not be empty")
     peak = float(np.max(np.abs(d_vec)))
     if peak == 0.0:
         raise ValueError("differential vector must have a nonzero coordinate")
     gain = differential_gain(d_vec, bits)
-    grid = GridSpec(peak, bits)
     bias, mse = 0.0, 0.0
     for w in d_vec:
-        mean, var = grid_moments(float(w), grid)
+        mean, var = grid_moments(float(w), peak, bits)
         bias = max(bias, abs(mean - float(w)))
         mse += var
     limit = d_vec.size * float(d_vec @ d_vec) / (2.0 ** bits - 1.0) ** 2
@@ -333,7 +334,7 @@ def check_differential_moments(d_vec: np.ndarray, bits: int,
     rng = substream(seed, _ANALYSIS_DOMAIN, 3)
     sq_errors = np.empty(trials)
     for i in range(trials):
-        sample = np.array([quantize_grid_sr(float(w), grid, rng) for w in d_vec])
+        sample = np.array([quantize_grid_sr(float(w), peak, bits, rng) for w in d_vec])
         sq_errors[i] = float(np.sum((sample - d_vec) ** 2))
     mc_dev = abs(float(sq_errors.mean()) - mse)
     mc_limit = 4.0 * float(sq_errors.std(ddof=1)) / math.sqrt(trials)

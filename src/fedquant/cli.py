@@ -55,7 +55,7 @@ _ENUM_KEYS = {
     "uplink_mode": fed.UplinkMode,
     "downlink_mode": fed.DownlinkMode,
     "rounding": qz.Rounding,
-    "structure": qz.Structure,
+    "structure": fed.Structure,
     "grid": qz.GridKind,
     "model": models.LossKind,
     "uplink_schedule": fed.ScheduleKind,

@@ -53,6 +53,7 @@ from .streams import CLIENT, ROUND, k_subset, philox_stream, rekey
 __all__ = [
     "UplinkMode",
     "DownlinkMode",
+    "Structure",
     "ScheduleKind",
     "ScheduleSpec",
     "FederationConfig",
@@ -103,6 +104,14 @@ class DownlinkMode(Enum):
     LAYERED = "layered"
 
 
+class Structure(Enum):
+    """A config's pipeline gain: native fixes G = 2^(B-1); tuned lets the
+    engine scale it (by the weight bound, or to the vector's magnitude)."""
+
+    NATIVE = "native"
+    TUNED = "tuned"
+
+
 class ScheduleKind(Enum):
     CONSTANT = "constant"
     WEIGHT_LOG = "weight_log"
@@ -150,7 +159,7 @@ class FederationConfig:
     uplink_schedule: ScheduleSpec = ScheduleSpec.constant(4)
     downlink_schedule: ScheduleSpec = ScheduleSpec.constant(4)
     rounding: qz.Rounding = qz.Rounding.STOCHASTIC
-    structure: qz.Structure = qz.Structure.TUNED
+    structure: Structure = Structure.TUNED
     grid: qz.GridKind = qz.GridKind.SYMMETRIC
     weight_bound: float = 1.0
     one_bit_enhanced: bool = True
@@ -353,12 +362,11 @@ def aggregate_differentials(prev_global: np.ndarray,
 
 def _link_spec(bits: int, symmetric: bool, config: FederationConfig) -> qz.QuantizerSpec:
     """A link's quantizer family at one width: the symmetric grid, or the
-    pipeline in ``config.rounding`` (enhanced at one bit if configured).
-    Every call passes its own scales, so the spec's unit gain is never used."""
+    pipeline in ``config.rounding`` (enhanced at one bit if configured)."""
     if symmetric:
-        return qz.QuantizerSpec.symmetric_grid(1.0, bits)
-    return qz.QuantizerSpec.tuned(bits, 1.0, config.rounding,
-                                  bits == 1 and config.one_bit_enhanced)
+        return qz.QuantizerSpec(bits, grid=qz.GridKind.SYMMETRIC)
+    return qz.QuantizerSpec(bits, config.rounding,
+                            one_bit_enhanced=bits == 1 and config.one_bit_enhanced)
 
 
 def _check_weight_bound(rows: np.ndarray, config: FederationConfig,
@@ -413,14 +421,14 @@ def broadcast(
         if config.grid is qz.GridKind.SYMMETRIC:
             _check_weight_bound(w_global, config)
             symmetric, scales = True, (config.weight_bound,)
-        elif config.structure is qz.Structure.NATIVE:
+        elif config.structure is Structure.NATIVE:
             scales = (base,)
         else:
             scales = base * qz.layered_gains(w_global, layers, bits)[1]
     sizes = [stop - start for start, stop in layers]
     spec = _link_spec(bits, symmetric, config)
-    delivered = qz.quantize_vector(w_global, spec, uniforms,
-                                   np.repeat(scales, sizes)).dequantize()
+    delivered = qz.quantize_vector(w_global, spec, np.repeat(scales, sizes),
+                                   uniforms).dequantize()
     return delivered, sum(qz.wire_bits(size, bits) for size in sizes)
 
 
@@ -556,8 +564,10 @@ def run_round(
         up_bits = len(clients) * qz.float_bits(dim)
     else:
         if differential:
-            # each row on its own scale: a symmetric grid over the row's peak
-            # for stochastic rounding, the row's differential gain for nearest
+            # each row on its own scale, whatever ``grid`` and ``structure``
+            # say: a symmetric grid over the row's peak for stochastic
+            # rounding, the pipeline at the row's differential gain for
+            # nearest (enhanced at one bit if configured)
             rows = w_locals - delivered
             peaks = np.abs(rows).max(axis=1)
             symmetric = config.rounding is qz.Rounding.STOCHASTIC
@@ -565,15 +575,14 @@ def run_round(
                       else np.array([qz.differential_gain(row, bits_up) for row in rows]))
         else:
             rows, symmetric = w_locals, config.grid is qz.GridKind.SYMMETRIC
-            tuned = config.structure is qz.Structure.TUNED
+            tuned = config.structure is Structure.TUNED
             if symmetric or tuned:
                 _check_weight_bound(rows, config, t, clients)
             scale = (config.weight_bound if symmetric
                      else 2.0 ** (bits_up - 1) / (config.weight_bound if tuned else 1.0))
             scales = np.full(len(clients), scale)
-        # the spec fixes the family only; each row's scale replaces its own
         spec = _link_spec(bits_up, symmetric, config)
-        uploads = qz.quantize_vector(rows, spec, uniforms, scales).dequantize()
+        uploads = qz.quantize_vector(rows, spec, scales, uniforms).dequantize()
         if differential:
             uploads[peaks == 0.0] = 0.0  # an all-zero row is sent as zeros
         up_bits = len(clients) * qz.wire_bits(dim, bits_up)

@@ -22,10 +22,12 @@ symmetric-grid and one-bit codewords are the odd integers
 
 Every family rounds each coordinate to one of two codewords, so one kernel
 gives each coordinate's ``(lo, hi, Pr[hi])`` (a two-point distribution, as in
-QSGD).  ``quantize_vector`` samples from it with caller-drawn uniforms -- one
-vector, optionally with one gain or range bound per coordinate, or a
-``(K, d)`` block, optionally with one per row -- and ``expected_sq_error``
-sums its closed-form moments.
+QSGD).  ``quantize_vector`` samples from it with caller-drawn uniforms, for
+one vector or a ``(K, d)`` block, and ``expected_sq_error`` sums its
+closed-form moments.  A :class:`QuantizerSpec` names only the family, width
+and rounding; every call takes its scale -- the gain ``G`` on the pipeline
+and enhanced one-bit, the half-range ``M`` on the symmetric grid -- as one
+scalar, one per coordinate of a vector or one per row of a block.
 """
 
 from __future__ import annotations
@@ -40,15 +42,14 @@ import numpy as np
 
 __all__ = [
     "Rounding",
-    "Structure",
     "GridKind",
     "QuantizerSpec",
-    "GridSpec",
     "QuantizedVector",
     "GridRangeError",
     "round_nearest",
     "round_stochastic",
     "clamp_limit",
+    "half_step",
     "quantize_pipeline",
     "quantize_grid_sr",
     "grid_distribution",
@@ -74,14 +75,6 @@ class Rounding(Enum):
     STOCHASTIC = "stochastic"
 
 
-class Structure(Enum):
-    """A config's pipeline gain: native fixes G = 2^(B-1); tuned lets the
-    engine scale it (by the weight bound, or to the vector's magnitude)."""
-
-    NATIVE = "native"
-    TUNED = "tuned"
-
-
 class GridKind(Enum):
     PIPELINE = "pipeline"
     SYMMETRIC = "symmetric"
@@ -98,70 +91,20 @@ def _require_finite(x: float) -> None:
 
 @dataclass(frozen=True)
 class QuantizerSpec:
-    """Full description of one quantizer configuration.
-
-    ``range_bound`` is set only for symmetric-grid specs and holds the exact
-    grid half-range M; ``gain`` then equals (2^bits - 1) / M up to rounding.
-    """
+    """A quantizer family at one width; every call supplies its scale."""
 
     bits: int
-    gain: float
     rounding: Rounding = Rounding.STOCHASTIC
     grid: GridKind = GridKind.PIPELINE
     one_bit_enhanced: bool = False
-    range_bound: float | None = None
 
     def __post_init__(self) -> None:
         if self.bits < 1:
             raise ValueError("bits must be >= 1")
-        if not (self.gain > 0 and math.isfinite(self.gain)):
-            raise ValueError("gain must be a positive finite real")
-        if self.one_bit_enhanced and self.bits != 1:
-            raise ValueError("enhanced one-bit mode requires bits == 1")
-        if self.grid is GridKind.SYMMETRIC:
-            if self.rounding is not Rounding.STOCHASTIC:
-                raise ValueError("symmetric grid supports stochastic rounding only")
-            if self.range_bound is None or not self.range_bound > 0:
-                raise ValueError("symmetric grid requires a positive range_bound")
-
-    @classmethod
-    def tuned(cls, bits: int, gain: float, rounding: Rounding = Rounding.STOCHASTIC,
-              one_bit_enhanced: bool = False) -> "QuantizerSpec":
-        return cls(bits=bits, gain=gain, rounding=rounding,
-                   one_bit_enhanced=one_bit_enhanced)
-
-    @classmethod
-    def symmetric_grid(cls, range_bound: float, bits: int) -> "QuantizerSpec":
-        gain = (2.0 ** bits - 1.0) / range_bound
-        return cls(bits=bits, gain=gain, grid=GridKind.SYMMETRIC,
-                   range_bound=range_bound)
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform grid of 2^bits codepoints on [-range_bound, +range_bound]."""
-
-    range_bound: float
-    bits: int
-
-    def __post_init__(self) -> None:
-        if not (self.range_bound > 0 and math.isfinite(self.range_bound)):
-            raise ValueError("range_bound must be a positive finite real")
-        if self.bits < 1:
-            raise ValueError("bits must be >= 1")
-
-    @property
-    def step(self) -> float:
-        """Spacing between adjacent codepoints, 2M/(2^B - 1)."""
-        return 2.0 * self.half_step
-
-    @property
-    def half_step(self) -> float:
-        return self.range_bound / (2.0 ** self.bits - 1.0)
-
-    def codepoints(self) -> np.ndarray:
-        codes = np.arange(2 ** self.bits, dtype=np.int64) * 2 - (2 ** self.bits - 1)
-        return codes * self.half_step
+        if self.one_bit_enhanced and (self.bits != 1 or self.grid is not GridKind.PIPELINE):
+            raise ValueError("enhanced one-bit mode requires bits == 1 on the pipeline")
+        if self.grid is GridKind.SYMMETRIC and self.rounding is not Rounding.STOCHASTIC:
+            raise ValueError("symmetric grid supports stochastic rounding only")
 
 
 @dataclass(frozen=True)
@@ -233,10 +176,19 @@ def clamp_limit(r: int, bits: int) -> int:
     return min(max(int(r), lo), hi)
 
 
-def quantize_pipeline(
-    w: float, spec: QuantizerSpec, rng: np.random.Generator | None = None
-) -> tuple[int, float]:
-    """Run one scalar through scale-up, rounding, limit, scale-down.
+def half_step(range_bound: float, bits: int) -> float:
+    """Half the spacing of the 2^bits codepoints on [-range_bound, +range_bound],
+    M/(2^B - 1); codepoint ``c`` (an odd integer) sits at ``c * half_step``."""
+    if not (range_bound > 0 and math.isfinite(range_bound)):
+        raise ValueError("range_bound must be a positive finite real")
+    if bits < 1:
+        raise ValueError("bits must be >= 1")
+    return range_bound / (2.0 ** bits - 1.0)
+
+
+def quantize_pipeline(w: float, spec: QuantizerSpec, gain: float,
+                      rng: np.random.Generator | None = None) -> tuple[int, float]:
+    """Run one scalar through scale-up by ``gain``, rounding, limit, scale-down.
 
     Returns (codeword, dequantized value).  The engine never calls this: it
     is the scalar reference that the tests compare :func:`quantize_vector`'s
@@ -244,8 +196,10 @@ def quantize_pipeline(
     """
     if spec.grid is not GridKind.PIPELINE:
         raise ValueError("quantize_pipeline requires a pipeline-grid spec")
+    if not (gain > 0 and math.isfinite(gain)):
+        raise ValueError("scale must be positive and finite")
     _require_finite(w)
-    amplified = w * spec.gain
+    amplified = w * gain
     if spec.rounding is Rounding.NEAREST:
         rounded = round_nearest(amplified)
     else:
@@ -253,22 +207,23 @@ def quantize_pipeline(
             raise ValueError("stochastic rounding requires an rng")
         rounded = round_stochastic(amplified, rng)
     code = clamp_limit(rounded, spec.bits)
-    return code, code / spec.gain
+    return code, code / gain
 
 
-def grid_distribution(w: float, grid: GridSpec) -> tuple[int, int, float]:
-    """Return (lo_code, hi_code, prob_hi) for stochastic rounding of ``w``.
+def grid_distribution(w: float, range_bound: float, bits: int) -> tuple[int, int, float]:
+    """Return (lo_code, hi_code, prob_hi) for stochastic rounding of ``w`` on
+    the 2^bits-point grid over [-range_bound, +range_bound].
 
-    Codes are the odd-integer codewords; values are ``code * grid.half_step``.
+    Codes are the odd-integer codewords; values are ``code * half_step``.
     """
+    q = half_step(range_bound, bits)
     _require_finite(w)
-    if abs(w) > grid.range_bound:
+    if abs(w) > range_bound:
         raise GridRangeError(
-            f"|{w}| exceeds grid range bound {grid.range_bound}"
+            f"|{w}| exceeds grid range bound {range_bound}"
         )
-    q = grid.half_step
-    n_cells = 2 ** grid.bits - 1
-    j0 = int(math.floor((w + grid.range_bound) / (2.0 * q)))
+    n_cells = 2 ** bits - 1
+    j0 = int(math.floor((w + range_bound) / (2.0 * q)))
     j0 = min(max(j0, 0), n_cells - 1)
     lo_code = 2 * j0 - n_cells
     p_hi = (w - lo_code * q) / (2.0 * q)
@@ -276,53 +231,71 @@ def grid_distribution(w: float, grid: GridSpec) -> tuple[int, int, float]:
     return lo_code, lo_code + 2, p_hi
 
 
-def grid_moments(w: float, grid: GridSpec) -> tuple[float, float]:
+def grid_moments(w: float, range_bound: float, bits: int) -> tuple[float, float]:
     """Analytic mean and variance of stochastic rounding on the grid.
 
     Computed by enumerating the two possible outcomes with their
-    probabilities.  The variance never exceeds ``grid.half_step ** 2``.
+    probabilities.  The variance never exceeds ``half_step ** 2``.
     """
-    lo_code, _, p_hi = grid_distribution(w, grid)
-    q = grid.half_step
+    lo_code, _, p_hi = grid_distribution(w, range_bound, bits)
+    q = half_step(range_bound, bits)
     mean = lo_code * q + p_hi * (2.0 * q)
     var = (2.0 * q) ** 2 * (p_hi * (1.0 - p_hi))
     return mean, var
 
 
-def quantize_grid_sr(w: float, grid: GridSpec, rng: np.random.Generator) -> float:
+def quantize_grid_sr(w: float, range_bound: float, bits: int,
+                     rng: np.random.Generator) -> float:
     """Stochastically round ``w`` to one of the two bracketing codepoints.
 
     The engine never calls this: it is the scalar reference for the
     symmetric grid, which the tests compare :func:`quantize_vector` against
     and which the ``analysis`` moment verifiers sample.
     """
-    lo_code, hi_code, p_hi = grid_distribution(w, grid)
+    lo_code, hi_code, p_hi = grid_distribution(w, range_bound, bits)
     code = hi_code if rng.random() < p_hi else lo_code
-    return code * grid.half_step
+    return code * half_step(range_bound, bits)
 
 
 # ---------------------------------------------------------------------------
 # Vector operations
 # ---------------------------------------------------------------------------
 
+def _scale_and_gain(v: np.ndarray, spec: QuantizerSpec, scale: float | np.ndarray):
+    """``scale`` checked and shaped to broadcast against ``v`` (a float, one
+    per coordinate of a vector, or a column of one per row of a block), and
+    its dequantizing gain: the scale, or (2^B - 1)/M on the symmetric grid."""
+    scale = np.asarray(scale, dtype=np.float64)
+    if scale.ndim and scale.shape != v.shape[:1]:
+        raise ValueError("scale must be a scalar, or have one entry per row of a "
+                         "block or per coordinate of a vector")
+    if not ((scale > 0) & np.isfinite(scale)).all():
+        raise ValueError("scale must be positive and finite")
+    if not scale.ndim:
+        scale = float(scale)
+    elif v.ndim == 2:
+        scale = scale[:, None]
+    gain = (2.0 ** spec.bits - 1.0) / scale if spec.grid is GridKind.SYMMETRIC else scale
+    return scale, gain
+
+
 def _outcomes(
-    v: np.ndarray, spec: QuantizerSpec, gain: float | np.ndarray,
-    m: float | np.ndarray | None,
+    v: np.ndarray, spec: QuantizerSpec, scale: float | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each coordinate's two-outcome rounding: codewords ``(lo, hi)`` and
-    ``Pr[hi]``, for gain ``gain`` (and, on the symmetric grid, half-range
-    ``m``), each a scalar or broadcast against ``v``.  Under nearest rounding
-    ``Pr[hi]`` is 0 or 1.  The symmetric range check compares every
-    coordinate with its bound in one step and locates the first offender
-    only when it fails."""
+    ``Pr[hi]``, at ``scale`` (a gain, or the symmetric grid's half-range),
+    a scalar or broadcast against ``v``.  Under nearest rounding ``Pr[hi]``
+    is 0 or 1.  The symmetric range check compares every coordinate with its
+    bound in one step and locates the first offender only when it fails."""
     if spec.one_bit_enhanced:
         lo = np.full(v.shape, -1, dtype=np.int64)
         if spec.rounding is Rounding.NEAREST:
             return lo, -lo, (v >= 0).astype(np.float64)
-        inv = 1.0 / gain
+        inv = 1.0 / scale
         return lo, -lo, ((v + inv) / (2.0 * inv)).clip(0.0, 1.0)
 
     if spec.grid is GridKind.SYMMETRIC:
+        m = scale  # the grid's half-range
         mags = np.abs(v)
         over = mags > m
         if over.any():
@@ -339,7 +312,7 @@ def _outcomes(
         lo = 2 * j0 - n_cells
         return lo, lo + 2, ((v - lo * q) / step).clip(0.0, 1.0)
 
-    amplified = v * gain
+    amplified = v * scale
     floors = np.floor(amplified)
     frac = amplified - floors
     limit = 2 ** (spec.bits - 1)
@@ -353,21 +326,21 @@ def _outcomes(
 def quantize_vector(
     v: np.ndarray,
     spec: QuantizerSpec,
+    scale: float | np.ndarray,
     uniforms: np.ndarray | None = None,
-    scale: np.ndarray | None = None,
 ) -> QuantizedVector:
     """Quantize coordinate-wise, each coordinate on its own uniform draw.
 
-    ``v`` is one vector ``(d,)`` or a block ``(K, d)``; ``uniforms`` are
-    caller-drawn values in ``[0, 1)`` of ``v``'s shape, and a coordinate
-    rounds up exactly when its uniform is below ``Pr[hi]``.  Nearest rounding
-    reads no uniforms and may take none.  ``scale`` replaces the spec's gain
-    -- on the symmetric grid, its range bound -- row by row for a block, or
-    coordinate by coordinate for a vector; the spec still fixes the family,
-    width and rounding.  Each output coordinate depends only on its own input,
-    scale and uniform, so one call over a block, or over a vector with
-    per-layer scales, is bit-identical to separate calls on its rows or
-    layers with the matching slices of the uniforms.
+    ``v`` is one vector ``(d,)`` or a block ``(K, d)``; ``spec`` fixes the
+    family, width and rounding, and ``scale`` -- a gain, or the symmetric
+    grid's range bound -- is one scalar, one per coordinate of a vector or
+    one per row of a block.  ``uniforms`` are caller-drawn values in
+    ``[0, 1)`` of ``v``'s shape, and a coordinate rounds up exactly when its
+    uniform is below ``Pr[hi]``.  Nearest rounding reads no uniforms and may
+    take none.  Each output coordinate depends only on its own input, scale
+    and uniform, so one call over a block, or over a vector with per-layer
+    scales, is bit-identical to separate calls on its rows or layers with the
+    matching slices of the scales and uniforms.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2):
@@ -380,27 +353,12 @@ def quantize_vector(
             raise ValueError("stochastic rounding requires uniforms")
     elif np.shape(uniforms) != v.shape:
         raise ValueError("uniforms must have the input's shape")
-    symmetric = spec.grid is GridKind.SYMMETRIC
-    per_row = scale is not None and v.ndim == 2
-    if scale is None:
-        gain, m = spec.gain, spec.range_bound
-    else:
-        scale = np.asarray(scale, dtype=np.float64)
-        if scale.shape != v.shape[:1]:
-            raise ValueError("scale needs one entry per row of a block, or one "
-                             "per coordinate of a vector")
-        if not ((scale > 0) & np.isfinite(scale)).all():
-            raise ValueError("scale must be positive and finite")
-        column = scale[:, None] if per_row else scale
-        if symmetric:
-            gain, m = (2.0 ** spec.bits - 1.0) / column, column
-        else:
-            gain, m = column, None
-
-    lo, hi, p_hi = _outcomes(v, spec, gain, m)
+    scale, gain = _scale_and_gain(v, spec, scale)
+    lo, hi, p_hi = _outcomes(v, spec, scale)
     codes = np.where(uniforms < p_hi if stochastic else p_hi, hi, lo)
-    grid = GridKind.SYMMETRIC if symmetric or spec.one_bit_enhanced else GridKind.PIPELINE
-    return QuantizedVector(codes, gain[:, 0] if per_row else gain, spec.bits, grid)
+    symmetric = spec.grid is GridKind.SYMMETRIC or spec.one_bit_enhanced
+    return QuantizedVector(codes, gain[:, 0] if np.ndim(gain) == 2 else gain, spec.bits,
+                           GridKind.SYMMETRIC if symmetric else GridKind.PIPELINE)
 
 
 def differential_gain(d_vec: np.ndarray, bits: int) -> float:
@@ -466,17 +424,19 @@ def layered_gains(
     return base, extras
 
 
-def expected_sq_error(v: np.ndarray, spec: QuantizerSpec) -> float:
+def expected_sq_error(v: np.ndarray, spec: QuantizerSpec,
+                      scale: float | np.ndarray) -> float:
     """Total expected squared quantization error, summed over coordinates.
 
     A closed-form sum over each coordinate's two outcomes, the same ones
-    :func:`quantize_vector` samples, so the result is deterministic and, under
-    nearest rounding, equals the realized error.
+    :func:`quantize_vector` samples at the same ``scale``, so the result is
+    deterministic and, under nearest rounding, equals the realized error.
     """
     v = np.asarray(v, dtype=np.float64)
-    lo, hi, p_hi = _outcomes(v, spec, spec.gain, spec.range_bound)
-    return float(np.sum((1.0 - p_hi) * (lo / spec.gain - v) ** 2
-                        + p_hi * (hi / spec.gain - v) ** 2))
+    scale, gain = _scale_and_gain(v, spec, scale)
+    lo, hi, p_hi = _outcomes(v, spec, scale)
+    return float(np.sum((1.0 - p_hi) * (lo / gain - v) ** 2
+                        + p_hi * (hi / gain - v) ** 2))
 
 
 # ---------------------------------------------------------------------------

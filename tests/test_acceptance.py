@@ -33,10 +33,9 @@ def test_c01_stochastic_rounding_moments():
     rng = substream(101)
     for bits in range(1, 9):
         for bound in (0.5, 1.0, 4.0):
-            grid = qz.GridSpec(bound, bits)
-            limit = grid.half_step ** 2
+            limit = qz.half_step(bound, bits) ** 2
             for w in rng.uniform(-bound, bound, size=1000):
-                mean, var = qz.grid_moments(float(w), grid)
+                mean, var = qz.grid_moments(float(w), bound, bits)
                 worst_bias = max(worst_bias, abs(mean - float(w)))
                 worst_excess = max(worst_excess, var - limit)
     elapsed = time.monotonic() - start
@@ -66,8 +65,8 @@ def test_c03_differential_error_bound():
         for bits in (1, 3, 6):
             for _ in range(100):
                 vec = rng.standard_normal(dim) * 10.0 ** rng.uniform(-2, 1)
-                grid = qz.GridSpec(float(np.max(np.abs(vec))), bits)
-                mse = sum(qz.grid_moments(float(w), grid)[1] for w in vec)
+                peak = float(np.max(np.abs(vec)))
+                mse = sum(qz.grid_moments(float(w), peak, bits)[1] for w in vec)
                 limit = dim * float(vec @ vec) / (2.0 ** bits - 1.0) ** 2
                 worst_margin = max(worst_margin, mse - limit)
     elapsed = time.monotonic() - start
@@ -168,12 +167,12 @@ def test_c08_layered_quantization_benefit():
     bits = 4
     base, extras = qz.layered_gains(values, layers, bits)
     layered_mse = sum(
-        qz.expected_sq_error(values[a:b], qz.QuantizerSpec.tuned(bits, base * g))
+        qz.expected_sq_error(values[a:b], qz.QuantizerSpec(bits), base * g)
         for (a, b), g in zip(layers, extras)
     )
     whole_base, whole_extras = qz.layered_gains(values, ((0, 128),), bits)
     single_mse = qz.expected_sq_error(
-        values, qz.QuantizerSpec.tuned(bits, whole_base * float(whole_extras[0])))
+        values, qz.QuantizerSpec(bits), whole_base * float(whole_extras[0]))
     mse_ok = layered_mse < single_mse
 
     # federation part: two-layer logistic model, layered vs single-gain downlink

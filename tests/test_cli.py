@@ -269,6 +269,24 @@ class TestVerifyCommand:
                             lambda *a, **k: failing)
         assert cli.main(["verify", "rounding"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        *(["rounding", "--range-bound", bad] for bad in ("0", "-1", "nan", "inf")),
+        ["rounding", "--bits", "0"],
+        ["differential", "--bits", "0"],
+        ["differential", "--dim", "0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_invalid_arguments_exit_code(self, capsys, argv):
+        assert cli.main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("invalid arguments: ")
+
+    def test_empty_differential_vector_named(self, capsys):
+        assert cli.main(["verify", "differential", "--dim", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "invalid arguments: differential vector must not be empty\n")
+
 
 class TestBoundCommand:
     def test_bound_report(self, tmp_path, capsys):

@@ -54,8 +54,8 @@ def test_metrics_bytes_reproduced(name, tmp_path, monkeypatch):
     config = cli.parse_config_text(text)
     calls, original = [], qz.quantize_vector
 
-    def spy(v, spec, uniforms=None, scale=None):
-        calls.append(original(v, spec, uniforms, scale))
+    def spy(v, spec, scale, uniforms=None):
+        calls.append(original(v, spec, scale, uniforms))
         return calls[-1]
     monkeypatch.setattr(qz, "quantize_vector", spy)
     records = fed.run_federation(config)

@@ -252,10 +252,11 @@ class TestBroadcast:
         bound = 1.0
         bits = 3
         draws = 10 ** 5
-        spec = qz.QuantizerSpec.symmetric_grid(bound, bits)
-        tiled = qz.quantize_vector(np.tile(w, draws), spec, substream(9).random(4 * draws))
+        spec = qz.QuantizerSpec(bits, grid=qz.GridKind.SYMMETRIC)
+        tiled = qz.quantize_vector(np.tile(w, draws), spec, bound,
+                                   substream(9).random(4 * draws))
         means = tiled.dequantize().reshape(draws, 4).mean(axis=0)
-        sigma = qz.GridSpec(bound, bits).half_step / math.sqrt(draws)
+        sigma = qz.half_step(bound, bits) / math.sqrt(draws)
         assert np.all(np.abs(means - w) <= 3 * sigma + 1e-12)
 
     def test_quantized_respects_weight_bound(self):
@@ -273,18 +274,18 @@ class TestBroadcast:
         bits = 4
         base, extras = qz.layered_gains(values, layers, bits)
         per_layer_mse = sum(
-            qz.expected_sq_error(values[a:b], qz.QuantizerSpec.tuned(bits, base * g))
+            qz.expected_sq_error(values[a:b], qz.QuantizerSpec(bits), base * g)
             for (a, b), g in zip(layers, extras)
         )
         whole_base, whole_extras = qz.layered_gains(values, ((0, 64),), bits)
         single_gain = whole_base * float(whole_extras[0])
-        single_mse = qz.expected_sq_error(values, qz.QuantizerSpec.tuned(bits, single_gain))
+        single_mse = qz.expected_sq_error(values, qz.QuantizerSpec(bits), single_gain)
         assert per_layer_mse <= single_mse
 
     @pytest.mark.parametrize("rounding", [qz.Rounding.NEAREST, qz.Rounding.STOCHASTIC])
     def test_quantized_is_the_one_layer_layered_case(self, rounding):
         w = np.array([0.5, -0.25, 0.003, -0.001, 0.07])
-        pipeline = dict(grid=qz.GridKind.PIPELINE, structure=qz.Structure.TUNED,
+        pipeline = dict(grid=qz.GridKind.PIPELINE, structure=fed.Structure.TUNED,
                         rounding=rounding, dimension=5)
         quantized = fed.broadcast(
             w, fed.FederationConfig(downlink_mode=fed.DownlinkMode.QUANTIZED, **pipeline),
@@ -559,29 +560,30 @@ class TestFloatEquivalences:
 
 def reference_upload(cfg, w_local, delivered, bits, rng):
     """One client's upload the one-vector way: its own quantize_vector call
-    on its own stream, with the spec the engine's rules give it."""
-    pipeline = dict(rounding=cfg.rounding,
-                    one_bit_enhanced=bits == 1 and cfg.one_bit_enhanced)
+    on its own stream, with the spec and scale the engine's rules give it."""
+    symmetric = qz.QuantizerSpec(bits, grid=qz.GridKind.SYMMETRIC)
+    pipeline = qz.QuantizerSpec(bits, cfg.rounding,
+                                one_bit_enhanced=bits == 1 and cfg.one_bit_enhanced)
     if cfg.uplink_mode is fed.UplinkMode.FLOAT:
         return w_local
     if cfg.uplink_mode is fed.UplinkMode.WEIGHT:
         if cfg.grid is qz.GridKind.SYMMETRIC:
-            spec = qz.QuantizerSpec.symmetric_grid(cfg.weight_bound, bits)
+            spec, scale = symmetric, cfg.weight_bound
         else:
-            gain = 2.0 ** (bits - 1)
-            if cfg.structure is qz.Structure.TUNED:
-                gain /= cfg.weight_bound
-            spec = qz.QuantizerSpec.tuned(bits, gain, **pipeline)
-        return qz.quantize_vector(w_local, spec, rng.random(w_local.size)).dequantize()
+            scale = 2.0 ** (bits - 1)
+            if cfg.structure is fed.Structure.TUNED:
+                scale /= cfg.weight_bound
+            spec = pipeline
+        return qz.quantize_vector(w_local, spec, scale, rng.random(w_local.size)).dequantize()
     diff = w_local - delivered
     peak = float(np.max(np.abs(diff)))
     if peak == 0.0:
         return np.zeros_like(diff)
     if cfg.rounding is qz.Rounding.STOCHASTIC:
-        spec = qz.QuantizerSpec.symmetric_grid(peak, bits)
+        spec, scale = symmetric, peak
     else:
-        spec = qz.QuantizerSpec.tuned(bits, qz.differential_gain(diff, bits), **pipeline)
-    return qz.quantize_vector(diff, spec, rng.random(diff.size)).dequantize()
+        spec, scale = pipeline, qz.differential_gain(diff, bits)
+    return qz.quantize_vector(diff, spec, scale, rng.random(diff.size)).dequantize()
 
 
 def reference_run(cfg, model, datasets):
@@ -626,7 +628,7 @@ REPLAY_MODES = [
     for grid, rounding in ((qz.GridKind.PIPELINE, qz.Rounding.NEAREST),
                            (qz.GridKind.PIPELINE, qz.Rounding.STOCHASTIC),
                            (qz.GridKind.SYMMETRIC, qz.Rounding.STOCHASTIC))
-    for structure in (qz.Structure.TUNED, qz.Structure.NATIVE)
+    for structure in (fed.Structure.TUNED, fed.Structure.NATIVE)
     for bits in (1, 4)
 ] + [dict(uplink_mode=fed.UplinkMode.FLOAT)]
 

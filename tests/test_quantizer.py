@@ -85,44 +85,60 @@ class TestClampLimit:
             assert out == r
 
 
+SYMMETRIC = qz.GridKind.SYMMETRIC
+
+
 class TestQuantizerSpec:
     def test_one_bit_flag_requires_one_bit(self):
         with pytest.raises(ValueError):
-            qz.QuantizerSpec(bits=2, gain=2.0, one_bit_enhanced=True)
+            qz.QuantizerSpec(bits=2, one_bit_enhanced=True)
+        with pytest.raises(ValueError, match="on the pipeline"):
+            qz.QuantizerSpec(bits=1, grid=SYMMETRIC, one_bit_enhanced=True)
 
     def test_symmetric_requires_stochastic(self):
         with pytest.raises(ValueError):
-            qz.QuantizerSpec(bits=2, gain=3.0, grid=qz.GridKind.SYMMETRIC,
-                             rounding=qz.Rounding.NEAREST, range_bound=1.0)
+            qz.QuantizerSpec(bits=2, grid=SYMMETRIC, rounding=qz.Rounding.NEAREST)
 
-    @pytest.mark.parametrize("bad_kwargs", [
-        {"bits": 0, "gain": 1.0},
-        {"bits": 2, "gain": 0.0},
-        {"bits": 2, "gain": -1.0},
-    ])
-    def test_invalid_parameters(self, bad_kwargs):
-        with pytest.raises(ValueError):
-            qz.QuantizerSpec(**bad_kwargs)
+    def test_zero_bits_rejected(self):
+        with pytest.raises(ValueError, match="bits must be >= 1"):
+            qz.QuantizerSpec(bits=0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("spec", [
+        qz.QuantizerSpec(2), qz.QuantizerSpec(2, qz.Rounding.NEAREST),
+        qz.QuantizerSpec(2, grid=SYMMETRIC), qz.QuantizerSpec(1, one_bit_enhanced=True),
+    ], ids=["pipeline_stochastic", "pipeline_nearest", "symmetric", "one_bit"])
+    def test_invalid_parameters(self, spec, bad):
+        # every call carries its scale; a scalar, or one bad entry among many
+        v, draws = np.zeros(3), substream(0).random(3)
+        for scale in (bad, np.array([1.0, bad, 1.0])):
+            with pytest.raises(ValueError, match="scale must be positive and finite"):
+                qz.quantize_vector(v, spec, scale, draws)
+            with pytest.raises(ValueError, match="scale must be positive and finite"):
+                qz.expected_sq_error(v, spec, scale)
+        if spec.grid is qz.GridKind.PIPELINE:
+            with pytest.raises(ValueError, match="scale must be positive and finite"):
+                qz.quantize_pipeline(0.0, spec, bad, substream(0))
 
 
 class TestQuantizePipeline:
     def test_hand_traces(self):
-        spec = qz.QuantizerSpec.tuned(3, 4.0, qz.Rounding.NEAREST)
+        spec = qz.QuantizerSpec(3, qz.Rounding.NEAREST)
         # 0.3 * 4 = 1.2 -> 1 -> in range -> 0.25
-        assert qz.quantize_pipeline(0.3, spec) == (1, 0.25)
+        assert qz.quantize_pipeline(0.3, spec, 4.0) == (1, 0.25)
         # 2.0 * 4 = 8 -> clamps to 3 -> 0.75
-        assert qz.quantize_pipeline(2.0, spec) == (3, 0.75)
-        assert qz.quantize_pipeline(0.0, spec) == (0, 0.0)
+        assert qz.quantize_pipeline(2.0, spec, 4.0) == (3, 0.75)
+        assert qz.quantize_pipeline(0.0, spec, 4.0) == (0, 0.0)
 
     def test_grid_spec_rejected(self):
-        spec = qz.QuantizerSpec.symmetric_grid(1.0, 3)
+        spec = qz.QuantizerSpec(3, grid=SYMMETRIC)
         with pytest.raises(ValueError):
-            qz.quantize_pipeline(0.5, spec)
+            qz.quantize_pipeline(0.5, spec, 1.0)
 
     def test_stochastic_requires_rng(self):
-        spec = qz.QuantizerSpec.tuned(3, 4.0)
+        spec = qz.QuantizerSpec(3)
         with pytest.raises(ValueError):
-            qz.quantize_pipeline(0.3, spec)
+            qz.quantize_pipeline(0.3, spec, 4.0)
 
     @given(
         st.floats(-50, 50),
@@ -130,64 +146,71 @@ class TestQuantizePipeline:
         st.integers(-6, 10),
     )
     def test_nearest_rounding_idempotent(self, w, bits, gain_exp):
-        spec = qz.QuantizerSpec.tuned(bits, 2.0 ** gain_exp,
-                                      qz.Rounding.NEAREST)
-        _, value = qz.quantize_pipeline(w, spec)
-        _, again = qz.quantize_pipeline(value, spec)
+        spec = qz.QuantizerSpec(bits, qz.Rounding.NEAREST)
+        _, value = qz.quantize_pipeline(w, spec, 2.0 ** gain_exp)
+        _, again = qz.quantize_pipeline(value, spec, 2.0 ** gain_exp)
         assert again == value
 
     @given(st.floats(-100, 100), st.integers(1, 12))
     def test_codeword_range(self, w, bits):
-        spec = qz.QuantizerSpec.tuned(bits, 3.7, qz.Rounding.NEAREST)
-        code, _ = qz.quantize_pipeline(w, spec)
+        spec = qz.QuantizerSpec(bits, qz.Rounding.NEAREST)
+        code, _ = qz.quantize_pipeline(w, spec, 3.7)
         assert -(2 ** (bits - 1)) <= code <= 2 ** (bits - 1) - 1
 
 
 class TestGridStochasticRounding:
     def test_codepoint_is_fixed_point(self):
-        grid = qz.GridSpec(1.0, 2)  # codepoints {-1, -1/3, 1/3, 1}
+        # 2 bits on [-1, 1]: codepoints {-1, -1/3, 1/3, 1}
         rng = substream(3)
-        assert all(qz.quantize_grid_sr(1 / 3, grid, rng) == 1 / 3
+        assert all(qz.quantize_grid_sr(1 / 3, 1.0, 2, rng) == 1 / 3
                    for _ in range(50))
-        for codepoint in grid.codepoints():
-            mean, var = qz.grid_moments(float(codepoint), grid)
+        for code in (-3, -1, 1, 3):
+            codepoint = code * qz.half_step(1.0, 2)
+            mean, var = qz.grid_moments(codepoint, 1.0, 2)
             assert mean == codepoint and var == 0.0
 
     def test_zero_on_two_bit_grid(self):
         # enumerate both outcomes: -1/3 and +1/3 each with probability 0.5
-        grid = qz.GridSpec(1.0, 2)
-        lo, hi, p_hi = qz.grid_distribution(0.0, grid)
+        lo, hi, p_hi = qz.grid_distribution(0.0, 1.0, 2)
         assert (lo, hi) == (-1, 1)
         assert p_hi == 0.5
-        mean, var = qz.grid_moments(0.0, grid)
+        mean, var = qz.grid_moments(0.0, 1.0, 2)
         assert mean == 0.0
         assert var == pytest.approx(1 / 9, abs=1e-15)
 
     def test_one_bit_proximity(self):
         # grid {-1, +1}: w = 0.4 -> +1 w.p. 0.7
-        grid = qz.GridSpec(1.0, 1)
-        lo, hi, p_hi = qz.grid_distribution(0.4, grid)
+        lo, hi, p_hi = qz.grid_distribution(0.4, 1.0, 1)
         assert (lo, hi) == (-1, 1)
         assert p_hi == pytest.approx(0.7, abs=1e-15)
 
     def test_variance_attains_bound_at_midpoint(self):
-        grid = qz.GridSpec(1.0, 1)
-        _, var = qz.grid_moments(0.0, grid)
+        _, var = qz.grid_moments(0.0, 1.0, 1)
         assert var == 1.0  # equals (M/(2^B-1))^2 exactly
 
     def test_out_of_range_rejected(self):
-        grid = qz.GridSpec(1.0, 3)
         with pytest.raises(qz.GridRangeError):
-            qz.quantize_grid_sr(1.0000001, grid, substream(0))
+            qz.quantize_grid_sr(1.0000001, 1.0, 3, substream(0))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_range_bound_rejected(self, bad):
+        message = "range_bound must be a positive finite real"
+        for call in (lambda: qz.half_step(bad, 3),
+                     lambda: qz.grid_distribution(0.0, bad, 3),
+                     lambda: qz.grid_moments(0.0, bad, 3),
+                     lambda: qz.quantize_grid_sr(0.0, bad, 3, substream(0))):
+            with pytest.raises(ValueError, match=message):
+                call()
+        with pytest.raises(ValueError, match="bits must be >= 1"):
+            qz.half_step(1.0, 0)
 
     @pytest.mark.parametrize("bits", range(1, 9))
     @pytest.mark.parametrize("range_bound", [0.5, 1.0, 4.0])
     def test_moments_over_random_inputs(self, bits, range_bound):
-        grid = qz.GridSpec(range_bound, bits)
         rng = substream(4, bits)
-        bound = grid.half_step ** 2
+        bound = qz.half_step(range_bound, bits) ** 2
         for w in rng.uniform(-range_bound, range_bound, size=1000):
-            mean, var = qz.grid_moments(float(w), grid)
+            mean, var = qz.grid_moments(float(w), range_bound, bits)
             assert abs(mean - w) < 1e-12
             assert var <= bound
 
@@ -198,14 +221,13 @@ class TestGridStochasticRounding:
     )
     def test_output_brackets_input(self, unit, range_bound, bits):
         w = unit * range_bound
-        grid = qz.GridSpec(range_bound, bits)
-        out = qz.quantize_grid_sr(w, grid, substream(5))
+        out = qz.quantize_grid_sr(w, range_bound, bits, substream(5))
         assert abs(out) <= range_bound + 1e-12
-        assert abs(out - w) <= grid.step * (1 + 1e-12)
+        assert abs(out - w) <= 2 * qz.half_step(range_bound, bits) * (1 + 1e-12)
 
 
-def one_bit(gain: float, rounding=qz.Rounding.STOCHASTIC) -> qz.QuantizerSpec:
-    return qz.QuantizerSpec.tuned(1, gain, rounding, one_bit_enhanced=True)
+def one_bit(rounding=qz.Rounding.STOCHASTIC) -> qz.QuantizerSpec:
+    return qz.QuantizerSpec(1, rounding, one_bit_enhanced=True)
 
 
 class TestOneBit:
@@ -216,26 +238,26 @@ class TestOneBit:
         g, n = 2.5, 200
         draws = substream(6).random(n)
         for w, pr in ((0.0, 0.5), (-1.0 / g, 0.0), (1.0 / g, 1.0)):
-            out = qz.quantize_vector(np.full(n, w), one_bit(g), substream(6).random(n))
+            out = qz.quantize_vector(np.full(n, w), one_bit(), g, substream(6).random(n))
             assert out.codewords.tolist() == np.where(draws < pr, 1, -1).tolist()
 
     def test_saturated_input_always_plus(self):
         g = 4.0
-        out = qz.quantize_vector(np.full(50, 1 / g), one_bit(g), substream(6).random(50))
+        out = qz.quantize_vector(np.full(50, 1 / g), one_bit(), g, substream(6).random(50))
         assert np.all(out.dequantize() == 1 / g)
 
     def test_nearest_sign_rule(self):
-        out = qz.quantize_vector(np.array([-0.2, 0.0]), one_bit(1.0, qz.Rounding.NEAREST))
+        out = qz.quantize_vector(np.array([-0.2, 0.0]), one_bit(qz.Rounding.NEAREST), 1.0)
         assert out.dequantize().tolist() == [-1.0, 1.0]
-        out = qz.quantize_vector(np.array([0.2]), one_bit(2.0, qz.Rounding.NEAREST))
+        out = qz.quantize_vector(np.array([0.2]), one_bit(qz.Rounding.NEAREST), 2.0)
         assert out.dequantize().tolist() == [0.5]
 
     @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0.25, 16))
     def test_probability_monotone(self, w1, w2, gain):
         # on shared draws, a larger input never gives a smaller code
         lo, hi = sorted((w1, w2))
-        low = qz.quantize_vector(np.full(64, lo), one_bit(gain), substream(19).random(64))
-        high = qz.quantize_vector(np.full(64, hi), one_bit(gain), substream(19).random(64))
+        low = qz.quantize_vector(np.full(64, lo), one_bit(), gain, substream(19).random(64))
+        high = qz.quantize_vector(np.full(64, hi), one_bit(), gain, substream(19).random(64))
         assert np.all(low.codewords <= high.codewords)
 
     @given(st.floats(-3, 3), st.floats(0.25, 16))
@@ -243,60 +265,57 @@ class TestOneBit:
         # E[(Q - w)^2] = 1/G^2 - 2 w E[Q] + w^2 with E[Q] = clamp(w, +-1/G)
         inv = 1.0 / gain
         clamped = min(max(w, -inv), inv)
-        assert qz.expected_sq_error(np.array([w]), one_bit(gain)) == pytest.approx(
+        assert qz.expected_sq_error(np.array([w]), one_bit(), gain) == pytest.approx(
             inv * inv - 2 * w * clamped + w * w, rel=1e-12, abs=1e-12)
 
 
 class TestQuantizeVector:
     def test_zero_vector(self):
-        spec = qz.QuantizerSpec.tuned(3, 4.0)
-        out = qz.quantize_vector(np.zeros(5), spec, substream(7).random(5))
+        out = qz.quantize_vector(np.zeros(5), qz.QuantizerSpec(3), 4.0, substream(7).random(5))
         assert np.array_equal(out.codewords, np.zeros(5, dtype=np.int64))
         assert np.array_equal(out.dequantize(), np.zeros(5))
 
     def test_two_scalar_hand_traces(self):
-        spec = qz.QuantizerSpec.tuned(3, 4.0, qz.Rounding.NEAREST)
-        out = qz.quantize_vector(np.array([0.3, 2.0]), spec)
+        spec = qz.QuantizerSpec(3, qz.Rounding.NEAREST)
+        out = qz.quantize_vector(np.array([0.3, 2.0]), spec, 4.0)
         assert out.codewords.tolist() == [1, 3]
         assert out.dequantize().tolist() == [0.25, 0.75]
 
     def test_grid_determinism_under_fixed_seed(self):
-        spec = qz.QuantizerSpec.symmetric_grid(1.0, 4)
+        spec = qz.QuantizerSpec(4, grid=SYMMETRIC)
         v = substream(8).uniform(-1, 1, 50)
-        a = qz.quantize_vector(v, spec, substream(9).random(v.size))
-        b = qz.quantize_vector(v, spec, substream(9).random(v.size))
+        a = qz.quantize_vector(v, spec, 1.0, substream(9).random(v.size))
+        b = qz.quantize_vector(v, spec, 1.0, substream(9).random(v.size))
         assert np.array_equal(a.codewords, b.codewords)
         assert a.gain == b.gain and a.bits == b.bits
 
     def test_vector_matches_scalar_stream(self):
         # one uniform draw per coordinate, in coordinate order
-        spec = qz.QuantizerSpec.tuned(4, 8.0)
+        spec = qz.QuantizerSpec(4)
         v = substream(10).uniform(-1, 1, 20)
-        vec_out = qz.quantize_vector(v, spec, substream(11).random(v.size))
+        vec_out = qz.quantize_vector(v, spec, 8.0, substream(11).random(v.size))
         rng = substream(11)
-        scalar_out = [qz.quantize_pipeline(float(w), spec, rng)[0] for w in v]
+        scalar_out = [qz.quantize_pipeline(float(w), spec, 8.0, rng)[0] for w in v]
         assert vec_out.codewords.tolist() == scalar_out
 
     def test_grid_vector_matches_scalar_stream(self):
         m, bits = 2.0, 3
-        spec = qz.QuantizerSpec.symmetric_grid(m, bits)
-        grid = qz.GridSpec(m, bits)
+        spec = qz.QuantizerSpec(bits, grid=SYMMETRIC)
         v = substream(12).uniform(-m, m, 20)
-        vec_out = qz.quantize_vector(v, spec, substream(13).random(v.size)).codewords
+        vec_out = qz.quantize_vector(v, spec, m, substream(13).random(v.size)).codewords
         rng = substream(13)
-        scalar_vals = np.array([qz.quantize_grid_sr(float(w), grid, rng) for w in v])
-        assert np.allclose(vec_out * grid.half_step, scalar_vals, atol=0)
+        scalar_vals = np.array([qz.quantize_grid_sr(float(w), m, bits, rng) for w in v])
+        assert np.allclose(vec_out * qz.half_step(m, bits), scalar_vals, atol=0)
 
     def test_dequantized_is_codeword_over_gain(self):
-        spec = qz.QuantizerSpec.symmetric_grid(1.5, 5)
+        spec = qz.QuantizerSpec(5, grid=SYMMETRIC)
         v = substream(14).uniform(-1.5, 1.5, 30)
-        out = qz.quantize_vector(v, spec, substream(15).random(v.size))
+        out = qz.quantize_vector(v, spec, 1.5, substream(15).random(v.size))
         assert np.array_equal(out.dequantize(), out.codewords / out.gain)
 
     def test_one_bit_enhanced_codewords(self):
-        spec = qz.QuantizerSpec.tuned(1, 2.0, qz.Rounding.NEAREST,
-                                      one_bit_enhanced=True)
-        out = qz.quantize_vector(np.array([0.3, -0.3, 0.0]), spec)
+        spec = qz.QuantizerSpec(1, qz.Rounding.NEAREST, one_bit_enhanced=True)
+        out = qz.quantize_vector(np.array([0.3, -0.3, 0.0]), spec, 2.0)
         assert out.codewords.tolist() == [1, -1, 1]
         assert out.dequantize().tolist() == [0.5, -0.5, 0.5]
 
@@ -305,26 +324,24 @@ class TestQuantizeVector:
             qz.QuantizedVector(np.array([4]), 1.0, 3, qz.GridKind.PIPELINE)
 
     def test_non_finite_rejected(self):
-        spec = qz.QuantizerSpec.tuned(3, 4.0)
         with pytest.raises(ValueError):
-            qz.quantize_vector(np.array([np.nan]), spec, substream(0).random(1))
+            qz.quantize_vector(np.array([np.nan]), qz.QuantizerSpec(3), 4.0,
+                               substream(0).random(1))
 
     def test_stochastic_needs_uniforms_of_the_input_shape(self):
-        spec = qz.QuantizerSpec.tuned(3, 4.0)
+        spec = qz.QuantizerSpec(3)
         with pytest.raises(ValueError, match="requires uniforms"):
-            qz.quantize_vector(np.zeros(3), spec)
+            qz.quantize_vector(np.zeros(3), spec, 4.0)
         for bad in (substream(0), substream(0).random(4), substream(0).random((1, 3))):
             with pytest.raises(ValueError, match="the input's shape"):
-                qz.quantize_vector(np.zeros(3), spec, bad)
+                qz.quantize_vector(np.zeros(3), spec, 4.0, bad)
 
 
-def row_spec(family: str, bits: int, scale: float) -> qz.QuantizerSpec:
-    """The one-vector spec a block row with this scale stands for."""
+def family_spec(family: str, bits: int) -> qz.QuantizerSpec:
     if family == "symmetric":
-        return qz.QuantizerSpec.symmetric_grid(scale, bits)
+        return qz.QuantizerSpec(bits, grid=SYMMETRIC)
     rounding = qz.Rounding.NEAREST if family.endswith("nearest") else qz.Rounding.STOCHASTIC
-    return qz.QuantizerSpec.tuned(bits, scale, rounding,
-                                  one_bit_enhanced=family.startswith("one_bit"))
+    return qz.QuantizerSpec(bits, rounding, one_bit_enhanced=family.startswith("one_bit"))
 
 
 BLOCK_FAMILIES = ["pipeline_nearest", "pipeline_stochastic", "symmetric",
@@ -341,7 +358,7 @@ def block_case(family: str, rows: int, dim: int, seed: int):
         scale = np.max(np.abs(block), axis=1)
     else:
         scale = rng.uniform(0.5, 8.0, rows)
-    return block, scale, row_spec(family, bits, 1.0)
+    return block, scale, family_spec(family, bits)
 
 
 class TestBlockQuantize:
@@ -349,25 +366,14 @@ class TestBlockQuantize:
     def test_rows_equal_one_vector_calls(self, family):
         block, scale, spec = block_case(family, 5, 7, 60)
         draws = np.stack([substream(61, k).random(7) for k in range(5)])
-        out = qz.quantize_vector(block, spec, draws, scale)
+        out = qz.quantize_vector(block, spec, scale, draws)
         assert out.codewords.shape == (5, 7)
         deq = out.dequantize()
         for k in range(5):
-            one = qz.quantize_vector(block[k], row_spec(family, spec.bits, scale[k]),
-                                     substream(61, k).random(7))
+            one = qz.quantize_vector(block[k], spec, scale[k], substream(61, k).random(7))
             assert np.array_equal(out.codewords[k], one.codewords)
             assert out.gain[k] == one.gain
             assert np.array_equal(deq[k], one.dequantize())
-
-    def test_spec_scale_shared_by_all_rows(self):
-        spec = qz.QuantizerSpec.symmetric_grid(2.0, 4)
-        block = substream(62).uniform(-2.0, 2.0, (3, 6))
-        out = qz.quantize_vector(block, spec,
-                                 np.stack([substream(63, k).random(6) for k in range(3)]))
-        assert out.gain == spec.gain
-        for k in range(3):
-            one = qz.quantize_vector(block[k], spec, substream(63, k).random(6))
-            assert np.array_equal(out.dequantize()[k], one.dequantize())
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(BLOCK_FAMILIES), st.integers(1, 6), st.integers(1, 9),
@@ -377,8 +383,8 @@ class TestBlockQuantize:
         perm = list(range(rows))
         shuffler.shuffle(perm)
         draws = np.stack([substream(seed, 1, k).random(dim) for k in range(rows)])
-        base = qz.quantize_vector(block, spec, draws, scale)
-        permuted = qz.quantize_vector(block[perm], spec, draws[perm], scale[perm])
+        base = qz.quantize_vector(block, spec, scale, draws)
+        permuted = qz.quantize_vector(block[perm], spec, scale[perm], draws[perm])
         assert np.array_equal(permuted.codewords, base.codewords[perm])
         assert np.array_equal(permuted.dequantize(), base.dequantize()[perm])
 
@@ -393,43 +399,54 @@ class TestBlockQuantize:
         scales = np.array([scale[0] for _, scale, _ in layers])
         spec = layers[0][2]
         draws = substream(seed, 2).random(v.size)
-        out = qz.quantize_vector(v, spec, draws, np.repeat(scales, sizes))
+        out = qz.quantize_vector(v, spec, np.repeat(scales, sizes), draws)
         deq = out.dequantize()
         start = 0
         for size, scale in zip(sizes, scales):
             stop = start + size
-            one = qz.quantize_vector(v[start:stop], row_spec(family, spec.bits, scale),
-                                     draws[start:stop])
+            one = qz.quantize_vector(v[start:stop], spec, scale, draws[start:stop])
             assert np.array_equal(out.codewords[start:stop], one.codewords)
             assert np.all(out.gain[start:stop] == one.gain)
             assert np.array_equal(deq[start:stop], one.dequantize())
             start = stop
+        # a scalar scale is that value repeated per coordinate, or per row of a
+        # block (the largest layer scale bounds every symmetric coordinate)
+        shared = float(scales.max())
+        block = np.stack([v, v[::-1]])
+        block_draws = np.stack([draws, substream(seed, 3).random(v.size)])
+        for x, u, repeated in ((v, draws, np.full(v.size, shared)),
+                               (block, block_draws, np.full(2, shared))):
+            scalar = qz.quantize_vector(x, spec, shared, u)
+            spread = qz.quantize_vector(x, spec, repeated, u)
+            assert np.array_equal(scalar.codewords, spread.codewords)
+            assert np.all(spread.gain == scalar.gain)
+            assert np.array_equal(scalar.dequantize(), spread.dequantize())
 
     def test_range_error_names_first_row_over_bound(self):
-        spec = qz.QuantizerSpec.symmetric_grid(1.0, 3)
+        spec = qz.QuantizerSpec(3, grid=SYMMETRIC)
         block = np.array([[0.5, 0.1], [0.2, 3.0], [9.0, 0.0]])
         with pytest.raises(qz.GridRangeError, match="magnitude 3.0 exceeds range bound 2.0"):
-            qz.quantize_vector(block, spec, substream(0).random((3, 2)),
-                               np.array([1.0, 2.0, 4.0]))
+            qz.quantize_vector(block, spec, np.array([1.0, 2.0, 4.0]),
+                               substream(0).random((3, 2)))
 
     def test_per_coordinate_range_bounds_checked_per_coordinate(self):
-        spec = qz.QuantizerSpec.symmetric_grid(1.0, 3)
+        spec = qz.QuantizerSpec(3, grid=SYMMETRIC)
         with pytest.raises(qz.GridRangeError, match="magnitude 0.5 exceeds range bound 0.25"):
-            qz.quantize_vector(np.array([0.9, 0.5, 0.1]), spec, substream(0).random(3),
-                               np.array([1.0, 0.25, 0.25]))
+            qz.quantize_vector(np.array([0.9, 0.5, 0.1]), spec, np.array([1.0, 0.25, 0.25]),
+                               substream(0).random(3))
 
     def test_block_arguments_validated(self):
-        spec = qz.QuantizerSpec.tuned(3, 4.0)
+        spec = qz.QuantizerSpec(3)
         block = np.zeros((2, 3))
         draws = substream(0).random((2, 3))
         with pytest.raises(ValueError, match="the input's shape"):
-            qz.quantize_vector(block, spec, draws[:1])
+            qz.quantize_vector(block, spec, 4.0, draws[:1])
         with pytest.raises(ValueError, match="one entry per row"):
-            qz.quantize_vector(block, spec, draws, np.ones(3))
+            qz.quantize_vector(block, spec, np.ones(3), draws)
         with pytest.raises(ValueError, match="positive and finite"):
-            qz.quantize_vector(block, spec, draws, np.array([1.0, 0.0]))
+            qz.quantize_vector(block, spec, np.array([1.0, 0.0]), draws)
         with pytest.raises(ValueError, match="non-finite"):
-            qz.quantize_vector(np.array([[0.0], [np.inf]]), spec, draws[:, :1])
+            qz.quantize_vector(np.array([[0.0], [np.inf]]), spec, 4.0, draws[:, :1])
 
     def test_gains_per_row_of_a_block_or_per_coordinate_of_a_vector(self):
         with pytest.raises(ValueError):
@@ -517,41 +534,40 @@ class TestLayeredGains:
 
 class TestExpectedSqError:
     def test_stochastic_matches_enumeration(self):
-        spec = qz.QuantizerSpec.tuned(3, 4.0)
         v = np.array([0.3])
         # 1.2 scales between codes 1 and 2: err^2 = 0.8*(0.25-0.3)^2 + 0.2*(0.5-0.3)^2
         expected = 0.8 * 0.05 ** 2 + 0.2 * 0.2 ** 2
-        assert qz.expected_sq_error(v, spec) == pytest.approx(expected, rel=1e-12)
+        assert qz.expected_sq_error(v, qz.QuantizerSpec(3), 4.0) == pytest.approx(
+            expected, rel=1e-12)
 
     def test_nearest_is_pointwise_error(self):
-        spec = qz.QuantizerSpec.tuned(3, 4.0, qz.Rounding.NEAREST)
-        assert qz.expected_sq_error(np.array([0.3]), spec) == pytest.approx(
+        spec = qz.QuantizerSpec(3, qz.Rounding.NEAREST)
+        assert qz.expected_sq_error(np.array([0.3]), spec, 4.0) == pytest.approx(
             0.05 ** 2, rel=1e-12)
 
     def test_grid_error_is_unbiased_variance(self):
-        spec = qz.QuantizerSpec.symmetric_grid(1.0, 2)
-        assert qz.expected_sq_error(np.array([0.0]), spec) == pytest.approx(
+        spec = qz.QuantizerSpec(2, grid=SYMMETRIC)
+        assert qz.expected_sq_error(np.array([0.0]), spec, 1.0) == pytest.approx(
             1 / 9, abs=1e-15)
 
-    @pytest.mark.parametrize("spec", [
-        qz.QuantizerSpec.tuned(3, 2.0 ** (3 - 1), qz.Rounding.NEAREST),
-        qz.QuantizerSpec.tuned(4, 5.5, qz.Rounding.NEAREST),
-        qz.QuantizerSpec.tuned(1, 2.0 ** (1 - 1), qz.Rounding.NEAREST,
-                               one_bit_enhanced=True),
-        qz.QuantizerSpec.tuned(1, 3.0, qz.Rounding.NEAREST, one_bit_enhanced=True),
+    @pytest.mark.parametrize("spec, scale", [
+        (qz.QuantizerSpec(3, qz.Rounding.NEAREST), 2.0 ** (3 - 1)),
+        (qz.QuantizerSpec(4, qz.Rounding.NEAREST), 5.5),
+        (qz.QuantizerSpec(1, qz.Rounding.NEAREST, one_bit_enhanced=True), 2.0 ** (1 - 1)),
+        (qz.QuantizerSpec(1, qz.Rounding.NEAREST, one_bit_enhanced=True), 3.0),
     ], ids=["native", "tuned", "one-bit-native", "one-bit-tuned"])
     @given(st.lists(st.floats(-2, 2), min_size=1, max_size=12))
     @example([0.2])  # one-bit at gain 1: nearest makes 0.64, stochastic 0.96
-    def test_nearest_equals_realized_error(self, spec, values):
+    def test_nearest_equals_realized_error(self, spec, scale, values):
         v = np.array(values)
-        realized = np.sum((qz.quantize_vector(v, spec).dequantize() - v) ** 2)
-        assert qz.expected_sq_error(v, spec) == realized
+        realized = np.sum((qz.quantize_vector(v, spec, scale).dequantize() - v) ** 2)
+        assert qz.expected_sq_error(v, spec, scale) == realized
 
 
 class TestSerialization:
     def test_round_trip_pipeline(self):
-        spec = qz.QuantizerSpec.tuned(3, 4.0, qz.Rounding.NEAREST)
-        original = qz.quantize_vector(np.array([0.3, 2.0, -1.2]), spec)
+        spec = qz.QuantizerSpec(3, qz.Rounding.NEAREST)
+        original = qz.quantize_vector(np.array([0.3, 2.0, -1.2]), spec, 4.0)
         restored = qz.deserialize(qz.serialize(original))
         assert np.array_equal(restored.codewords, original.codewords)
         assert restored.gain == original.gain
@@ -559,9 +575,9 @@ class TestSerialization:
         assert restored.grid is qz.GridKind.PIPELINE
 
     def test_round_trip_symmetric_grid(self):
-        spec = qz.QuantizerSpec.symmetric_grid(2.0, 9)
+        spec = qz.QuantizerSpec(9, grid=SYMMETRIC)
         v = substream(17).uniform(-2, 2, 40)
-        original = qz.quantize_vector(v, spec, substream(18).random(v.size))
+        original = qz.quantize_vector(v, spec, 2.0, substream(18).random(v.size))
         restored = qz.deserialize(qz.serialize(original))
         assert restored.grid is qz.GridKind.SYMMETRIC
         assert np.array_equal(restored.codewords, original.codewords)
@@ -618,13 +634,15 @@ class TestSerialization:
         rng = substream(seed)
         v = rng.standard_normal(dim) * rng.uniform(0.1, 10.0)
         if family == "symmetric":
-            spec = qz.QuantizerSpec.symmetric_grid(float(np.max(np.abs(v), initial=1.0)), bits)
+            spec = qz.QuantizerSpec(bits, grid=SYMMETRIC)
+            scale = float(np.max(np.abs(v), initial=1.0))
         elif family == "one_bit":
             bits = 1
-            spec = qz.QuantizerSpec.tuned(1, rng.uniform(0.25, 4.0), one_bit_enhanced=True)
+            spec = qz.QuantizerSpec(1, one_bit_enhanced=True)
+            scale = rng.uniform(0.25, 4.0)
         else:
-            spec = qz.QuantizerSpec.tuned(bits, rng.uniform(0.25, 4.0))
-        qv = qz.quantize_vector(v, spec, substream(seed, 1).random(dim))
+            spec, scale = qz.QuantizerSpec(bits), rng.uniform(0.25, 4.0)
+        qv = qz.quantize_vector(v, spec, scale, substream(seed, 1).random(dim))
         blob = qz.serialize(qv)
         assert len(blob) == math.ceil(qz.wire_bits(dim, bits) / 8)
         # reference payload: each transport code as `bits` two's-complement digits
