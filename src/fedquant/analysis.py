@@ -317,6 +317,8 @@ def check_differential_moments(d_vec: np.ndarray, bits: int,
     squared error must stay within dim * ||d||^2 / (2^B - 1)^2; a Monte-Carlo
     mean squared error cross-checks the analytic value.
     """
+    if trials < 10_000:
+        raise ValueError("trials must be >= 10000")
     d_vec = np.asarray(d_vec, dtype=np.float64)
     if d_vec.size == 0:
         raise ValueError("differential vector must not be empty")

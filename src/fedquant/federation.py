@@ -6,13 +6,21 @@ selected client runs local mini-batch SGD, uploads either its weights or its
 weight differential (optionally quantized), and the server averages the
 uploads.  The global model is a plain array; a layered broadcast takes its
 layer layout from ``FederationConfig.layer_bounds``, and its static gains
-(``lq_static``) are fixed once by :func:`init_state`.  All randomness is drawn from per-round and per-client streams
-derived from the master seed, so results are independent of execution order.
-Both are Philox streams (``streams.philox_stream``); each round re-keys the
-``clients_per_round + 1`` generators that :func:`init_state` pools on the state
-and draws from each exactly once: ``N + d`` uniforms from the round stream,
-``E * n_k + d`` from client k's.  The kernels take slices of those blocks,
-never a generator.
+(``lq_static``) are fixed once by :func:`init_state`.  All randomness is drawn
+from per-round and per-client streams derived from the master seed, so
+results are independent of execution order.  Both are Philox streams
+(``streams.philox_stream``): round t re-keys the ``clients_per_round + 1``
+generators that :func:`init_state` pools on the state and draws from each
+exactly once, ``N + d`` uniforms from the round stream and ``E * n_k + d``
+from client k's.
+
+No draw depends on the model, so :func:`plan_rounds` makes a block of
+rounds' draws ahead of the arithmetic: it selects every round's clients in
+one call and turns every batch key into pooled row indices in one call.
+:func:`run_federation` plans up to ``PLAN_KEYS`` batch keys at a time, and
+:func:`run_round` reads its row of the plan (or plans its own round), so the
+round loop runs only the model's arithmetic.  The kernels take slices of the
+plan, never a generator.
 
 A round runs its K selected clients as one array program: local SGD advances
 a ``(K, d)`` block of weights (``models.local_train_clients``), the uploads
@@ -68,6 +76,8 @@ __all__ = [
     "step_log_bits",
     "schedule_bits",
     "sample_clients",
+    "RoundPlan",
+    "plan_rounds",
     "aggregate_weights",
     "aggregate_differentials",
     "broadcast",
@@ -130,8 +140,9 @@ class ScheduleSpec:
 
     def __post_init__(self) -> None:
         if self.kind is ScheduleKind.CONSTANT:
-            if self.bits is None or self.bits < 1:
-                raise ConfigError("constant schedule requires bits >= 1")
+            if self.bits is None or not 1 <= self.bits <= qz.MAX_BITS:
+                raise ConfigError("constant schedule requires bits >= 1 and "
+                                  f"<= {qz.MAX_BITS}")
         elif self.kind is ScheduleKind.STEP_LOG:
             if self.f is None or self.f < 2:
                 raise ConfigError("step_log schedule requires f >= 2")
@@ -227,6 +238,16 @@ class FederationConfig:
                 raise ConfigError("layer_feature_scales must match layer_sizes")
             if any(not s > 0 for s in self.layer_feature_scales):
                 raise ConfigError("layer_feature_scales must be positive")
+        # every schedule's width grows with t, so the last round's is the widest
+        gamma = gamma_offset(self.mu, self.lipschitz, self.local_steps)
+        for link, quantized, spec in (
+                ("uplink", self.uplink_mode is not UplinkMode.FLOAT, self.uplink_schedule),
+                ("downlink", self.downlink_mode is not DownlinkMode.FLOAT,
+                 self.downlink_schedule)):
+            if (quantized and self.rounds
+                    and schedule_bits(spec, self.rounds - 1, self.mu, gamma) > qz.MAX_BITS):
+                raise ConfigError(f"{link} schedule exceeds {qz.MAX_BITS} bits "
+                                  f"by round {self.rounds - 1}")
 
     def layer_bounds(self) -> tuple[tuple[int, int], ...]:
         if self.layer_sizes is None:
@@ -334,10 +355,10 @@ def client_stream(seed: int, t: int, client: int) -> np.random.Generator:
 
 def sample_clients(n: int, k: int, keys: np.ndarray) -> np.ndarray:
     """Uniform K-subset of [0, n), sorted: the k smallest of the n uniform
-    ``keys``."""
+    ``keys``, one subset per row of a ``(rounds, n)`` key block."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    if np.shape(keys) != (n,):
+    if np.ndim(keys) not in (1, 2) or np.shape(keys)[-1] != n:
         raise ValueError("need one key per client")
     return k_subset(keys, k)
 
@@ -519,10 +540,69 @@ def init_state(
     )
 
 
+# A plan holds at most this many batch keys (2^14 doubles, 128 KB), so a run
+# plans max(1, PLAN_KEYS // (K * E * n_max)) rounds at a time.
+PLAN_KEYS = 2 ** 14
+
+
+@dataclass(frozen=True)
+class RoundPlan:
+    """Every draw of rounds ``t0 .. t0 + count - 1``, made before any of them
+    runs: none depends on the model.  Row ``i`` of each block is round
+    ``t0 + i``."""
+
+    t0: int
+    server: np.ndarray    # (count, N + d): selection keys, then broadcast uniforms
+    selected: np.ndarray  # (count, K): sorted client ids
+    rows: np.ndarray      # (count, K, E, bs): pooled rows of each local step's batch
+    uniforms: np.ndarray  # (count, K, d): each selected client's upload uniforms
+
+
+def plan_rounds(state: FederationState, config: FederationConfig, t0: int,
+                count: int) -> RoundPlan:
+    """Draw, select and index rounds ``t0 .. t0 + count - 1`` in one pass.
+
+    Each round re-keys ``pool[0]`` to ``(seed, ROUND, t)`` and draws its
+    ``N + d`` uniforms; one :func:`sample_clients` call selects every round's
+    clients; selected slot k re-keys ``pool[1 + k]`` to ``(seed, CLIENT, t, c)``
+    and draws its ``E * n_c + d`` uniforms: batch keys, then upload uniforms.
+    The ``+inf``-padded ``(count, K, E, n_max)`` key block becomes pooled row
+    indices in one ``k_subset`` call.  Every draw is the one a single round
+    makes on its own, so a run's records do not depend on how it is planned.
+    """
+    n, k, dim = config.num_clients, config.clients_per_round, config.dimension
+    steps, rounds = config.local_steps, range(t0, t0 + count)
+    server = np.stack([rekey(state.pool[0], config.seed, ROUND, t).random(n + dim)
+                       for t in rounds])
+    selected = sample_clients(n, k, server[:, :n])
+    sizes = np.asarray(state.sizes)[selected]
+    if not 1 <= config.batch_size <= sizes.min():
+        raise ValueError("batch size must be in [1, dataset size]")
+    # a client with fewer samples than the largest pads its key rows with +inf
+    keys = np.full((count, k, steps, max(state.sizes)), np.inf)
+    uniforms = np.empty((count, k, dim))
+    for t, clients, block, ups in zip(rounds, selected.tolist(), keys, uniforms):
+        for slot, (rng, c) in enumerate(zip(state.pool[1:], clients)):
+            size = state.sizes[c]
+            row = rekey(rng, config.seed, CLIENT, t, c).random(steps * size + dim)
+            block[slot, :, :size] = row[:steps * size].reshape(steps, size)
+            ups[slot] = row[steps * size:]
+    starts = np.asarray(state.starts, dtype=np.int64)[selected]
+    rows = k_subset(keys, config.batch_size) + starts[:, :, None, None]
+    return RoundPlan(t0, server, selected, rows, uniforms)
+
+
 def run_round(
-    state: FederationState, config: FederationConfig, t: int
+    state: FederationState, config: FederationConfig, t: int,
+    plan: RoundPlan | None = None,
 ) -> tuple[FederationState, RoundRecord]:
-    """Execute round ``t``: download, local training, upload, aggregation."""
+    """Execute round ``t``: download, local training, upload, aggregation.
+    Its draws come from ``plan``, or from a one-round plan made here."""
+    if plan is None:
+        plan = plan_rounds(state, config, t, 1)
+    i = t - plan.t0
+    if not 0 <= i < len(plan.selected):
+        raise ValueError(f"round {t} is not in the plan")
     gamma = gamma_offset(config.mu, config.lipschitz, config.local_steps)
     eta = lr_schedule(t, config.mu, gamma)
 
@@ -535,29 +615,14 @@ def run_round(
     else:
         bits_up = schedule_bits(config.uplink_schedule, t, config.mu, gamma)
 
-    # each pool generator is re-keyed and drawn from exactly once a round; a
-    # float or nearest link ignores its uniforms
-    n, dim, steps = config.num_clients, config.dimension, config.local_steps
-    server = rekey(state.pool[0], config.seed, ROUND, t).random(n + dim)
-    selected = sample_clients(n, config.clients_per_round, server[:n])
+    # a float or nearest link ignores its uniforms
+    n, dim, clients = config.num_clients, config.dimension, plan.selected[i]
     delivered, down_bits = broadcast(
-        state.w_global, config, bits_down, server[n:],
+        state.w_global, config, bits_down, plan.server[i, n:],
         frozen_extra_gains=state.frozen_extra_gains,
     )
-
-    clients = selected.tolist()
-    sizes = [state.sizes[c] for c in clients]
-    # a client with fewer samples than the largest pads its key rows with +inf
-    keys = np.full((len(clients), steps, max(sizes)), np.inf)
-    uniforms = np.empty((len(clients), dim))
-    for k, (rng, c, size) in enumerate(zip(state.pool[1:], clients, sizes)):
-        row = rekey(rng, config.seed, CLIENT, t, c).random(steps * size + dim)
-        keys[k, :, :size] = row[:steps * size].reshape(steps, size)
-        uniforms[k] = row[steps * size:]
-    w_locals = local_train_clients(
-        delivered, state.model, state.pooled, [state.starts[c] for c in clients],
-        sizes, config.batch_size, eta, keys,
-    )
+    w_locals = local_train_clients(delivered, state.model, state.pooled,
+                                   plan.rows[i], eta)
     differential = config.uplink_mode is UplinkMode.DIFFERENTIAL
     if config.uplink_mode is UplinkMode.FLOAT:
         uploads = w_locals
@@ -582,7 +647,7 @@ def run_round(
                      else 2.0 ** (bits_up - 1) / (config.weight_bound if tuned else 1.0))
             scales = np.full(len(clients), scale)
         spec = _link_spec(bits_up, symmetric, config)
-        uploads = qz.quantize_vector(rows, spec, scales, uniforms).dequantize()
+        uploads = qz.quantize_vector(rows, spec, scales, plan.uniforms[i]).dequantize()
         if differential:
             uploads[peaks == 0.0] = 0.0  # an all-zero row is sent as zeros
         up_bits = len(clients) * qz.wire_bits(dim, bits_up)
@@ -624,9 +689,13 @@ def run_federation(
     ``observer(t, w)`` sees the global model after round ``t``; the engine
     never writes to that array again."""
     state = init_state(config, model, datasets)
+    block = max(1, PLAN_KEYS // (config.clients_per_round * config.local_steps
+                                 * max(state.sizes)))
     records: list[RoundRecord] = []
     for t in range(config.rounds):
-        state, record = run_round(state, config, t)
+        if t % block == 0:
+            plan = plan_rounds(state, config, t, min(block, config.rounds - t))
+        state, record = run_round(state, config, t, plan)
         records.append(record)
         if observer is not None:
             observer(t, state.w_global)

@@ -12,9 +12,10 @@ checked against closed forms at desk scale:
 :func:`grad` also takes batched features ``(..., bs, d)`` with weights
 ``(..., d)``, one gradient per leading index.  :func:`local_train_clients`
 uses it to run one round's selected clients as one array program on a block
-of caller-drawn batch keys: each client's row of the result is bit-identical
-to :func:`local_train` on that client alone, which stays as the reference the
-tests compare against.
+of batch row indices, picked by the caller from each client's keys: each
+client's row of the result is bit-identical to :func:`local_train` on that
+client alone, which stays as the reference the tests compare against.  Sums
+call ``np.add.reduce`` directly, the ufunc that ``ndarray.sum`` wraps.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -113,13 +113,13 @@ def loss(model: LossModel, w: np.ndarray, features: np.ndarray,
     w = np.asarray(w, dtype=np.float64)
     if model.kind is LossKind.QUADRATIC:
         diffs = w[None, :] - features
-        return 0.5 * float((diffs * diffs).sum(axis=1).sum() / n)
+        return 0.5 * float(np.add.reduce(np.add.reduce(diffs * diffs, axis=1)) / n)
     if labels is None:
         raise ValueError("logistic loss requires labels")
     z = features @ w
     ce = np.logaddexp(0.0, z) - labels * z
     penalty = 0.5 * model.regularization * float(w @ w)
-    return float(ce.sum() / n) + penalty
+    return float(np.add.reduce(ce) / n) + penalty
 
 
 def grad(model: LossModel, w: np.ndarray, features: np.ndarray,
@@ -140,7 +140,7 @@ def grad(model: LossModel, w: np.ndarray, features: np.ndarray,
         raise ValueError("empty batch")
     w = np.asarray(w, dtype=np.float64)
     if model.kind is LossKind.QUADRATIC:
-        return w - features.sum(axis=-2) / batch
+        return w - np.add.reduce(features, axis=-2) / batch
     if labels is None:
         raise ValueError("logistic gradient requires labels")
     z = np.matmul(features, w[..., None])[..., 0]
@@ -179,33 +179,25 @@ def local_train_clients(
     w: np.ndarray,
     model: LossModel,
     pooled: ClientDataset,
-    starts: Sequence[int],
-    sizes: Sequence[int],
-    batch_size: int,
+    rows: np.ndarray,
     lr: float,
-    keys: np.ndarray,
 ) -> np.ndarray:
     """:func:`local_train` for K clients at once; returns the ``(K, d)`` block.
 
-    Client k owns rows ``starts[k]`` to ``starts[k] + sizes[k]`` of ``pooled``.
-    ``keys`` is the ``(K, E, n_max)`` block of batch keys: row k holds the
-    ``(E, sizes[k])`` uniforms ``local_train`` would draw for client k, then
-    ``+inf`` up to ``n_max``, so row k is bit-identical to ``local_train`` on
-    that client with a generator that yields those keys, whatever the other
-    rows are.  Every step's batch is gathered in one indexing call.
+    ``rows`` is the ``(K, E, bs)`` block of ``pooled`` row indices: row k
+    holds client k's E batches, the sorted batch indices ``local_train``
+    would pick on that client's keys, offset to where its samples start in
+    ``pooled``.  So row k of the result is bit-identical to ``local_train``
+    on that client, whatever the other rows are.  Every step's batch is
+    gathered in one indexing call.
     """
-    if keys.ndim != 3 or keys.shape[0] != len(starts):
-        raise ValueError("keys need one (steps, n_max) block per client")
-    steps = keys.shape[1]
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if not 1 <= batch_size <= min(sizes):
-        raise ValueError("batch size must be in [1, dataset size]")
-    rows = k_subset(keys, batch_size) + np.asarray(starts, dtype=np.int64)[:, None, None]
+    rows = np.asarray(rows)
+    if rows.ndim != 3 or 0 in rows.shape:
+        raise ValueError("rows need one non-empty (steps, batch_size) block per client")
     features = pooled.features[rows]
     labels = pooled.labels[rows] if pooled.labels is not None else None
-    block = np.repeat(np.asarray(w, dtype=np.float64)[None, :], len(starts), axis=0)
-    for step in range(steps):
+    block = np.repeat(np.asarray(w, dtype=np.float64)[None, :], rows.shape[0], axis=0)
+    for step in range(rows.shape[1]):
         batch_labels = labels[:, step] if labels is not None else None
         block -= lr * grad(model, block, features[:, step], batch_labels)
     return block

@@ -40,6 +40,11 @@ from typing import Sequence
 
 import numpy as np
 
+try:  # the ufunc that ndarray.clip reaches through a Python-level wrapper
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 __all__ = [
     "Rounding",
     "GridKind",
@@ -64,10 +69,14 @@ __all__ = [
     "wire_bits",
     "float_bits",
     "HEADER_BYTES",
+    "MAX_BITS",
 ]
 
 HEADER_BYTES = 17  # bits: 1 byte, gain: 8-byte double, length: 8-byte unsigned
 FLOAT_BITS_PER_COORD = 32
+# the widest codeword: an int64 holds the symmetric grid's +/-(2^B - 1), and
+# serialize packs at most 63 bits a codeword
+MAX_BITS = 63
 
 
 class Rounding(Enum):
@@ -82,6 +91,11 @@ class GridKind(Enum):
 
 class GridRangeError(ValueError):
     """Input magnitude exceeds the symmetric grid's range bound."""
+
+
+def _check_bits(bits: int) -> None:
+    if not 1 <= bits <= MAX_BITS:
+        raise ValueError(f"bits must be >= 1 and <= {MAX_BITS}")
 
 
 def _require_finite(x: float) -> None:
@@ -99,8 +113,7 @@ class QuantizerSpec:
     one_bit_enhanced: bool = False
 
     def __post_init__(self) -> None:
-        if self.bits < 1:
-            raise ValueError("bits must be >= 1")
+        _check_bits(self.bits)
         if self.one_bit_enhanced and (self.bits != 1 or self.grid is not GridKind.PIPELINE):
             raise ValueError("enhanced one-bit mode requires bits == 1 on the pipeline")
         if self.grid is GridKind.SYMMETRIC and self.rounding is not Rounding.STOCHASTIC:
@@ -181,8 +194,7 @@ def half_step(range_bound: float, bits: int) -> float:
     M/(2^B - 1); codepoint ``c`` (an odd integer) sits at ``c * half_step``."""
     if not (range_bound > 0 and math.isfinite(range_bound)):
         raise ValueError("range_bound must be a positive finite real")
-    if bits < 1:
-        raise ValueError("bits must be >= 1")
+    _check_bits(bits)
     return range_bound / (2.0 ** bits - 1.0)
 
 
@@ -279,6 +291,13 @@ def _scale_and_gain(v: np.ndarray, spec: QuantizerSpec, scale: float | np.ndarra
     return scale, gain
 
 
+def _float_at_most(n: int) -> float:
+    """The largest float not above the integer ``n``: ``float(n)`` itself up
+    to 2^53, so a clip to it never rounds a codeword past the range."""
+    bound = float(n)
+    return bound if bound <= n else math.nextafter(bound, 0.0)
+
+
 def _outcomes(
     v: np.ndarray, spec: QuantizerSpec, scale: float | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -292,7 +311,7 @@ def _outcomes(
         if spec.rounding is Rounding.NEAREST:
             return lo, -lo, (v >= 0).astype(np.float64)
         inv = 1.0 / scale
-        return lo, -lo, ((v + inv) / (2.0 * inv)).clip(0.0, 1.0)
+        return lo, -lo, _clip((v + inv) / (2.0 * inv), 0.0, 1.0)
 
     if spec.grid is GridKind.SYMMETRIC:
         m = scale  # the grid's half-range
@@ -308,16 +327,17 @@ def _outcomes(
         step = 2.0 * q
         n_cells = 2 ** spec.bits - 1
         # clip the float: an integer .clip builds np.iinfo twice a call
-        j0 = np.floor((v + m) / step).clip(0, n_cells - 1).astype(np.int64)
+        j0 = _clip(np.floor((v + m) / step), 0, _float_at_most(n_cells - 1)).astype(np.int64)
         lo = 2 * j0 - n_cells
-        return lo, lo + 2, ((v - lo * q) / step).clip(0.0, 1.0)
+        return lo, lo + 2, _clip((v - lo * q) / step, 0.0, 1.0)
 
     amplified = v * scale
     floors = np.floor(amplified)
     frac = amplified - floors
     limit = 2 ** (spec.bits - 1)
-    lo = floors.clip(-limit, limit - 1).astype(np.int64)
-    hi = (floors + 1).clip(-limit, limit - 1).astype(np.int64)
+    top = _float_at_most(limit - 1)
+    lo = _clip(floors, -limit, top).astype(np.int64)
+    hi = _clip(floors + 1, -limit, top).astype(np.int64)
     if spec.rounding is Rounding.NEAREST:
         return lo, hi, (frac >= 0.5).astype(np.float64)
     return lo, hi, frac
@@ -369,8 +389,7 @@ def differential_gain(d_vec: np.ndarray, bits: int) -> float:
     so that ``gain * max|d|`` reproduces 2^(bits-1) exactly when IEEE
     arithmetic permits.
     """
-    if bits < 1:
-        raise ValueError("bits must be >= 1")
+    _check_bits(bits)
     d_vec = np.asarray(d_vec, dtype=np.float64)
     m = float(np.max(np.abs(d_vec))) if d_vec.size else 0.0
     target = 2.0 ** (bits - 1)
@@ -469,8 +488,8 @@ def serialize(qv: QuantizedVector) -> bytes:
     """
     if qv.codewords.ndim != 1 or np.ndim(qv.gain):
         raise ValueError("serialize takes one vector with one gain")
-    if qv.bits >= 64:
-        raise ValueError("serialize takes at most 63 bits per codeword")
+    if qv.bits > MAX_BITS:
+        raise ValueError(f"serialize takes at most {MAX_BITS} bits per codeword")
     symmetric = qv.grid is GridKind.SYMMETRIC
     if symmetric and qv.codewords.size:
         hi = 2 ** qv.bits - 1

@@ -161,6 +161,49 @@ def failing_argv(tmp_path, command, config_text):
                       str(tmp_path / "q" / "metrics.csv")]}[command]
 
 
+WEIGHT_NEAREST = BASE_CONFIG.replace("uplink_mode = differential", "uplink_mode = weight") + (
+    "grid = pipeline\nrounding = nearest\nweight_bound = 10\n")
+
+
+@pytest.mark.parametrize("command", ["run", "bound"])
+@pytest.mark.parametrize("text, message", [
+    (WEIGHT_NEAREST.replace("uplink_bits = 3", f"uplink_bits = {wide}"),
+     "constant schedule requires bits >= 1 and <= 63") for wide in (64, 70, 2000)
+] + [
+    (BASE_CONFIG.replace("downlink_mode = float",
+                         "downlink_mode = quantized\ndownlink_bits = 64"),
+     "constant schedule requires bits >= 1 and <= 63"),
+    (BASE_CONFIG.replace("uplink_schedule = constant\nuplink_bits = 3",
+                         f"uplink_schedule = step_log\nuplink_f = {2.0 ** 70}\nuplink_p = 1"),
+     "uplink schedule exceeds 63 bits by round 11"),
+], ids=["64", "70", "2000", "downlink-64", "step-log"])
+def test_width_above_the_cap_is_a_config_error(tmp_path, capsys, command, text, message):
+    assert cli.main(failing_argv(tmp_path, command, text)) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert not (tmp_path / "o").exists() and not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", [
+    WEIGHT_NEAREST,
+    BASE_CONFIG,
+    BASE_CONFIG + "grid = pipeline\nrounding = nearest\n",
+    WEIGHT_NEAREST.replace("grid = pipeline\nrounding = nearest", "grid = symmetric"),
+    BASE_CONFIG.replace("downlink_mode = float",
+                        "downlink_mode = quantized\ndownlink_bits = 3\nweight_bound = 10"),
+], ids=["weight-nearest", "differential-stochastic", "differential-nearest",
+        "weight-symmetric", "downlink"])
+def test_widest_width_runs_as_finely_as_40_bits(tmp_path, text):
+    losses = {}
+    for bits in (40, 63):
+        wide = text.replace("bits = 3", f"bits = {bits}")
+        out = tmp_path / str(bits)
+        assert cli.main(["run", "--config", write_config(tmp_path, wide), "--out", str(out)]) == 0
+        with open(out / "metrics.csv", newline="") as fh:
+            losses[bits] = np.array([float(row[4]) for row in list(csv.reader(fh))[1:]])
+    assert np.allclose(losses[63], losses[40], rtol=1e-9, atol=0)
+
+
 @pytest.mark.parametrize("command", ["run", "bound"])
 def test_unregularized_logistic_is_a_config_error(tmp_path, capsys, command):
     assert cli.main(failing_argv(tmp_path, command, LOGISTIC_UNREGULARIZED)) == 2
@@ -274,6 +317,9 @@ class TestVerifyCommand:
         ["rounding", "--bits", "0"],
         ["differential", "--bits", "0"],
         ["differential", "--dim", "0"],
+        *(["rounding", "--bits", wide] for wide in ("64", "2000")),
+        *(["differential", "--bits", wide] for wide in ("64", "1100")),
+        *(["differential", "--trials", few] for few in ("0", "1", "9999")),
     ], ids=lambda argv: " ".join(argv))
     def test_invalid_arguments_exit_code(self, capsys, argv):
         assert cli.main(["verify", *argv]) == 2

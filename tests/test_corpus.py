@@ -3,7 +3,8 @@
 ``metrics_corpus.json`` holds, per entry, a flat config and the sha256 of the
 ``metrics.csv`` it produced when the corpus was generated
 (``scripts/make_metrics_corpus.py``), and the stream scheme it was generated
-under.  Any change to a result -- a random stream, an operation order, a
+under.  A run planned in blocks and the same rounds run one at a time must
+both reproduce it.  Any change to a result -- a random stream, an operation order, a
 rounding rule -- changes a hash here.  The first 3 rounds of each run also
 pass every quantized link through the wire codec.
 """
@@ -63,6 +64,22 @@ def test_metrics_bytes_reproduced(name, tmp_path, monkeypatch):
     cli.write_metrics_csv(path, records)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == entry["sha256"]
     check_link_bits_serialized(config, records, calls)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_round_by_round_reproduces_the_planned_run(name, tmp_path):
+    # run_federation plans rounds in blocks; one run_round call at a time,
+    # each planning only its own round, must write the same bytes
+    entry = CORPUS[name]
+    text = "".join(f"{key} = {value}\n" for key, value in entry["config"].items())
+    config = cli.parse_config_text(text)
+    state, records = fed.init_state(config), []
+    for t in range(config.rounds):
+        state, record = fed.run_round(state, config, t)
+        records.append(record)
+    path = tmp_path / "metrics.csv"
+    cli.write_metrics_csv(path, records)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == entry["sha256"]
 
 
 def _serialized_bits(qv, bounds):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fedquant import federation as fed
 from fedquant import models as m
 from fedquant import quantizer as qz
-from fedquant.streams import CLIENT, ROUND, substream
+from fedquant.streams import CLIENT, ROUND, k_subset, substream
 
 QUADRATIC = m.LossModel(m.LossKind.QUADRATIC)
 
@@ -156,6 +156,15 @@ class TestSampleClients:
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
             fed.sample_clients(3, 4, substream(0).random(3))
+
+    def test_key_block_selects_each_row(self):
+        keys = substream(4).random((6, 9))
+        block = fed.sample_clients(9, 4, keys)
+        assert block.shape == (6, 4)
+        for row, selected in zip(keys, block):
+            assert np.array_equal(selected, fed.sample_clients(9, 4, row))
+        with pytest.raises(ValueError, match="one key per client"):
+            fed.sample_clients(10, 4, keys)
 
     def test_one_key_per_client(self):
         with pytest.raises(ValueError, match="one key per client"):
@@ -462,6 +471,118 @@ class TestRunRound:
         assert len(kept) == 10
         for t, (a, b) in enumerate(zip(kept, copies)):
             assert np.array_equal(a, b), f"round {t}"
+
+
+def planned_config(**overrides):
+    """The README testbed: K * E * n = 500 batch keys a round, so a run plans
+    32 rounds at a time."""
+    fields = dict(num_clients=20, clients_per_round=5, local_steps=5, batch_size=5,
+                  dimension=10, samples_per_client=20, rounds=70, seed=5,
+                  uplink_mode=fed.UplinkMode.DIFFERENTIAL,
+                  uplink_schedule=fed.ScheduleSpec.constant(4))
+    fields.update(overrides)
+    return fed.FederationConfig(**fields)
+
+
+def uneven_datasets(cfg, seed=38):
+    """One dataset per client, of 6 to 25 samples."""
+    rng = substream(seed)
+    return [m.ClientDataset(rng.standard_normal((int(n), cfg.dimension)))
+            for n in rng.integers(6, 26, cfg.num_clients)]
+
+
+class TestRoundPlan:
+    @pytest.mark.parametrize("uneven", [False, True], ids=["even", "uneven"])
+    @pytest.mark.parametrize("rounds", [0, 1, 31, 32, 33, 70])
+    def test_blocked_run_equals_round_by_round(self, monkeypatch, rounds, uneven):
+        cfg = planned_config(rounds=rounds)
+        model, datasets = fed.build_problem(cfg)
+        if uneven:
+            datasets = uneven_datasets(cfg)
+        counts, real_plan = [], fed.plan_rounds
+
+        def spy(state, config, t0, count):
+            counts.append(count)
+            return real_plan(state, config, t0, count)
+        monkeypatch.setattr(fed, "plan_rounds", spy)
+        blocked = fed.run_federation(cfg, model, datasets)
+        block = fed.PLAN_KEYS // (5 * 5 * max(ds.size for ds in datasets))
+        assert block == 32 or uneven
+        assert counts == [min(block, rounds - t0) for t0 in range(0, rounds, block)]
+        state, by_round = fed.init_state(cfg, model, datasets), []
+        for t in range(rounds):
+            state, record = fed.run_round(state, cfg, t)
+            by_round.append(record)
+        assert blocked == by_round
+
+    def test_blocked_rekeys_are_the_round_by_round_rekeys(self, monkeypatch):
+        cfg = planned_config()
+        model, datasets = fed.build_problem(cfg)
+        rekeys, real_rekey = [], fed.rekey
+
+        def spy(rng, seed, role, t, client=0):
+            rekeys.append((role, t, client))
+            return real_rekey(rng, seed, role, t, client)
+        monkeypatch.setattr(fed, "rekey", spy)
+        blocked = fed.run_federation(cfg, model, datasets)
+        blocked_rekeys = rekeys[:]
+        rekeys.clear()
+        state = fed.init_state(cfg, model, datasets)
+        for t in range(cfg.rounds):
+            state, _ = fed.run_round(state, cfg, t)
+        assert len(blocked) == cfg.rounds and len(rekeys) == cfg.rounds * 6
+        assert [role for role, _, _ in rekeys[:6]] == [ROUND] + [CLIENT] * 5
+        # a plan re-keys every round stream first, then the clients' streams:
+        # grouped by round, the order is the round-by-round one
+        assert blocked_rekeys != rekeys
+        assert sorted(blocked_rekeys, key=lambda entry: entry[1]) == rekeys
+
+    def test_each_slot_reads_its_clients_stream(self):
+        cfg = planned_config()
+        datasets = uneven_datasets(cfg)
+        state = fed.init_state(cfg, QUADRATIC, datasets)
+        starts = np.cumsum([0] + [ds.size for ds in datasets])
+        n, d, steps = cfg.num_clients, cfg.dimension, cfg.local_steps
+        plan = fed.plan_rounds(state, cfg, 7, 4)
+        assert plan.t0 == 7
+        assert plan.server.shape == (4, n + d) and plan.uniforms.shape == (4, 5, d)
+        assert plan.rows.shape == (4, 5, steps, cfg.batch_size)
+        for i, t in enumerate(range(7, 11)):
+            assert np.array_equal(plan.server[i], fed.round_stream(cfg.seed, t).random(n + d))
+            assert np.array_equal(plan.selected[i],
+                                  fed.sample_clients(n, 5, plan.server[i, :n]))
+            for slot, c in enumerate(plan.selected[i].tolist()):
+                size = datasets[c].size
+                drawn = fed.client_stream(cfg.seed, t, c).random(steps * size + d)
+                batches = k_subset(drawn[:steps * size].reshape(steps, size),
+                                   cfg.batch_size)
+                assert np.array_equal(plan.rows[i, slot], batches + starts[c])
+                assert np.array_equal(plan.uniforms[i, slot], drawn[steps * size:])
+
+    def test_batch_size_checked_against_selected_clients(self):
+        cfg = planned_config(batch_size=7)
+        datasets = [m.ClientDataset(np.ones((3 if c == 0 else 20, cfg.dimension)))
+                    for c in range(cfg.num_clients)]
+        state = fed.init_state(cfg, QUADRATIC, datasets)
+        selects_small = [0 in fed.sample_clients(20, 5, fed.round_stream(cfg.seed, t).random(20))
+                         for t in range(12)]
+        assert any(selects_small) and not all(selects_small)
+        for t, small in enumerate(selects_small):
+            if not small:
+                fed.plan_rounds(state, cfg, t, 1)
+                continue
+            with pytest.raises(ValueError, match="batch size"):
+                fed.plan_rounds(state, cfg, t, 1)
+        with pytest.raises(ValueError, match="batch size"):
+            fed.plan_rounds(state, cfg, 0, 12)
+
+    def test_round_outside_the_plan_rejected(self):
+        cfg = planned_config()
+        state = fed.init_state(cfg)
+        plan = fed.plan_rounds(state, cfg, 4, 3)
+        for t in (3, 7):
+            with pytest.raises(ValueError, match=f"round {t} is not in the plan"):
+                fed.run_round(state, cfg, t, plan)
 
 
 class TestStaticLayeredGains:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedquant import models as m
-from fedquant.streams import substream
+from fedquant.streams import k_subset, substream
 
 
 QUADRATIC = m.LossModel(m.LossKind.QUADRATIC)
@@ -250,16 +250,13 @@ def make_clients(sizes, dim, seed, labeled):
 
 
 def train_clients(model, datasets, order, w, steps, bs, lr, seed):
-    """local_train_clients over ``order``, each client's keys drawn from its
-    own stream and padded with ``+inf``."""
+    """local_train_clients over ``order``, each client's batches picked from
+    keys drawn from its own stream, offset to its rows of the pooled set."""
     pooled = m.pooled_dataset(datasets)
     starts = np.cumsum([0] + [ds.size for ds in datasets])
-    sizes = [datasets[k].size for k in order]
-    keys = np.full((len(order), steps, max(sizes)), np.inf)
-    for row, k, size in zip(keys, order, sizes):
-        row[:, :size] = substream(seed, int(k)).random((steps, size))
-    return m.local_train_clients(
-        w, model, pooled, [int(starts[k]) for k in order], sizes, bs, lr, keys)
+    rows = np.stack([k_subset(substream(seed, int(k)).random((steps, datasets[k].size)), bs)
+                     + starts[k] for k in order])
+    return m.local_train_clients(w, model, pooled, rows, lr)
 
 
 class TestLocalTrainClients:
@@ -287,17 +284,11 @@ class TestLocalTrainClients:
         permuted = train_clients(model, datasets, perm, w, 3, 2, 0.1, 46)
         assert np.array_equal(permuted, base[perm])
 
-    def test_batch_size_validated_against_smallest_client(self):
-        datasets = make_clients([5, 2], 2, 47, False)
-        with pytest.raises(ValueError):
-            train_clients(QUADRATIC, datasets, [0, 1], np.zeros(2), 1, 3, 0.1, 48)
-
-    def test_one_key_block_per_client(self):
+    def test_one_row_block_per_client(self):
         pooled = m.pooled_dataset(make_clients([5, 5], 2, 49, False))
-        for keys in (substream(50).random((1, 2, 5)), substream(50).random((2, 5))):
-            with pytest.raises(ValueError, match="one .* block per client"):
-                m.local_train_clients(np.zeros(2), QUADRATIC, pooled, [0, 5], [5, 5],
-                                      2, 0.1, keys)
+        for rows in (np.zeros((2, 5), dtype=np.int64), np.zeros((2, 0, 3), dtype=np.int64)):
+            with pytest.raises(ValueError, match="one non-empty .* block per client"):
+                m.local_train_clients(np.zeros(2), QUADRATIC, pooled, rows, 0.1)
 
 
 class TestSolveOptimum:

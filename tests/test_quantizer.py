@@ -103,6 +103,35 @@ class TestQuantizerSpec:
         with pytest.raises(ValueError, match="bits must be >= 1"):
             qz.QuantizerSpec(bits=0)
 
+    def test_bits_above_the_cap_rejected(self):
+        message = f"bits must be >= 1 and <= {qz.MAX_BITS}"
+        for call in (lambda: qz.QuantizerSpec(bits=qz.MAX_BITS + 1),
+                     lambda: qz.half_step(1.0, qz.MAX_BITS + 1),
+                     lambda: qz.differential_gain(np.ones(3), 2000)):
+            with pytest.raises(ValueError, match=message):
+                call()
+        qv = qz.QuantizedVector(np.array([1, -1]), 1.0, qz.MAX_BITS + 1, SYMMETRIC)
+        with pytest.raises(ValueError, match=f"at most {qz.MAX_BITS} bits"):
+            qz.serialize(qv)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bits", [53, 54, 55, 62, 63])
+    @pytest.mark.parametrize("rounding, grid", [
+        (qz.Rounding.NEAREST, qz.GridKind.PIPELINE),
+        (qz.Rounding.STOCHASTIC, qz.GridKind.PIPELINE),
+        (qz.Rounding.STOCHASTIC, SYMMETRIC),
+    ], ids=["pipeline-nearest", "pipeline-stochastic", "symmetric"])
+    def test_widest_codewords_stay_in_range(self, bits, rounding, grid):
+        # the peak lands on the top of the range, where a clip bound of
+        # 2^(B-1) - 1 or 2^B - 2 is not a float past 2^53
+        spec = qz.QuantizerSpec(bits, rounding, grid)
+        v = np.array([1.0, -1.0, 0.5, 0.0, 1.0 - 2.0 ** -52, -0.75])
+        scale = 1.0 if grid is SYMMETRIC else 2.0 ** (bits - 1)
+        qv = qz.quantize_vector(v, spec, scale, substream(5, bits).random(v.size))
+        decoded = qz.deserialize(qz.serialize(qv))
+        assert np.array_equal(decoded.codewords, qv.codewords)
+        assert np.max(np.abs(qv.dequantize() - v)) <= 2.0 ** -52
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("spec", [
         qz.QuantizerSpec(2), qz.QuantizerSpec(2, qz.Rounding.NEAREST),
