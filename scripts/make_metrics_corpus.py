@@ -3,16 +3,18 @@
 
 The corpus covers every uplink mode x downlink mode x (grid, rounding)
 combination on a small quadratic problem, plus native structure, 1-bit
-(enhanced and plain), a 3-bit nearest weight upload that moves the model where
-its plain 1-bit twin does not, log-scheduled widths, layered logistic runs with and
-without static gains (also at a weight bound small enough for nearest-rounded
-weight uploads to move the model), and a problem whose differential uploads
-are all zero.
+(enhanced, and plain where the config is valid), a 3-bit nearest weight
+upload, log-scheduled widths, layered logistic runs with and without static
+gains (also at a weight bound small enough for nearest-rounded weight uploads
+to move the model), and a problem whose differential uploads are all zero.
 The corpus records the engine's ``STREAM_SCHEME``, which
 ``tests/test_corpus.py`` checks along with every hash; a refactor that changes
 any result fails it.  Regenerate only when results change on purpose:
 
     PYTHONPATH=src python scripts/make_metrics_corpus.py tests/metrics_corpus.json
+
+Over an existing corpus file, it prints each entry whose sha256 changed, and
+each entry added or removed.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ def corpus_configs() -> dict[str, dict]:
     for enhanced, (grid, rounding) in itertools.product(("true", "false"),
                                                         GRID_ROUNDING):
         for up in ("weight", "differential"):
+            if (up, enhanced, grid) == ("weight", "false", "pipeline"):
+                continue  # its codewords -1 and 0 make it a config error
             configs[f"quad-1bit-{enhanced}-{up}-{grid}-{rounding}"] = {
                 **QUADRATIC, "uplink_mode": up,
                 # a 1-bit symmetric broadcast of a differential run drifts
@@ -75,9 +79,8 @@ def corpus_configs() -> dict[str, dict]:
                 "grid": grid, "rounding": rounding, "one_bit_enhanced": enhanced,
                 "uplink_bits": 1, "downlink_bits": 1,
             }
-    # every plain 1-bit nearest weight upload above rounds to zero (and a
-    # weight_bound small enough to avoid that is exceeded); at 3 bits the
-    # uploads carry the round
+    # a plain 1-bit pipeline weight upload never carries a positive weight;
+    # at 3 bits the nearest-rounded uploads carry the round
     configs["quad-3bit-weight-pipeline-nearest"] = {
         **QUADRATIC, "uplink_mode": "weight", "downlink_mode": "quantized",
         "grid": "pipeline", "rounding": "nearest",
@@ -150,10 +153,19 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
+    path = Path(argv[0])
     runs = {name: {"config": entries, "sha256": metrics_sha256(entries)}
             for name, entries in corpus_configs().items()}
+    old = json.loads(path.read_text())["runs"] if path.exists() else runs
     corpus = {"stream_scheme": fed.STREAM_SCHEME, "runs": runs}
-    Path(argv[0]).write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+    path.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+    for name in sorted(old.keys() | runs.keys()):
+        if name not in runs:
+            print(f"removed {name}")
+        elif name not in old:
+            print(f"added {name}")
+        elif old[name]["sha256"] != runs[name]["sha256"]:
+            print(f"changed {name}")
     print(f"{len(runs)} entries written to {argv[0]}")
     return 0
 

@@ -18,6 +18,10 @@ The per-client SGD variance sigma_k^2 and the gradient bound H^2 are uniform
 bounds that cannot be certified numerically; they are estimated as maxima
 over a probe set of weights, so bound checks are conditional on the
 estimated constants.
+
+The differential term assumes each coordinate errs by at most the spacing of
+2^B levels over the upload's peak; its verifier checks the engine's own
+differential uploads (``federation.differential_uploads``) against that.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 
 from . import federation as fed
 from .models import ClientDataset, LossModel, grad, solve_optimum
-from .quantizer import differential_gain, grid_moments, half_step, quantize_grid_sr
+from .quantizer import Rounding, grid_moments, half_step, quantize_grid_sr
 from .streams import k_subset, substream
 
 __all__ = [
@@ -311,11 +315,13 @@ def check_rounding_moments(range_bound: float, bits: int,
 def check_differential_moments(d_vec: np.ndarray, bits: int,
                                trials: int = 10_000,
                                seed: int = 0) -> VerificationReport:
-    """Moments of differential quantization with gain 2^(B-1)/max|d|.
+    """Moments of differential quantization on the symmetric grid over max|d|.
 
-    The analytic expectation must equal the vector and the analytic total
-    squared error must stay within dim * ||d||^2 / (2^B - 1)^2; a Monte-Carlo
-    mean squared error cross-checks the analytic value.
+    The analytic expectation of stochastic rounding must equal the vector and
+    its analytic total squared error must stay within dim * ||d||^2 / (2^B - 1)^2;
+    a Monte-Carlo mean squared error cross-checks the analytic value.  The
+    engine's nearest upload of the vector must err by at most the grid's
+    half-step max|d| / (2^B - 1) in every coordinate.
     """
     if trials < 10_000:
         raise ValueError("trials must be >= 10000")
@@ -325,7 +331,8 @@ def check_differential_moments(d_vec: np.ndarray, bits: int,
     peak = float(np.max(np.abs(d_vec)))
     if peak == 0.0:
         raise ValueError("differential vector must have a nonzero coordinate")
-    gain = differential_gain(d_vec, bits)
+    nearest = fed.differential_uploads(d_vec[None], bits, Rounding.NEAREST, None)
+    max_error = float(np.max(np.abs(nearest - d_vec)))
     bias, mse = 0.0, 0.0
     for w in d_vec:
         mean, var = grid_moments(float(w), peak, bits)
@@ -346,7 +353,7 @@ def check_differential_moments(d_vec: np.ndarray, bits: int,
         CheckResult("unbiased", bias, 1e-12, bias <= 1e-12),
         CheckResult("mse_within_bound", mse, limit, mse <= limit),
         CheckResult("monte_carlo_mse_dev", mc_dev, mc_limit, mc_dev <= mc_limit),
-        CheckResult("gain_scaling", abs(gain * peak - 2.0 ** (bits - 1)), 0.0,
-                    gain * peak == 2.0 ** (bits - 1)),
+        CheckResult("nearest_max_error", max_error, half_step(peak, bits),
+                    max_error <= half_step(peak, bits)),
     )
     return VerificationReport(f"differential quantization moments B={bits}", checks)

@@ -28,7 +28,10 @@ are quantized as one ``(K, d)`` block, and the block is averaged directly.
 Each client still draws only from its own stream, so every row is
 bit-identical to running that client alone.  Every quantized link builds
 one spec for its family and width, sets one scale per row (or per
-coordinate, from its layer), then makes one quantizer call.
+coordinate, from its layer), then makes one quantizer call.  Differential
+uploads have one rule, :func:`differential_uploads`: the symmetric grid over
+each row's own peak, at either rounding, which the moment verifier in
+``analysis`` checks on the same path.
 
 Link cost accounting: a quantized vector costs ``dim * bits`` payload bits
 plus a 17-byte gain header; unquantized vectors cost 32 bits per coordinate.
@@ -80,6 +83,7 @@ __all__ = [
     "plan_rounds",
     "aggregate_weights",
     "aggregate_differentials",
+    "differential_uploads",
     "broadcast",
     "build_problem",
     "check_smoothness",
@@ -209,6 +213,11 @@ class FederationConfig:
         if (self.grid is qz.GridKind.SYMMETRIC
                 and self.rounding is not qz.Rounding.STOCHASTIC):
             raise ConfigError("grid=symmetric requires rounding=stochastic")
+        if (self.uplink_mode is UplinkMode.WEIGHT and self.grid is qz.GridKind.PIPELINE
+                and not self.one_bit_enhanced and self.uplink_schedule.bits == 1
+                and self.uplink_schedule.kind is ScheduleKind.CONSTANT):
+            raise ConfigError("a plain 1-bit pipeline weight upload cannot carry a "
+                              "positive weight: its codewords are -1 and 0")
         if self.model is LossKind.LOGISTIC and not self.regularization > 0:
             raise ConfigError("logistic model requires regularization > 0")
         if self.model is LossKind.LOGISTIC and self.mu > self.regularization:
@@ -388,6 +397,19 @@ def _link_spec(bits: int, symmetric: bool, config: FederationConfig) -> qz.Quant
         return qz.QuantizerSpec(bits, grid=qz.GridKind.SYMMETRIC)
     return qz.QuantizerSpec(bits, config.rounding,
                             one_bit_enhanced=bits == 1 and config.one_bit_enhanced)
+
+
+def differential_uploads(rows: np.ndarray, bits: int, rounding: qz.Rounding,
+                         uniforms: np.ndarray | None) -> np.ndarray:
+    """Decoded differential uploads of a ``(K, d)`` block, one quantizer call:
+    each row on the symmetric grid over its own peak (``grid``, ``structure``
+    and ``one_bit_enhanced`` do not apply), rounded as ``rounding`` says;
+    nearest reads no uniforms.  An all-zero row is sent as zeros."""
+    peaks = np.abs(rows).max(axis=1)
+    uploads = qz.quantize_vector(rows, qz.QuantizerSpec(bits, rounding, qz.GridKind.SYMMETRIC),
+                                 np.where(peaks == 0.0, 1.0, peaks), uniforms).dequantize()
+    uploads[peaks == 0.0] = 0.0
+    return uploads
 
 
 def _check_weight_bound(rows: np.ndarray, config: FederationConfig,
@@ -626,31 +648,21 @@ def run_round(
     differential = config.uplink_mode is UplinkMode.DIFFERENTIAL
     if config.uplink_mode is UplinkMode.FLOAT:
         uploads = w_locals
-        up_bits = len(clients) * qz.float_bits(dim)
+    elif differential:
+        uploads = differential_uploads(w_locals - delivered, bits_up,
+                                       config.rounding, plan.uniforms[i])
     else:
-        if differential:
-            # each row on its own scale, whatever ``grid`` and ``structure``
-            # say: a symmetric grid over the row's peak for stochastic
-            # rounding, the pipeline at the row's differential gain for
-            # nearest (enhanced at one bit if configured)
-            rows = w_locals - delivered
-            peaks = np.abs(rows).max(axis=1)
-            symmetric = config.rounding is qz.Rounding.STOCHASTIC
-            scales = (np.where(peaks == 0.0, 1.0, peaks) if symmetric
-                      else np.array([qz.differential_gain(row, bits_up) for row in rows]))
-        else:
-            rows, symmetric = w_locals, config.grid is qz.GridKind.SYMMETRIC
-            tuned = config.structure is Structure.TUNED
-            if symmetric or tuned:
-                _check_weight_bound(rows, config, t, clients)
-            scale = (config.weight_bound if symmetric
-                     else 2.0 ** (bits_up - 1) / (config.weight_bound if tuned else 1.0))
-            scales = np.full(len(clients), scale)
-        spec = _link_spec(bits_up, symmetric, config)
-        uploads = qz.quantize_vector(rows, spec, scales, plan.uniforms[i]).dequantize()
-        if differential:
-            uploads[peaks == 0.0] = 0.0  # an all-zero row is sent as zeros
-        up_bits = len(clients) * qz.wire_bits(dim, bits_up)
+        symmetric = config.grid is qz.GridKind.SYMMETRIC
+        tuned = config.structure is Structure.TUNED
+        if symmetric or tuned:
+            _check_weight_bound(w_locals, config, t, clients)
+        scale = (config.weight_bound if symmetric
+                 else 2.0 ** (bits_up - 1) / (config.weight_bound if tuned else 1.0))
+        uploads = qz.quantize_vector(w_locals, _link_spec(bits_up, symmetric, config),
+                                     np.full(len(clients), scale),
+                                     plan.uniforms[i]).dequantize()
+    up_bits = len(clients) * (qz.float_bits(dim) if config.uplink_mode is UplinkMode.FLOAT
+                              else qz.wire_bits(dim, bits_up))
 
     if differential:
         new_global = aggregate_differentials(delivered, uploads)

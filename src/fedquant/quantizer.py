@@ -6,10 +6,13 @@ Two quantizer families are implemented:
   round to an integer, clamp to the two's-complement range
   ``[-2^(B-1), 2^(B-1)-1]``, scale down by ``G``.  Rounding is either nearest
   (half always rounds up) or stochastic (unbiased).
-* ``SYMMETRIC`` -- a uniform grid of ``2^B`` codepoints on ``[-M, +M]`` with
-  stochastic rounding between the two bracketing codepoints.  On its domain it
-  is exactly unbiased with per-coordinate variance at most ``(M/(2^B-1))^2``;
-  inputs outside ``[-M, M]`` are an error because clamping would bias it.
+* ``SYMMETRIC`` -- a uniform grid of ``2^B`` codepoints on ``[-M, +M]``,
+  rounding to one of the two bracketing codepoints.  Stochastic rounding is
+  exactly unbiased on the domain with per-coordinate variance at most
+  ``(M/(2^B-1))^2``; nearest rounding errs by at most that half-step
+  ``M/(2^B-1)``, and since the grid has no zero, sends a coordinate near zero
+  as ``+/-M/(2^B-1)``.  Inputs outside ``[-M, M]`` are an error because
+  clamping would bias the grid.
 
 A special enhanced one-bit mode maps a scalar to ``+/-1/G`` directly; its
 stochastic variant uses ``Pr[+1] = clip((w + 1/G) / (2/G), 0, 1)``, which is
@@ -60,7 +63,6 @@ __all__ = [
     "grid_distribution",
     "grid_moments",
     "quantize_vector",
-    "differential_gain",
     "layered_gains",
     "magnitude_percentile",
     "expected_sq_error",
@@ -116,8 +118,6 @@ class QuantizerSpec:
         _check_bits(self.bits)
         if self.one_bit_enhanced and (self.bits != 1 or self.grid is not GridKind.PIPELINE):
             raise ValueError("enhanced one-bit mode requires bits == 1 on the pipeline")
-        if self.grid is GridKind.SYMMETRIC and self.rounding is not Rounding.STOCHASTIC:
-            raise ValueError("symmetric grid supports stochastic rounding only")
 
 
 @dataclass(frozen=True)
@@ -304,8 +304,9 @@ def _outcomes(
     """Each coordinate's two-outcome rounding: codewords ``(lo, hi)`` and
     ``Pr[hi]``, at ``scale`` (a gain, or the symmetric grid's half-range),
     a scalar or broadcast against ``v``.  Under nearest rounding ``Pr[hi]``
-    is 0 or 1.  The symmetric range check compares every coordinate with its
-    bound in one step and locates the first offender only when it fails."""
+    is 0 or 1: 1 exactly when the stochastic ``Pr[hi]`` is at least 0.5.  The
+    symmetric range check compares every coordinate with its bound in one
+    step and locates the first offender only when it fails."""
     if spec.one_bit_enhanced:
         lo = np.full(v.shape, -1, dtype=np.int64)
         if spec.rounding is Rounding.NEAREST:
@@ -329,18 +330,18 @@ def _outcomes(
         # clip the float: an integer .clip builds np.iinfo twice a call
         j0 = _clip(np.floor((v + m) / step), 0, _float_at_most(n_cells - 1)).astype(np.int64)
         lo = 2 * j0 - n_cells
-        return lo, lo + 2, _clip((v - lo * q) / step, 0.0, 1.0)
-
-    amplified = v * scale
-    floors = np.floor(amplified)
-    frac = amplified - floors
-    limit = 2 ** (spec.bits - 1)
-    top = _float_at_most(limit - 1)
-    lo = _clip(floors, -limit, top).astype(np.int64)
-    hi = _clip(floors + 1, -limit, top).astype(np.int64)
+        hi, p_hi = lo + 2, _clip((v - lo * q) / step, 0.0, 1.0)
+    else:
+        amplified = v * scale
+        floors = np.floor(amplified)
+        limit = 2 ** (spec.bits - 1)
+        top = _float_at_most(limit - 1)
+        lo = _clip(floors, -limit, top).astype(np.int64)
+        hi = _clip(floors + 1, -limit, top).astype(np.int64)
+        p_hi = amplified - floors
     if spec.rounding is Rounding.NEAREST:
-        return lo, hi, (frac >= 0.5).astype(np.float64)
-    return lo, hi, frac
+        return lo, hi, (p_hi >= 0.5).astype(np.float64)
+    return lo, hi, p_hi
 
 
 def quantize_vector(
@@ -379,28 +380,6 @@ def quantize_vector(
     symmetric = spec.grid is GridKind.SYMMETRIC or spec.one_bit_enhanced
     return QuantizedVector(codes, gain[:, 0] if np.ndim(gain) == 2 else gain, spec.bits,
                            GridKind.SYMMETRIC if symmetric else GridKind.PIPELINE)
-
-
-def differential_gain(d_vec: np.ndarray, bits: int) -> float:
-    """Gain 2^(bits-1) / max|d| that maps the vector onto the full signed range.
-
-    An all-zero vector (lossless under any gain) falls back to 2^(bits-1) so
-    runs stay deterministic.  The returned gain is nudged by at most one ulp
-    so that ``gain * max|d|`` reproduces 2^(bits-1) exactly when IEEE
-    arithmetic permits.
-    """
-    _check_bits(bits)
-    d_vec = np.asarray(d_vec, dtype=np.float64)
-    m = float(np.max(np.abs(d_vec))) if d_vec.size else 0.0
-    target = 2.0 ** (bits - 1)
-    if m == 0.0:
-        return target
-    g = target / m
-    if g * m != target:
-        for candidate in (math.nextafter(g, math.inf), math.nextafter(g, -math.inf)):
-            if candidate * m == target:
-                return candidate
-    return g
 
 
 def magnitude_percentile(values: np.ndarray, fraction: float = 0.9) -> float:

@@ -8,6 +8,7 @@ from fedquant import analysis as an
 from fedquant import data as d
 from fedquant import federation as fed
 from fedquant import models as m
+from fedquant.quantizer import Rounding
 from fedquant.streams import substream
 
 QUADRATIC = m.LossModel(m.LossKind.QUADRATIC)
@@ -266,6 +267,28 @@ class TestDifferentialVerifier:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             an.check_differential_moments(np.zeros(3), 3)
+
+    def test_nearest_max_error_is_the_engines_upload_error(self):
+        d_vec = np.array([1.0, -0.3, 0.2])
+        report = an.check_differential_moments(d_vec, 4, trials=10_000)
+        check = report.checks[3]
+        assert check.name == "nearest_max_error"
+        # codepoints c / 15: 1.0, -0.3 and 0.2 go to 15, -5 and 3
+        assert check.value == pytest.approx(5 / 15 - 0.3, abs=1e-15)
+        upload = fed.differential_uploads(d_vec[None], 4, Rounding.NEAREST, None)
+        assert check.value == float(np.max(np.abs(upload - d_vec)))
+        assert check.threshold == 1 / 15 and check.passed
+
+    # the CLI's --dim 8 --bits 3 vectors at three seeds that failed the old
+    # per-row gain's exact-scaling check; each vector's peak is positive,
+    # where that gain's nearest upload clamped
+    @pytest.mark.parametrize("seed", [51, 68, 90])
+    def test_cli_vectors_pass(self, seed):
+        d_vec = np.random.default_rng(seed).standard_normal(8)
+        report = an.check_differential_moments(d_vec, 3, trials=10_000, seed=seed)
+        assert [c.name for c in report.checks] == [
+            "unbiased", "mse_within_bound", "monte_carlo_mse_dev", "nearest_max_error"]
+        assert report.passed
 
 
 class TestPilotProbes:

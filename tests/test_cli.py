@@ -183,6 +183,46 @@ def test_width_above_the_cap_is_a_config_error(tmp_path, capsys, command, text, 
     assert not (tmp_path / "o").exists() and not (tmp_path / "b.csv").exists()
 
 
+# the metrics corpus's two former quad-1bit-false-weight-pipeline-* entries
+PLAIN_ONE_BIT_WEIGHT = """\
+model = quadratic
+dimension = 6
+layer_sizes = 2,4
+spread = 1.0
+noise_std = 0.5
+samples_per_client = 10
+num_clients = 8
+clients_per_round = 3
+local_steps = 3
+batch_size = 4
+rounds = 40
+weight_bound = 4.0
+seed = 5
+uplink_mode = weight
+uplink_bits = 1
+downlink_mode = quantized
+downlink_bits = 1
+grid = pipeline
+one_bit_enhanced = false
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "bound"])
+@pytest.mark.parametrize("rounding", ["nearest", "stochastic"])
+def test_plain_one_bit_pipeline_weight_upload_is_a_config_error(tmp_path, capsys, command,
+                                                                rounding):
+    # its codewords decode to -weight_bound and 0: the model cannot move up
+    text = PLAIN_ONE_BIT_WEIGHT + f"rounding = {rounding}\n"
+    assert cli.main(failing_argv(tmp_path, command, text)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: a plain 1-bit pipeline weight upload cannot carry a positive "
+        "weight: its codewords are -1 and 0"]
+    assert not (tmp_path / "o").exists() and not (tmp_path / "b.csv").exists()
+    enhanced = text.replace("one_bit_enhanced = false", "one_bit_enhanced = true")
+    assert cli.main(["run", "--config", write_config(tmp_path, enhanced, "enhanced.cfg"),
+                     "--out", str(tmp_path / "e")]) == 0
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("text", [
     WEIGHT_NEAREST,

@@ -218,10 +218,69 @@ class TestAggregation:
         assert np.allclose(via_diff, via_weight, atol=1e-12)
 
 
+NEAREST = qz.Rounding.NEAREST
+
+
+class TestDifferentialUploads:
+    def test_negated_row_uploads_negated_codewords(self):
+        # 4 bits over peak 1: codepoints c / 15 for odd c; the peak is +/-15
+        d = np.array([[1.0, -0.3, 0.2], [-1.0, 0.3, -0.2]])
+        uploads = fed.differential_uploads(d, 4, NEAREST, None)
+        assert np.rint(uploads * 15).tolist() == [[15, -5, 3], [-15, 5, -3]]
+        errors = np.sum((uploads - d) ** 2, axis=1)
+        assert errors[0] == errors[1]
+        spec = qz.QuantizerSpec(4, NEAREST, qz.GridKind.SYMMETRIC)
+        assert errors.tolist() == [qz.expected_sq_error(row, spec, 1.0) for row in d]
+
+    @pytest.mark.parametrize("rounding", [NEAREST, qz.Rounding.STOCHASTIC])
+    def test_zero_row_sent_as_zeros_next_to_others(self, rounding):
+        rows = np.array([[0.0, 0.0], [0.5, -0.25], [0.0, 0.0]])
+        draws = substream(40).random(rows.shape)
+        uploads = fed.differential_uploads(rows, 3, rounding, draws)
+        assert uploads[[0, 2]].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        one = fed.differential_uploads(rows[1:2], 3, rounding, draws[1:2])
+        assert np.array_equal(uploads[1], one[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4),
+                    min_size=1, max_size=4),
+           st.integers(1, 16))
+    def test_nearest_error_within_half_step(self, rows, bits):
+        # the grid's spacing over the row's peak bounds every coordinate's
+        # error, up to float rounding: the decode c / G and the rounding
+        # step each round, so a coordinate at a tie between two codepoints
+        # (an exact zero, say) can land an ulp or two of the peak past it
+        rows = np.array(rows)
+        uploads = fed.differential_uploads(rows, bits, NEAREST, None)
+        for row, up in zip(rows, uploads):
+            peak = float(np.max(np.abs(row)))
+            if peak == 0.0:
+                assert not up.any()
+                continue
+            allowance = 4 * np.spacing(peak)
+            assert np.max(np.abs(up - row)) <= qz.half_step(peak, bits) + allowance
+
+
 class TestConfigValidation:
     def test_participation_bounds(self):
         with pytest.raises(fed.ConfigError, match="clients_per_round"):
             fed.FederationConfig(num_clients=3, clients_per_round=4)
+
+    def test_plain_one_bit_pipeline_weight_upload_rejected(self):
+        plain = dict(uplink_mode=fed.UplinkMode.WEIGHT, grid=qz.GridKind.PIPELINE,
+                     uplink_schedule=fed.ScheduleSpec.constant(1),
+                     one_bit_enhanced=False)
+        for rounding in (NEAREST, qz.Rounding.STOCHASTIC):
+            with pytest.raises(fed.ConfigError, match="^a plain 1-bit pipeline weight "
+                                                      "upload cannot carry a positive "
+                                                      "weight: its codewords are -1 and 0$"):
+                fed.FederationConfig(rounding=rounding, **plain)
+        # enhanced, wider, symmetric or differential: each can carry one
+        for change in (dict(one_bit_enhanced=True),
+                       dict(uplink_schedule=fed.ScheduleSpec.constant(2)),
+                       dict(grid=qz.GridKind.SYMMETRIC),
+                       dict(uplink_mode=fed.UplinkMode.DIFFERENTIAL)):
+            fed.FederationConfig(**{**plain, **change})
 
     def test_symmetric_grid_needs_stochastic(self):
         with pytest.raises(fed.ConfigError):
@@ -682,29 +741,25 @@ class TestFloatEquivalences:
 def reference_upload(cfg, w_local, delivered, bits, rng):
     """One client's upload the one-vector way: its own quantize_vector call
     on its own stream, with the spec and scale the engine's rules give it."""
-    symmetric = qz.QuantizerSpec(bits, grid=qz.GridKind.SYMMETRIC)
-    pipeline = qz.QuantizerSpec(bits, cfg.rounding,
-                                one_bit_enhanced=bits == 1 and cfg.one_bit_enhanced)
     if cfg.uplink_mode is fed.UplinkMode.FLOAT:
         return w_local
     if cfg.uplink_mode is fed.UplinkMode.WEIGHT:
         if cfg.grid is qz.GridKind.SYMMETRIC:
-            spec, scale = symmetric, cfg.weight_bound
+            spec, scale = qz.QuantizerSpec(bits, grid=qz.GridKind.SYMMETRIC), cfg.weight_bound
         else:
             scale = 2.0 ** (bits - 1)
             if cfg.structure is fed.Structure.TUNED:
                 scale /= cfg.weight_bound
-            spec = pipeline
+            spec = qz.QuantizerSpec(bits, cfg.rounding,
+                                    one_bit_enhanced=bits == 1 and cfg.one_bit_enhanced)
         return qz.quantize_vector(w_local, spec, scale, rng.random(w_local.size)).dequantize()
+    # a differential: the symmetric grid over its own peak, in cfg.rounding
     diff = w_local - delivered
     peak = float(np.max(np.abs(diff)))
     if peak == 0.0:
         return np.zeros_like(diff)
-    if cfg.rounding is qz.Rounding.STOCHASTIC:
-        spec, scale = symmetric, peak
-    else:
-        spec, scale = pipeline, qz.differential_gain(diff, bits)
-    return qz.quantize_vector(diff, spec, scale, rng.random(diff.size)).dequantize()
+    spec = qz.QuantizerSpec(bits, cfg.rounding, qz.GridKind.SYMMETRIC)
+    return qz.quantize_vector(diff, spec, peak, rng.random(diff.size)).dequantize()
 
 
 def reference_run(cfg, model, datasets):

@@ -95,10 +95,6 @@ class TestQuantizerSpec:
         with pytest.raises(ValueError, match="on the pipeline"):
             qz.QuantizerSpec(bits=1, grid=SYMMETRIC, one_bit_enhanced=True)
 
-    def test_symmetric_requires_stochastic(self):
-        with pytest.raises(ValueError):
-            qz.QuantizerSpec(bits=2, grid=SYMMETRIC, rounding=qz.Rounding.NEAREST)
-
     def test_zero_bits_rejected(self):
         with pytest.raises(ValueError, match="bits must be >= 1"):
             qz.QuantizerSpec(bits=0)
@@ -106,8 +102,7 @@ class TestQuantizerSpec:
     def test_bits_above_the_cap_rejected(self):
         message = f"bits must be >= 1 and <= {qz.MAX_BITS}"
         for call in (lambda: qz.QuantizerSpec(bits=qz.MAX_BITS + 1),
-                     lambda: qz.half_step(1.0, qz.MAX_BITS + 1),
-                     lambda: qz.differential_gain(np.ones(3), 2000)):
+                     lambda: qz.half_step(1.0, qz.MAX_BITS + 1)):
             with pytest.raises(ValueError, match=message):
                 call()
         qv = qz.QuantizedVector(np.array([1, -1]), 1.0, qz.MAX_BITS + 1, SYMMETRIC)
@@ -120,7 +115,8 @@ class TestQuantizerSpec:
         (qz.Rounding.NEAREST, qz.GridKind.PIPELINE),
         (qz.Rounding.STOCHASTIC, qz.GridKind.PIPELINE),
         (qz.Rounding.STOCHASTIC, SYMMETRIC),
-    ], ids=["pipeline-nearest", "pipeline-stochastic", "symmetric"])
+        (qz.Rounding.NEAREST, SYMMETRIC),
+    ], ids=["pipeline-nearest", "pipeline-stochastic", "symmetric", "symmetric-nearest"])
     def test_widest_codewords_stay_in_range(self, bits, rounding, grid):
         # the peak lands on the top of the range, where a clip bound of
         # 2^(B-1) - 1 or 2^B - 2 is not a float past 2^53
@@ -342,6 +338,15 @@ class TestQuantizeVector:
         out = qz.quantize_vector(v, spec, 1.5, substream(15).random(v.size))
         assert np.array_equal(out.dequantize(), out.codewords / out.gain)
 
+    def test_symmetric_nearest_hand_traces(self):
+        # 2 bits over [-1, 1]: codepoints -1, -1/3, 1/3, 1 (codewords -3 .. 3);
+        # the grid has no zero, and a tie such as 0 rounds up
+        spec = qz.QuantizerSpec(2, qz.Rounding.NEAREST, SYMMETRIC)
+        v = np.array([0.5, 0.0, -0.7, -0.6, 1.0])
+        out = qz.quantize_vector(v, spec, 1.0)
+        assert out.codewords.tolist() == [1, 1, -3, -1, 3]
+        assert out.gain == 3.0 and out.grid is SYMMETRIC
+
     def test_one_bit_enhanced_codewords(self):
         spec = qz.QuantizerSpec(1, qz.Rounding.NEAREST, one_bit_enhanced=True)
         out = qz.quantize_vector(np.array([0.3, -0.3, 0.0]), spec, 2.0)
@@ -367,14 +372,14 @@ class TestQuantizeVector:
 
 
 def family_spec(family: str, bits: int) -> qz.QuantizerSpec:
-    if family == "symmetric":
-        return qz.QuantizerSpec(bits, grid=SYMMETRIC)
     rounding = qz.Rounding.NEAREST if family.endswith("nearest") else qz.Rounding.STOCHASTIC
+    if family.startswith("symmetric"):
+        return qz.QuantizerSpec(bits, rounding, SYMMETRIC)
     return qz.QuantizerSpec(bits, rounding, one_bit_enhanced=family.startswith("one_bit"))
 
 
 BLOCK_FAMILIES = ["pipeline_nearest", "pipeline_stochastic", "symmetric",
-                  "one_bit_nearest", "one_bit_stochastic"]
+                  "symmetric_nearest", "one_bit_nearest", "one_bit_stochastic"]
 
 
 def block_case(family: str, rows: int, dim: int, seed: int):
@@ -383,7 +388,7 @@ def block_case(family: str, rows: int, dim: int, seed: int):
     bits = 1 if family.startswith("one_bit") else 3
     rng = substream(seed)
     block = rng.standard_normal((rows, dim)) * rng.uniform(0.1, 10.0, (rows, 1))
-    if family == "symmetric":
+    if family.startswith("symmetric"):
         scale = np.max(np.abs(block), axis=1)
     else:
         scale = rng.uniform(0.5, 8.0, rows)
@@ -494,42 +499,6 @@ class TestBlockQuantize:
             qz.serialize(qz.QuantizedVector(np.array([[1, 2]]), 2.0, 4))
 
 
-class TestDifferentialGain:
-    @pytest.mark.parametrize("peak, bits, expected", [
-        (0.5, 4, 16.0),
-        (1.0, 1, 1.0),
-        (0.125, 3, 32.0),
-    ])
-    def test_formula(self, peak, bits, expected):
-        assert qz.differential_gain(np.array([peak, -peak / 2]), bits) == expected
-
-    def test_zero_vector_fallback(self):
-        assert qz.differential_gain(np.zeros(4), 5) == 16.0
-
-    def test_scaling_exact_on_dyadic_magnitudes(self):
-        rng = substream(16)
-        for bits in (1, 3, 6):
-            target = 2.0 ** (bits - 1)
-            for _ in range(100):
-                d = rng.standard_normal(8)
-                peak = 2.0 ** rng.integers(-20, 10)
-                d = d / np.max(np.abs(d)) * peak  # max magnitude exactly peak
-                g = qz.differential_gain(d, bits)
-                assert np.max(np.abs(d * g)) == target
-
-    def test_scaling_never_overflows_and_fills_range(self):
-        # for arbitrary magnitudes IEEE may not admit an exact gain; the
-        # nudged gain still lands within one ulp below the full range
-        rng = substream(16, 1)
-        for bits in (1, 3, 6):
-            target = 2.0 ** (bits - 1)
-            for _ in range(200):
-                d = rng.standard_normal(8) * 10.0 ** rng.uniform(-6, 3)
-                scaled = np.abs(d * qz.differential_gain(d, bits))
-                assert np.all(scaled <= target)
-                assert scaled.max() >= target * (1 - 1e-15)
-
-
 class TestLayeredGains:
     def test_single_layer_formula(self):
         # alpha = 0.05: rho = floor(log2 20) = 4, G_e = 16, G = 8 * 16 = 128
@@ -584,7 +553,8 @@ class TestExpectedSqError:
         (qz.QuantizerSpec(4, qz.Rounding.NEAREST), 5.5),
         (qz.QuantizerSpec(1, qz.Rounding.NEAREST, one_bit_enhanced=True), 2.0 ** (1 - 1)),
         (qz.QuantizerSpec(1, qz.Rounding.NEAREST, one_bit_enhanced=True), 3.0),
-    ], ids=["native", "tuned", "one-bit-native", "one-bit-tuned"])
+        (qz.QuantizerSpec(3, qz.Rounding.NEAREST, SYMMETRIC), 2.0),
+    ], ids=["native", "tuned", "one-bit-native", "one-bit-tuned", "symmetric"])
     @given(st.lists(st.floats(-2, 2), min_size=1, max_size=12))
     @example([0.2])  # one-bit at gain 1: nearest makes 0.64, stochastic 0.96
     def test_nearest_equals_realized_error(self, spec, scale, values):

@@ -1,6 +1,8 @@
 """Smoke tests: the experiment scripts still run against the engine's API."""
 
 import csv
+import importlib.util
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -59,3 +61,30 @@ def test_verify_moments_sweeps_every_verifier(monkeypatch, capsys, failing):
     out = capsys.readouterr().out
     assert out.count("report: ") == 19
     assert out.rstrip().endswith(f"{19 - failing}/19 reports passed")
+
+
+def test_corpus_rewrite_names_each_changed_added_and_removed_entry(
+        tmp_path, capsys, monkeypatch):
+    # configs and hashes are stubbed, so only the report is under test
+    spec = importlib.util.spec_from_file_location(
+        "make_metrics_corpus", SCRIPTS / "make_metrics_corpus.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({"stream_scheme": "s", "runs": {
+        name: {"config": {"seed": sha}, "sha256": sha}
+        for name, sha in (("kept", "1"), ("changed", "2"), ("removed", "3"))}}))
+    new = {"kept": "1", "changed": "20", "added": "4"}
+    monkeypatch.setattr(script, "corpus_configs",
+                        lambda: {name: {"seed": sha} for name, sha in new.items()})
+    monkeypatch.setattr(script, "metrics_sha256", lambda entries: entries["seed"])
+    assert script.main([str(corpus)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "added added", "changed changed", "removed removed",
+        f"3 entries written to {corpus}"]
+    assert {name: run["sha256"] for name, run in
+            json.loads(corpus.read_text())["runs"].items()} == new
+    # a new file has no entries to compare against
+    fresh = tmp_path / "fresh.json"
+    assert script.main([str(fresh)]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"3 entries written to {fresh}"]
