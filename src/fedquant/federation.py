@@ -404,10 +404,20 @@ def differential_uploads(rows: np.ndarray, bits: int, rounding: qz.Rounding,
     """Decoded differential uploads of a ``(K, d)`` block, one quantizer call:
     each row on the symmetric grid over its own peak (``grid``, ``structure``
     and ``one_bit_enhanced`` do not apply), rounded as ``rounding`` says;
-    nearest reads no uniforms.  An all-zero row is sent as zeros."""
+    nearest reads no uniforms.  An all-zero row is sent as zeros.
+
+    Each row is quantized scaled by the power of two that puts its peak in
+    [0.5, 1), then scaled back.  The scaling is exact, so a row decodes as it
+    would unscaled, but a tiny peak's gain (2^B - 1)/peak cannot overflow to
+    infinity (which decodes every codeword to zero) nor its step go subnormal.
+    """
     peaks = np.abs(rows).max(axis=1)
-    uploads = qz.quantize_vector(rows, qz.QuantizerSpec(bits, rounding, qz.GridKind.SYMMETRIC),
-                                 np.where(peaks == 0.0, 1.0, peaks), uniforms).dequantize()
+    exps = np.frexp(peaks)[1][:, None]
+    scaled = np.ldexp(rows, -exps)
+    uploads = qz.quantize_vector(scaled, qz.QuantizerSpec(bits, rounding, qz.GridKind.SYMMETRIC),
+                                 np.where(peaks == 0.0, 1.0, np.abs(scaled).max(axis=1)),
+                                 uniforms).dequantize()
+    uploads = np.ldexp(uploads, exps)
     uploads[peaks == 0.0] = 0.0
     return uploads
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fedquant import federation as fed
 from fedquant import models as m
@@ -245,6 +245,9 @@ class TestDifferentialUploads:
     @given(st.lists(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4),
                     min_size=1, max_size=4),
            st.integers(1, 16))
+    # a peak so small that its gain 1023/peak overflows a float
+    @example(rows=[[0.0, 0.0, 0.0, 3.847929999804374e-306]], bits=10)
+    @example(rows=[[5e-324, -1e-320, 1e-310, 0.0]], bits=16)
     def test_nearest_error_within_half_step(self, rows, bits):
         # the grid's spacing over the row's peak bounds every coordinate's
         # error, up to float rounding: the decode c / G and the rounding
