@@ -8,13 +8,12 @@ quantization moments over random vectors.  Exits nonzero if any check fails.
 
 import sys
 
-
 from fedquant import analysis as an
-from fedquant.streams import substream
+from fedquant.streams import VERIFY, philox_stream
 
 
 def main() -> int:
-    rng = substream(2024)
+    rng = philox_stream(2024, VERIFY)
     reports = []
 
     for n, k in ((3, 1), (6, 2), (8, 3), (5, 5)):

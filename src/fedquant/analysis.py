@@ -17,7 +17,10 @@ mode term:  weight uplink  -> d M^2 / K
 The per-client SGD variance sigma_k^2 and the gradient bound H^2 are uniform
 bounds that cannot be certified numerically; they are estimated as maxima
 over a probe set of weights, so bound checks are conditional on the
-estimated constants.
+estimated constants.  The probe perturbations draw from the seed's ``PILOT``
+stream, the mini-batches from its ``NOISE`` stream, and the verifiers'
+trials from its ``VERIFY`` streams (``streams``), apart from every stream of
+the run they estimate.
 
 The differential term assumes each coordinate errs by at most the spacing of
 2^B levels over the upload's peak; its verifier checks the engine's own
@@ -37,7 +40,7 @@ import numpy as np
 from . import federation as fed
 from .models import ClientDataset, LossModel, grad, solve_optimum
 from .quantizer import Rounding, grid_moments, half_step, quantize_grid_sr
-from .streams import k_subset, substream
+from .streams import NOISE, PILOT, VERIFY, k_subset, philox_stream
 
 __all__ = [
     "BoundVariant",
@@ -53,8 +56,6 @@ __all__ = [
     "check_rounding_moments",
     "check_differential_moments",
 ]
-
-_ANALYSIS_DOMAIN = 2
 
 
 class BoundVariant(Enum):
@@ -127,7 +128,7 @@ def pilot_probe_weights(
         observer=lambda t, w: visited.append(w.copy())
         if (t + 1) % stride == 0 else None,
     )
-    rng = substream(config.seed if seed is None else seed, _ANALYSIS_DOMAIN, 0)
+    rng = philox_stream(config.seed if seed is None else seed, PILOT)
     probes = list(visited)
     for w in visited:
         for _ in range(perturbations):
@@ -154,7 +155,7 @@ def estimate_noise_bounds(
         raise ValueError("draws must be >= 1000")
     if not probe_weights:
         raise ValueError("need at least one probe weight")
-    rng = substream(seed, _ANALYSIS_DOMAIN, 1)
+    rng = philox_stream(seed, NOISE)
     sigma_sq = np.zeros(len(datasets))
     h_sq = 0.0
     for k, ds in enumerate(datasets):
@@ -287,7 +288,7 @@ def check_rounding_moments(range_bound: float, bits: int,
     if trials < 10_000:
         raise ValueError("trials must be >= 10000")
     var_bound = half_step(range_bound, bits) ** 2
-    rng = substream(seed, _ANALYSIS_DOMAIN, 2)
+    rng = philox_stream(seed, VERIFY, 1)
     probes = rng.uniform(-range_bound, range_bound, size=1000)
     worst_bias, worst_excess = 0.0, -math.inf
     for w in probes:
@@ -340,7 +341,7 @@ def check_differential_moments(d_vec: np.ndarray, bits: int,
         mse += var
     limit = d_vec.size * float(d_vec @ d_vec) / (2.0 ** bits - 1.0) ** 2
 
-    rng = substream(seed, _ANALYSIS_DOMAIN, 3)
+    rng = philox_stream(seed, VERIFY, 2)
     sq_errors = np.empty(trials)
     for i in range(trials):
         sample = np.array([quantize_grid_sr(float(w), peak, bits, rng) for w in d_vec])

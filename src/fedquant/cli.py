@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from . import analysis, federation as fed, models, quantizer as qz
+from .streams import VERIFY, philox_stream
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -223,8 +224,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
     try:
+        rng = philox_stream(args.seed, VERIFY)
         if args.check == "sampling":
             vectors = rng.standard_normal((args.n, 5))
             report = analysis.check_sampling_moments(args.n, args.k, vectors)

@@ -4,8 +4,11 @@
 quadratic model.  The logistic model draws one labeled source set with
 ``gen_logistic_dataset``, and ``partition_iid`` splits it into disjoint,
 near-equal client shards that together cover it exactly.  Everything is
-deterministic under its seed.  ``tight_weight_bound`` gives a tight
-``weight_bound`` that every weight of a quadratic run respects.
+deterministic under its seed: a generator draws from the seed's ``DATA``
+stream and a split from its ``SPLIT`` stream, so a dataset and its split
+never share draws, at one seed or across seeds.  ``tight_weight_bound``
+gives a tight ``weight_bound`` that every weight of a quadratic run
+respects.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .models import ClientDataset
-from .streams import substream
+from .streams import DATA, SPLIT, philox_stream
 
 __all__ = [
     "partition_iid",
@@ -35,8 +38,7 @@ def partition_iid(dataset: ClientDataset, n_clients: int, seed: int) -> list[Cli
         raise ValueError(
             f"cannot split {dataset.size} samples across {n_clients} clients"
         )
-    rng = substream(seed)
-    perm = rng.permutation(dataset.size)
+    perm = philox_stream(seed, SPLIT).permutation(dataset.size)
     shards = []
     for chunk in np.array_split(perm, n_clients):
         idx = np.sort(chunk)
@@ -63,7 +65,7 @@ def gen_quadratic_clients(
         raise ValueError("n_clients, dim, samples_per_client must be >= 1")
     if spread < 0:
         raise ValueError("spread must be non-negative")
-    rng = substream(seed)
+    rng = philox_stream(seed, DATA)
     directions = rng.standard_normal((n_clients, dim))
     datasets = []
     for k in range(n_clients):
@@ -106,7 +108,7 @@ def gen_logistic_dataset(
     feature scales (informative weights shrink as feature scale grows)."""
     if n_samples < 1 or dim < 1:
         raise ValueError("n_samples and dim must be >= 1")
-    rng = substream(seed)
+    rng = philox_stream(seed, DATA)
     scales = np.ones(dim) if feature_scales is None else np.asarray(feature_scales, float)
     if scales.shape != (dim,) or np.any(scales <= 0):
         raise ValueError("feature_scales must be positive and match dim")

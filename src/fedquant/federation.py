@@ -6,13 +6,14 @@ selected client runs local mini-batch SGD, uploads either its weights or its
 weight differential (optionally quantized), and the server averages the
 uploads.  The global model is a plain array; a layered broadcast takes its
 layer layout from ``FederationConfig.layer_bounds``, and its static gains
-(``lq_static``) are fixed once by :func:`init_state`.  All randomness is drawn
-from per-round and per-client streams derived from the master seed, so
-results are independent of execution order.  Both are Philox streams
-(``streams.philox_stream``): round t re-keys the ``clients_per_round + 1``
-generators that :func:`init_state` pools on the state and draws from each
-exactly once, ``N + d`` uniforms from the round stream and ``E * n_k + d``
-from client k's.
+(``lq_static``) are fixed once by :func:`init_state`.  A round's randomness
+is drawn from its ``ROUND`` stream and its clients' ``CLIENT`` streams under
+the master seed (``streams``), so results are independent of execution
+order: round t re-keys the ``clients_per_round + 1`` generators that
+:func:`init_state` pools on the state and draws from each exactly once,
+``N + d`` uniforms from the round stream and ``E * n_k + d`` from client
+k's.  :func:`build_problem` draws the data from the seed's ``DATA`` and
+``SPLIT`` streams.
 
 No draw depends on the model, so :func:`plan_rounds` makes a block of
 rounds' draws ahead of the arithmetic: it selects every round's clients in
@@ -59,7 +60,7 @@ from .models import (
     solve_optimum,
 )
 from .data import gen_logistic_dataset, gen_quadratic_clients, partition_iid
-from .streams import CLIENT, ROUND, k_subset, philox_stream, rekey
+from .streams import CLIENT, ROUND, k_subset, rekey
 
 __all__ = [
     "UplinkMode",
@@ -91,8 +92,6 @@ __all__ = [
     "run_round",
     "run_federation",
     "STREAM_SCHEME",
-    "round_stream",
-    "client_stream",
 ]
 
 
@@ -335,27 +334,10 @@ def schedule_bits(spec: ScheduleSpec, t: int, mu: float, gamma: float) -> int:
     return step_log_bits(t + 1, spec.f, spec.p)
 
 
-# ---------------------------------------------------------------------------
-# Random-stream addressing (public so reference loops can reproduce runs)
-# ---------------------------------------------------------------------------
-
 # written to manifest.json; a new value means every run draws differently.
-# The engine's streams are Philox; data generation and analysis keep substream.
-STREAM_SCHEME = "philox-round-client/k-smallest-keys/seedsequence-data-analysis"
-
-
-def round_stream(seed: int, t: int) -> np.random.Generator:
-    """A fresh generator for round ``t``'s server draws: ``N`` selection keys,
-    then the broadcast's ``d`` uniforms.  The engine draws the ``N + d`` in
-    one call; drawn in parts, they come out the same."""
-    return philox_stream(seed, ROUND, t)
-
-
-def client_stream(seed: int, t: int, client: int) -> np.random.Generator:
-    """A fresh generator for ``client``'s draws in round ``t``: its ``E x n``
-    batch keys, then its upload's ``d`` uniforms.  The engine draws the
-    ``E * n + d`` in one call; drawn in parts, they come out the same."""
-    return philox_stream(seed, CLIENT, t, client)
+# Every stream, the engine's and those of data, analysis and the verifiers,
+# is a Philox stream addressed (seed, role, t, client) (``streams``).
+STREAM_SCHEME = "philox-seed-role-t-client/k-smallest-keys"
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +508,7 @@ def build_problem(config: FederationConfig) -> tuple[LossModel, list[ClientDatas
         config.num_clients * config.samples_per_client, config.dimension,
         seed=config.seed, feature_scales=scales,
     )
-    return model, partition_iid(source, config.num_clients, seed=config.seed + 1)
+    return model, partition_iid(source, config.num_clients, seed=config.seed)
 
 
 def check_smoothness(config: FederationConfig, optimum: OptimumInfo) -> None:

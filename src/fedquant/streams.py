@@ -1,42 +1,41 @@
 """Derived random streams for order-independent, reproducible simulation.
 
-The engine's round streams are counter-based Philox streams (Salmon et al.,
+Every random draw comes from a counter-based Philox stream (Salmon et al.,
 SC'11) keyed ``(seed, role)``, whose counter starts at ``(0, t, client, 0)``.
-Only counter word 0 advances as a stream draws, so each address names its own
-stream, and :func:`rekey` re-points a pooled generator at one in a few
-microseconds.  Data generation, analysis and the verifiers draw a handful of
-``SeedSequence`` streams addressed by a path (:func:`substream`).  Streams
-with different addresses are statistically independent, so per-client work
-can be reordered without changing any result.
+Only counter word 0 advances as a stream draws, so each
+``(seed, role, t, client)`` address names its own stream: no address is a
+prefix or a zero-extension of another.  :func:`rekey` re-points a pooled
+generator at one in a few microseconds.  Streams with different addresses
+are statistically independent, so per-client work can be reordered without
+changing any result.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["substream", "k_subset", "ROUND", "CLIENT", "philox_stream", "rekey"]
+__all__ = ["ROUND", "CLIENT", "DATA", "SPLIT", "PILOT", "NOISE", "VERIFY",
+           "philox_stream", "rekey", "k_subset"]
 
-# the second Philox key word: which party of a round draws
-ROUND, CLIENT = 0, 1
+# The second Philox key word: which party draws.  Each seed draws from each
+# (role, t, client) address at most once:
+#   ROUND  (t)          round t's selection keys and broadcast uniforms
+#   CLIENT (t, client)  a client's batch keys and upload uniforms in round t
+#   DATA   (0)          a synthetic dataset's features (and labels)
+#   SPLIT  (0)          the shuffle that shards a dataset across clients
+#   PILOT  (0)          perturbations of the pilot run's probe weights
+#   NOISE  (0)          mini-batches of the noise-constant estimate
+#   VERIFY (0 | 1 | 2)  verify's input vectors | rounding | differential trials
+ROUND, CLIENT, DATA, SPLIT, PILOT, NOISE, VERIFY = range(7)
 _EMPTY_BUFFER = (0, 0, 0, 0)
 _BUFFER_SIZE = 4  # Philox emits four 64-bit words per counter step
 
 
-def substream(master_seed: int, *path: int) -> np.random.Generator:
-    """Return the generator addressed by ``path`` under ``master_seed``.
-
-    ``SeedSequence`` ignores trailing zeros, so ``(s, 1, t)`` and
-    ``(s, 1, t, 0)`` address one stream: no path may be a zero-extension of
-    another.
-    """
-    if master_seed < 0:
-        raise ValueError("master seed must be non-negative")
-    return np.random.default_rng(np.random.SeedSequence([int(master_seed), *map(int, path)]))
-
-
-def philox_stream(seed: int, role: int, t: int, client: int = 0) -> np.random.Generator:
+def philox_stream(seed: int, role: int, t: int = 0, client: int = 0) -> np.random.Generator:
     """A fresh generator keyed ``(seed, role)``, counter ``(0, t, client, 0)``;
-    every argument must fit in 64 unsigned bits."""
+    ``seed`` must lie in ``[0, 2**64)``, a Philox key word."""
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must satisfy 0 <= seed < 2**64, a Philox key word")
     return np.random.Generator(np.random.Philox(
         counter=np.array([0, t, client, 0], dtype=np.uint64),
         key=np.array([seed, role], dtype=np.uint64)))

@@ -15,7 +15,7 @@ from fedquant import data as d
 from fedquant import federation as fed
 from fedquant import models as m
 from fedquant import quantizer as qz
-from fedquant.streams import substream
+from fedquant.streams import CLIENT, ROUND, philox_stream
 
 from conftest import RUN_SEEDS, make_testbed_config
 
@@ -30,7 +30,7 @@ def conclude(criterion: str, ok: bool, detail: str = "") -> None:
 def test_c01_stochastic_rounding_moments():
     start = time.monotonic()
     worst_bias, worst_excess = 0.0, -math.inf
-    rng = substream(101)
+    rng = np.random.default_rng([101])
     for bits in range(1, 9):
         for bound in (0.5, 1.0, 4.0):
             limit = qz.half_step(bound, bits) ** 2
@@ -46,7 +46,7 @@ def test_c01_stochastic_rounding_moments():
 
 def test_c02_sampling_enumeration():
     start = time.monotonic()
-    rng = substream(102)
+    rng = np.random.default_rng([102])
     ok = True
     for n, k in ((6, 2), (8, 3)):
         report = an.check_sampling_moments(n, k, rng.standard_normal((n, 5)))
@@ -59,7 +59,7 @@ def test_c02_sampling_enumeration():
 
 def test_c03_differential_error_bound():
     start = time.monotonic()
-    rng = substream(103)
+    rng = np.random.default_rng([103])
     worst_margin = -math.inf
     for dim in (4, 64):
         for bits in (1, 3, 6):
@@ -87,11 +87,11 @@ def test_c04_float_equivalence(quadratic_testbed):
     identical = True
     for t in range(cfg.rounds):
         eta = fed.lr_schedule(t, cfg.mu, gamma)
-        selected = fed.sample_clients(cfg.num_clients, cfg.clients_per_round,
-                                      fed.round_stream(cfg.seed, t).random(cfg.num_clients))
+        keys = philox_stream(cfg.seed, ROUND, t).random(cfg.num_clients)
+        selected = fed.sample_clients(cfg.num_clients, cfg.clients_per_round, keys)
         locals_ = [
             m.local_train(w, tb.model, tb.datasets[k], cfg.local_steps,
-                          cfg.batch_size, eta, fed.client_stream(cfg.seed, t, int(k)))
+                          cfg.batch_size, eta, philox_stream(cfg.seed, CLIENT, t, int(k)))
             for k in selected
         ]
         w = np.stack(locals_).mean(axis=0)
@@ -161,7 +161,7 @@ def test_c07_downlink_schedule_bound(quadratic_testbed):
 
 def test_c08_layered_quantization_benefit():
     # analytic part: two-layer vector with ranges [-1, 1] and [-0.01, 0.01]
-    rng = substream(108)
+    rng = np.random.default_rng([108])
     values = np.concatenate([rng.uniform(-1, 1, 64), rng.uniform(-0.01, 0.01, 64)])
     layers = ((0, 64), (64, 128))
     bits = 4

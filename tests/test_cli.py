@@ -373,6 +373,15 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == (
             "invalid arguments: differential vector must not be empty\n")
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    @pytest.mark.parametrize("check", ["sampling", "rounding", "differential"])
+    def test_seed_outside_a_philox_key_word_is_one_line_exit_2(self, capsys, check, seed):
+        assert cli.main(["verify", check, "--seed", str(seed)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("invalid arguments: seed must satisfy "
+                                "0 <= seed < 2**64, a Philox key word\n")
+
 
 class TestBoundCommand:
     def test_bound_report(self, tmp_path, capsys):
@@ -533,9 +542,9 @@ def test_testbed_run_and_bound_bytes_unchanged(tmp_path):
     assert cli.main(["bound", "--config", config, "--out", str(bound_csv),
                      str(out / "metrics.csv")]) == 0
     assert hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest() == (
-        "100a8665332e07af382ff78dc8915962123b5f7a1d44c94aa4bd226a65b3ddce")
+        "375f1f5062e4fda0af4896aade9c6419a589632215686ba08677ec8a0e7be4b7")
     assert hashlib.sha256(bound_csv.read_bytes()).hexdigest() == (
-        "537e8d962691b6ba38154defaa4caf302b461925352bc388f9ffadf98a1756ef")
+        "f954dbec0cb68db6fbe3306d611f83045c9e18daa05633cfd053bc5d6774a7fc")
 
 
 LOGISTIC_LAYERED_CONFIG = """\
@@ -568,7 +577,7 @@ def test_logistic_layered_run_bytes_unchanged(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", config, "--out", str(out)]) == 0
     assert hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest() == (
-        "2ad5f42a8737e5358ad717534bae772dca66177f831a41741b48ba7d5d07afe3")
+        "a1cad7a12516e8ba3b3ec63e56524c339fb87ae6dae604fe7f16b9e3211e3684")
 
 
 def config_text_from_snapshot(snapshot: dict) -> str:

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from fedquant import data as d
 from fedquant.models import ClientDataset
-from fedquant.streams import substream
 
 
 def source_ids(size: int) -> ClientDataset:
@@ -45,7 +44,7 @@ class TestPartitionIid:
             assert shard.labels.tolist() == (ids.astype(int) % 2).tolist()
 
     def test_deterministic(self):
-        ds = ClientDataset(substream(1).standard_normal((50, 2)))
+        ds = ClientDataset(np.random.default_rng([1]).standard_normal((50, 2)))
         a = d.partition_iid(ds, 5, seed=9)
         b = d.partition_iid(ds, 5, seed=9)
         for sa, sb in zip(a, b):
@@ -116,3 +115,14 @@ class TestGenLogisticDataset:
     def test_bad_scales_rejected(self):
         with pytest.raises(ValueError):
             d.gen_logistic_dataset(10, 2, seed=0, feature_scales=np.array([1.0]))
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("generate", [
+    lambda seed: d.partition_iid(source_ids(4), 2, seed=seed),
+    lambda seed: d.gen_quadratic_clients(2, 2, 1.0, seed=seed),
+    lambda seed: d.gen_logistic_dataset(4, 2, seed=seed),
+], ids=["partition_iid", "gen_quadratic_clients", "gen_logistic_dataset"])
+def test_seed_outside_a_philox_key_word_rejected(generate, seed):
+    with pytest.raises(ValueError, match="seed"):
+        generate(seed)

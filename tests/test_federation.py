@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from fedquant import federation as fed
 from fedquant import models as m
 from fedquant import quantizer as qz
-from fedquant.streams import CLIENT, ROUND, k_subset, substream
+from fedquant.streams import CLIENT, ROUND, k_subset, philox_stream
 
 QUADRATIC = m.LossModel(m.LossKind.QUADRATIC)
 
@@ -124,26 +124,26 @@ class TestStepLogBits:
 
 class TestSampleClients:
     def test_full_participation(self):
-        sel = fed.sample_clients(5, 5, substream(0).random(5))
+        sel = fed.sample_clients(5, 5, np.random.default_rng([0]).random(5))
         assert sel.tolist() == [0, 1, 2, 3, 4]
 
     def test_deterministic(self):
-        assert np.array_equal(fed.sample_clients(10, 3, substream(1).random(10)),
-                              fed.sample_clients(10, 3, substream(1).random(10)))
+        assert np.array_equal(fed.sample_clients(10, 3, np.random.default_rng([1]).random(10)),
+                              fed.sample_clients(10, 3, np.random.default_rng([1]).random(10)))
 
     def test_sorted_subset_without_replacement(self):
-        sel = fed.sample_clients(20, 8, substream(2).random(20))
+        sel = fed.sample_clients(20, 8, np.random.default_rng([2]).random(20))
         assert len(set(sel.tolist())) == 8
         assert sel.tolist() == sorted(sel.tolist())
 
     def test_all_subsets_reachable(self):
         seen = set()
         for seed in range(200):
-            seen.add(tuple(fed.sample_clients(4, 2, substream(seed).random(4))))
+            seen.add(tuple(fed.sample_clients(4, 2, np.random.default_rng([seed]).random(4))))
         assert seen == set(itertools.combinations(range(4), 2))
 
     def test_uniformity_chi_square(self):
-        rng = substream(3)
+        rng = np.random.default_rng([3])
         counts = {s: 0 for s in itertools.combinations(range(4), 2)}
         draws = 60_000
         for _ in range(draws):
@@ -155,10 +155,10 @@ class TestSampleClients:
 
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
-            fed.sample_clients(3, 4, substream(0).random(3))
+            fed.sample_clients(3, 4, np.random.default_rng([0]).random(3))
 
     def test_key_block_selects_each_row(self):
-        keys = substream(4).random((6, 9))
+        keys = np.random.default_rng([4]).random((6, 9))
         block = fed.sample_clients(9, 4, keys)
         assert block.shape == (6, 4)
         for row, selected in zip(keys, block):
@@ -168,9 +168,9 @@ class TestSampleClients:
 
     def test_one_key_per_client(self):
         with pytest.raises(ValueError, match="one key per client"):
-            fed.sample_clients(4, 2, substream(0).random(3))
+            fed.sample_clients(4, 2, np.random.default_rng([0]).random(3))
         with pytest.raises(ValueError, match="one key per client"):
-            fed.sample_clients(4, 2, substream(0))
+            fed.sample_clients(4, 2, np.random.default_rng([0]))
 
 
 class TestAggregation:
@@ -179,7 +179,7 @@ class TestAggregation:
         assert out.tolist() == [2.0]
 
     def test_single_upload_identity(self):
-        v = substream(4).standard_normal(6)
+        v = np.random.default_rng([4]).standard_normal(6)
         assert np.array_equal(fed.aggregate_weights([v]), v)
 
     def test_dimension_mismatch(self):
@@ -187,7 +187,7 @@ class TestAggregation:
             fed.aggregate_weights([np.zeros(2), np.zeros(3)])
 
     def test_weighted_form_equals_mean_for_equal_sizes(self):
-        rng = substream(5)
+        rng = np.random.default_rng([5])
         uploads = [rng.standard_normal(8) for _ in range(5)]
         sizes = np.full(5, 13.0)
         weighted = sum((s / sizes.sum()) * u for s, u in zip(sizes, uploads))
@@ -196,12 +196,12 @@ class TestAggregation:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 20), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
     def test_block_matches_numpy_mean(self, k, d, seed):
-        block = substream(seed).standard_normal((k, d)) * 3.0
+        block = np.random.default_rng([seed]).standard_normal((k, d)) * 3.0
         assert np.array_equal(fed.aggregate_weights(block), np.mean(block, axis=0))
         assert np.array_equal(fed.aggregate_weights(list(block)), np.mean(block, axis=0))
 
     def test_differential_zero_is_identity(self):
-        prev = substream(6).standard_normal(4)
+        prev = np.random.default_rng([6]).standard_normal(4)
         out = fed.aggregate_differentials(prev, [np.zeros(4), np.zeros(4)])
         assert np.array_equal(out, prev)
 
@@ -210,7 +210,7 @@ class TestAggregation:
         assert out.tolist() == [1.5]
 
     def test_differential_equals_weight_aggregation(self):
-        rng = substream(7)
+        rng = np.random.default_rng([7])
         prev = rng.standard_normal(6)
         locals_ = [rng.standard_normal(6) for _ in range(4)]
         via_diff = fed.aggregate_differentials(prev, [w - prev for w in locals_])
@@ -235,7 +235,7 @@ class TestDifferentialUploads:
     @pytest.mark.parametrize("rounding", [NEAREST, qz.Rounding.STOCHASTIC])
     def test_zero_row_sent_as_zeros_next_to_others(self, rounding):
         rows = np.array([[0.0, 0.0], [0.5, -0.25], [0.0, 0.0]])
-        draws = substream(40).random(rows.shape)
+        draws = np.random.default_rng([40]).random(rows.shape)
         uploads = fed.differential_uploads(rows, 3, rounding, draws)
         assert uploads[[0, 2]].tolist() == [[0.0, 0.0], [0.0, 0.0]]
         one = fed.differential_uploads(rows[1:2], 3, rounding, draws[1:2])
@@ -325,7 +325,7 @@ class TestBroadcast:
         draws = 10 ** 5
         spec = qz.QuantizerSpec(bits, grid=qz.GridKind.SYMMETRIC)
         tiled = qz.quantize_vector(np.tile(w, draws), spec, bound,
-                                   substream(9).random(4 * draws))
+                                   np.random.default_rng([9]).random(4 * draws))
         means = tiled.dequantize().reshape(draws, 4).mean(axis=0)
         sigma = qz.half_step(bound, bits) / math.sqrt(draws)
         assert np.all(np.abs(means - w) <= 3 * sigma + 1e-12)
@@ -335,10 +335,10 @@ class TestBroadcast:
                                    weight_bound=0.5)
         w = self.small_weights()
         with pytest.raises(fed.AssumptionViolation):
-            fed.broadcast(w, cfg, 4, substream(10).random(w.size))
+            fed.broadcast(w, cfg, 4, np.random.default_rng([10]).random(w.size))
 
     def test_layered_beats_single_gain_on_split_ranges(self):
-        rng = substream(11)
+        rng = np.random.default_rng([11])
         values = np.concatenate([rng.uniform(-1, 1, 32),
                                  rng.uniform(-0.01, 0.01, 32)])
         layers = ((0, 32), (32, 64))
@@ -360,10 +360,10 @@ class TestBroadcast:
                         rounding=rounding, dimension=5)
         quantized = fed.broadcast(
             w, fed.FederationConfig(downlink_mode=fed.DownlinkMode.QUANTIZED, **pipeline),
-            3, substream(14).random(w.size))
+            3, np.random.default_rng([14]).random(w.size))
         layered = fed.broadcast(
             w, fed.FederationConfig(downlink_mode=fed.DownlinkMode.LAYERED, **pipeline),
-            3, substream(14).random(w.size))
+            3, np.random.default_rng([14]).random(w.size))
         assert np.array_equal(quantized[0], layered[0])
         assert quantized[1] == layered[1]
 
@@ -372,7 +372,7 @@ class TestBroadcast:
             downlink_mode=fed.DownlinkMode.LAYERED, dimension=4,
             layer_sizes=(2, 2), grid=qz.GridKind.PIPELINE)
         w = np.array([0.5, -0.25, 0.003, -0.001])
-        _, bits = fed.broadcast(w, cfg, 4, substream(12).random(w.size))
+        _, bits = fed.broadcast(w, cfg, 4, np.random.default_rng([12]).random(w.size))
         assert bits == 2 * (2 * 4 + 17 * 8)
 
     def test_static_layered_freezes_gains(self):
@@ -381,7 +381,7 @@ class TestBroadcast:
             downlink_mode=fed.DownlinkMode.LAYERED, dimension=4,
             layer_sizes=(2, 2), grid=qz.GridKind.PIPELINE, lq_static=True)
         w = np.array([0.5, -0.25, 0.003, -0.001])
-        delivered, _ = fed.broadcast(w, cfg, 4, substream(13).random(w.size),
+        delivered, _ = fed.broadcast(w, cfg, 4, np.random.default_rng([13]).random(w.size),
                                      frozen_extra_gains=np.array([4.0, 4.0]))
         # codewords decode against the frozen gain 8 * 4
         assert np.all(np.abs(delivered * 32.0 - np.round(delivered * 32.0)) < 1e-9)
@@ -427,7 +427,7 @@ class TestRunRound:
                                weight_bound=8.0, samples_per_client=5)
         datasets = fed.build_problem(cfg)[1]
         if sizes is not None:
-            rng = substream(37)
+            rng = np.random.default_rng([37])
             datasets = [m.ClientDataset(rng.standard_normal((n, cfg.dimension)))
                         for n in sizes]
         state = fed.init_state(cfg, QUADRATIC, datasets)
@@ -456,16 +456,16 @@ class TestRunRound:
             assert [rng for rng, _ in draws] == list(state.pool)
             assert [role for _, role, _ in rekeys] == [ROUND] + [CLIENT] * 3
             server = draws[0][1]
-            assert np.array_equal(server, fed.round_stream(cfg.seed, t).random(n + d))
+            assert np.array_equal(server, philox_stream(cfg.seed, ROUND, t).random(n + d))
             clients = [c for _, _, c in rekeys[1:]]
             assert clients == fed.sample_clients(n, 3, server[:n]).tolist()
             for (rng, drawn), c in zip(draws[1:], clients):
-                fresh = fed.client_stream(cfg.seed, t, c)
+                fresh = philox_stream(cfg.seed, CLIENT, t, c)
                 assert np.array_equal(drawn, fresh.random(steps * datasets[c].size + d))
                 # nothing else was drawn: both streams stand at the same place
                 assert np.array_equal(rng.random(3), fresh.random(3))
             assert np.array_equal(state.pool[0].random(3),
-                                  fed.round_stream(cfg.seed, t).random(n + d + 3)[-3:])
+                                  philox_stream(cfg.seed, ROUND, t).random(n + d + 3)[-3:])
 
     def test_weight_mode_assumption_violation(self):
         cfg = self.base_config(uplink_mode=fed.UplinkMode.WEIGHT,
@@ -548,7 +548,7 @@ def planned_config(**overrides):
 
 def uneven_datasets(cfg, seed=38):
     """One dataset per client, of 6 to 25 samples."""
-    rng = substream(seed)
+    rng = np.random.default_rng([seed])
     return [m.ClientDataset(rng.standard_normal((int(n), cfg.dimension)))
             for n in rng.integers(6, 26, cfg.num_clients)]
 
@@ -610,12 +610,12 @@ class TestRoundPlan:
         assert plan.server.shape == (4, n + d) and plan.uniforms.shape == (4, 5, d)
         assert plan.rows.shape == (4, 5, steps, cfg.batch_size)
         for i, t in enumerate(range(7, 11)):
-            assert np.array_equal(plan.server[i], fed.round_stream(cfg.seed, t).random(n + d))
+            assert np.array_equal(plan.server[i], philox_stream(cfg.seed, ROUND, t).random(n + d))
             assert np.array_equal(plan.selected[i],
                                   fed.sample_clients(n, 5, plan.server[i, :n]))
             for slot, c in enumerate(plan.selected[i].tolist()):
                 size = datasets[c].size
-                drawn = fed.client_stream(cfg.seed, t, c).random(steps * size + d)
+                drawn = philox_stream(cfg.seed, CLIENT, t, c).random(steps * size + d)
                 batches = k_subset(drawn[:steps * size].reshape(steps, size),
                                    cfg.batch_size)
                 assert np.array_equal(plan.rows[i, slot], batches + starts[c])
@@ -626,8 +626,9 @@ class TestRoundPlan:
         datasets = [m.ClientDataset(np.ones((3 if c == 0 else 20, cfg.dimension)))
                     for c in range(cfg.num_clients)]
         state = fed.init_state(cfg, QUADRATIC, datasets)
-        selects_small = [0 in fed.sample_clients(20, 5, fed.round_stream(cfg.seed, t).random(20))
-                         for t in range(12)]
+        selects_small = [
+            0 in fed.sample_clients(20, 5, philox_stream(cfg.seed, ROUND, t).random(20))
+            for t in range(12)]
         assert any(selects_small) and not all(selects_small)
         for t, small in enumerate(selects_small):
             if not small:
@@ -701,12 +702,12 @@ class TestFloatEquivalences:
         w = np.zeros(cfg.dimension)
         for t in range(cfg.rounds):
             eta = fed.lr_schedule(t, cfg.mu, gamma)
-            selected = fed.sample_clients(cfg.num_clients, cfg.clients_per_round,
-                                          fed.round_stream(cfg.seed, t).random(cfg.num_clients))
+            keys = philox_stream(cfg.seed, ROUND, t).random(cfg.num_clients)
+            selected = fed.sample_clients(cfg.num_clients, cfg.clients_per_round, keys)
             locals_ = [
                 m.local_train(w, model, datasets[k], cfg.local_steps,
                               cfg.batch_size, eta,
-                              fed.client_stream(cfg.seed, t, int(k)))
+                              philox_stream(cfg.seed, CLIENT, t, int(k)))
                 for k in selected
             ]
             w = np.stack(locals_).mean(axis=0)
@@ -723,18 +724,18 @@ class TestFloatEquivalences:
         w_diff = np.zeros(cfg.dimension)
         for t in range(cfg.rounds):
             eta = fed.lr_schedule(t, cfg.mu, gamma)
-            selected = fed.sample_clients(cfg.num_clients, cfg.clients_per_round,
-                                          fed.round_stream(cfg.seed, t).random(cfg.num_clients))
+            keys = philox_stream(cfg.seed, ROUND, t).random(cfg.num_clients)
+            selected = fed.sample_clients(cfg.num_clients, cfg.clients_per_round, keys)
 
             locals_w = [m.local_train(w_weight, model, datasets[k],
                                       cfg.local_steps, cfg.batch_size, eta,
-                                      fed.client_stream(cfg.seed, t, int(k)))
+                                      philox_stream(cfg.seed, CLIENT, t, int(k)))
                         for k in selected]
             w_weight = fed.aggregate_weights(locals_w)
 
             locals_d = [m.local_train(w_diff, model, datasets[k],
                                       cfg.local_steps, cfg.batch_size, eta,
-                                      fed.client_stream(cfg.seed, t, int(k)))
+                                      philox_stream(cfg.seed, CLIENT, t, int(k)))
                         for k in selected]
             w_diff = fed.aggregate_differentials(
                 w_diff, [wl - w_diff for wl in locals_d])
@@ -781,14 +782,14 @@ def reference_run(cfg, model, datasets):
         eta = fed.lr_schedule(t, cfg.mu, gamma)
         bits_up = fed.schedule_bits(cfg.uplink_schedule, t, cfg.mu, gamma)
         bits_down = fed.schedule_bits(cfg.downlink_schedule, t, cfg.mu, gamma)
-        server_rng = fed.round_stream(cfg.seed, t)
+        server_rng = philox_stream(cfg.seed, ROUND, t)
         selected = fed.sample_clients(cfg.num_clients, cfg.clients_per_round,
                                       server_rng.random(cfg.num_clients))
         delivered, _ = fed.broadcast(w, cfg, bits_down, server_rng.random(w.size),
                                      frozen_extra_gains=frozen)
         uploads = []
         for k in selected:
-            rng = fed.client_stream(cfg.seed, t, int(k))
+            rng = philox_stream(cfg.seed, CLIENT, t, int(k))
             w_local = m.local_train(delivered, model, datasets[k],
                                     cfg.local_steps, cfg.batch_size, eta, rng)
             uploads.append(
@@ -852,7 +853,7 @@ class TestReferenceReplay:
     def test_uneven_clients_with_zero_differential_rows(self, rounding):
         # clients 0 and 2 hold only zeros, so from the zero start their
         # first-round differentials are exactly zero next to nonzero rows
-        rng = substream(31)
+        rng = np.random.default_rng([31])
         datasets = [m.ClientDataset(np.zeros((4, 3))),
                     m.ClientDataset(rng.standard_normal((9, 3))),
                     m.ClientDataset(np.zeros((6, 3))),
@@ -890,7 +891,7 @@ class TestReferenceReplay:
 
     def test_violation_names_first_client_in_sorted_order(self):
         # clients 0 and 2 stay at zero; 1 and 3 both leave the bound
-        rng = substream(23)
+        rng = np.random.default_rng([23])
         datasets = [m.ClientDataset(np.zeros((4, 2))),
                     m.ClientDataset(rng.standard_normal((4, 2)) + 5.0),
                     m.ClientDataset(np.zeros((4, 2))),
@@ -909,7 +910,7 @@ class TestSamplingUnbiasedness:
     def test_enumerated_subset_average_equals_mean(self):
         # N=6, K=2: averaging the subset means over all 15 subsets recovers
         # the full mean
-        rng = substream(30)
+        rng = np.random.default_rng([30])
         vectors = rng.standard_normal((6, 4))
         subset_means = [vectors[list(s)].mean(axis=0)
                         for s in itertools.combinations(range(6), 2)]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedquant import models as m
-from fedquant.streams import k_subset, substream
+from fedquant.streams import k_subset
 
 
 QUADRATIC = m.LossModel(m.LossKind.QUADRATIC)
@@ -39,7 +39,7 @@ class TestLoss:
 
     def test_logistic_symmetric_logit(self):
         model = m.LossModel(m.LossKind.LOGISTIC)
-        x = substream(0).standard_normal((8, 3))
+        x = np.random.default_rng([0]).standard_normal((8, 3))
         y = np.array([0, 1] * 4)
         assert m.loss(model, np.zeros(3), x, y) == pytest.approx(math.log(2))
 
@@ -66,13 +66,13 @@ class TestGrad:
         assert g.tolist() == [-1.0]
 
     def test_quadratic_zero_at_batch_mean(self):
-        z = substream(1).standard_normal((6, 4))
+        z = np.random.default_rng([1]).standard_normal((6, 4))
         g = m.grad(QUADRATIC, z.mean(axis=0), z)
         assert np.allclose(g, 0.0, atol=1e-15)
 
     def test_logistic_against_finite_differences(self):
         model = m.LossModel(m.LossKind.LOGISTIC, regularization=0.1)
-        rng = substream(2)
+        rng = np.random.default_rng([2])
         x = rng.standard_normal((12, 5))
         y = (rng.random(12) < 0.5).astype(np.int64)
         w = rng.standard_normal(5)
@@ -86,7 +86,7 @@ class TestGrad:
     ])
     def test_gradient_check_random_pairs(self, kind, reg):
         model = m.LossModel(kind, reg)
-        rng = substream(3)
+        rng = np.random.default_rng([3])
         for _ in range(100):
             n, d = int(rng.integers(2, 9)), int(rng.integers(1, 5))
             x = rng.standard_normal((n, d))
@@ -105,7 +105,7 @@ class TestGrad:
 class TestStrongConvexity:
     def test_quadratic_witness(self):
         # F(v) >= F(w) + <v-w, grad F(w)> + (mu/2) ||v-w||^2 with mu = 1
-        rng = substream(4)
+        rng = np.random.default_rng([4])
         z = rng.standard_normal((10, 3))
         for _ in range(50):
             v, w = rng.standard_normal(3), rng.standard_normal(3)
@@ -122,38 +122,38 @@ class TestLocalTrain:
 
     def test_single_step_hand_trace(self):
         out = m.local_train(np.array([0.0]), QUADRATIC, self.one_point(1.0),
-                            steps=1, batch_size=1, lr=0.1, rng=substream(5))
+                            steps=1, batch_size=1, lr=0.1, rng=np.random.default_rng([5]))
         assert out.tolist() == [0.1]
 
     def test_zero_lr_is_identity(self):
         w = np.array([0.3, -0.7])
-        data = m.ClientDataset(substream(6).standard_normal((5, 2)))
+        data = m.ClientDataset(np.random.default_rng([6]).standard_normal((5, 2)))
         out = m.local_train(w, QUADRATIC, data, steps=3, batch_size=2,
-                            lr=0.0, rng=substream(7))
+                            lr=0.0, rng=np.random.default_rng([7]))
         assert np.array_equal(out, w)
 
     def test_two_steps_hand_trace(self):
         # 0 -> 0.5 -> 0.75 with full batch {1} and lr 0.5
         out = m.local_train(np.array([0.0]), QUADRATIC, self.one_point(1.0),
-                            steps=2, batch_size=1, lr=0.5, rng=substream(8))
+                            steps=2, batch_size=1, lr=0.5, rng=np.random.default_rng([8]))
         assert out.tolist() == [0.75]
 
     def test_deterministic_under_fixed_seed(self):
-        data = m.ClientDataset(substream(9).standard_normal((20, 4)))
-        a = m.local_train(np.zeros(4), QUADRATIC, data, 5, 3, 0.1, substream(10))
-        b = m.local_train(np.zeros(4), QUADRATIC, data, 5, 3, 0.1, substream(10))
+        data = m.ClientDataset(np.random.default_rng([9]).standard_normal((20, 4)))
+        a = m.local_train(np.zeros(4), QUADRATIC, data, 5, 3, 0.1, np.random.default_rng([10]))
+        b = m.local_train(np.zeros(4), QUADRATIC, data, 5, 3, 0.1, np.random.default_rng([10]))
         assert np.array_equal(a, b)
 
     def test_full_batch_is_deterministic_descent(self):
-        data = m.ClientDataset(substream(11).standard_normal((8, 2)))
-        out = m.local_train(np.zeros(2), QUADRATIC, data, 1, 8, 0.25, substream(12))
+        data = m.ClientDataset(np.random.default_rng([11]).standard_normal((8, 2)))
+        out = m.local_train(np.zeros(2), QUADRATIC, data, 1, 8, 0.25, np.random.default_rng([12]))
         expected = 0.25 * data.features.mean(axis=0)
         assert np.allclose(out, expected, atol=1e-15)
 
     def test_batch_size_validated(self):
         with pytest.raises(ValueError):
             m.local_train(np.zeros(1), QUADRATIC, self.one_point(1.0),
-                          1, 2, 0.1, substream(0))
+                          1, 2, 0.1, np.random.default_rng([0]))
 
 
 def reference_logistic_grad(w, features, labels, regularization):
@@ -176,7 +176,7 @@ class TestBatchedGradient:
     @given(batch_shapes, st.integers(0, 2 ** 32 - 1), st.sampled_from(["quadratic", "logistic"]))
     def test_stacked_equals_each_slice(self, shape, seed, kind):
         k, bs, d = shape
-        rng = substream(seed)
+        rng = np.random.default_rng([seed])
         features = rng.standard_normal((k, bs, d)) * 3.0
         labels = rng.integers(0, 2, (k, bs))
         w = rng.standard_normal((k, d))
@@ -191,7 +191,7 @@ class TestBatchedGradient:
                     w[i], features[i], labels[i], LOGISTIC.regularization))
 
     def test_shared_weights_broadcast(self):
-        rng = substream(40)
+        rng = np.random.default_rng([40])
         features = rng.standard_normal((7, 4, 3))
         labels = rng.integers(0, 2, (7, 4))
         w = rng.standard_normal(3)
@@ -221,7 +221,7 @@ class TestReductionsMatchMean:
     @given(st.lists(st.integers(1, 4), max_size=2), st.integers(1, 20),
            st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
     def test_quadratic_grad(self, lead, bs, d, seed):
-        rng = substream(seed)
+        rng = np.random.default_rng([seed])
         features = rng.standard_normal((*lead, bs, d)) * 3.0
         w = rng.standard_normal((*lead, d))
         assert np.array_equal(m.grad(QUADRATIC, w, features), w - features.mean(axis=-2))
@@ -229,7 +229,7 @@ class TestReductionsMatchMean:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 300), st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
     def test_loss(self, n, d, seed):
-        rng = substream(seed)
+        rng = np.random.default_rng([seed])
         features = rng.standard_normal((n, d)) * 3.0
         labels = rng.integers(0, 2, n)
         w = rng.standard_normal(d)
@@ -243,7 +243,7 @@ class TestReductionsMatchMean:
 
 
 def make_clients(sizes, dim, seed, labeled):
-    rng = substream(seed)
+    rng = np.random.default_rng([seed])
     return [m.ClientDataset(rng.standard_normal((n, dim)),
                             rng.integers(0, 2, n) if labeled else None)
             for n in sizes]
@@ -254,7 +254,8 @@ def train_clients(model, datasets, order, w, steps, bs, lr, seed):
     keys drawn from its own stream, offset to its rows of the pooled set."""
     pooled = m.pooled_dataset(datasets)
     starts = np.cumsum([0] + [ds.size for ds in datasets])
-    rows = np.stack([k_subset(substream(seed, int(k)).random((steps, datasets[k].size)), bs)
+    rows = np.stack([k_subset(np.random.default_rng([seed, int(k)])
+                              .random((steps, datasets[k].size)), bs)
                      + starts[k] for k in order])
     return m.local_train_clients(w, model, pooled, rows, lr)
 
@@ -263,11 +264,11 @@ class TestLocalTrainClients:
     @pytest.mark.parametrize("model", [QUADRATIC, LOGISTIC], ids=["quadratic", "logistic"])
     def test_rows_equal_local_train(self, model):
         datasets = make_clients([5, 9, 3, 12, 7], 4, 41, model is LOGISTIC)
-        w = substream(42).standard_normal(4)
+        w = np.random.default_rng([42]).standard_normal(4)
         order = [0, 2, 3, 4]
         block = train_clients(model, datasets, order, w, 6, 3, 0.2, 43)
         for row, k in zip(block, order):
-            one = m.local_train(w, model, datasets[k], 6, 3, 0.2, substream(43, k))
+            one = m.local_train(w, model, datasets[k], 6, 3, 0.2, np.random.default_rng([43, k]))
             assert np.array_equal(row, one)
 
     @settings(max_examples=40, deadline=None)
@@ -279,7 +280,7 @@ class TestLocalTrainClients:
         order = list(range(len(sizes)))
         perm = order[:]
         shuffler.shuffle(perm)
-        w = substream(45).standard_normal(dim)
+        w = np.random.default_rng([45]).standard_normal(dim)
         base = train_clients(model, datasets, order, w, 3, 2, 0.1, 46)
         permuted = train_clients(model, datasets, perm, w, 3, 2, 0.1, 46)
         assert np.array_equal(permuted, base[perm])
@@ -300,7 +301,7 @@ class TestSolveOptimum:
         assert opt.f_star == 0.5
 
     def test_single_client_global_equals_local(self):
-        data = m.ClientDataset(substream(13).standard_normal((9, 3)))
+        data = m.ClientDataset(np.random.default_rng([13]).standard_normal((9, 3)))
         opt = m.solve_optimum(QUADRATIC, [data])
         local_w = data.features.mean(axis=0)
         assert np.array_equal(opt.w_star, local_w)
@@ -308,12 +309,12 @@ class TestSolveOptimum:
 
     def test_single_sample_clients_interpolate(self):
         datasets = [m.ClientDataset(row[None, :])
-                    for row in substream(14).standard_normal((5, 2))]
+                    for row in np.random.default_rng([14]).standard_normal((5, 2))]
         for ds in datasets:
             assert m.solve_optimum(QUADRATIC, [ds]).f_star == 0.0
 
     def test_gradient_at_optimum_exactly_zero(self):
-        datasets = [m.ClientDataset(substream(15).standard_normal((7, 3)))
+        datasets = [m.ClientDataset(np.random.default_rng([15]).standard_normal((7, 3)))
                     for _ in range(3)]
         opt = m.solve_optimum(QUADRATIC, datasets)
         pooled = m.pooled_dataset(datasets)
@@ -322,7 +323,7 @@ class TestSolveOptimum:
 
     def test_logistic_reaches_tolerance(self):
         model = m.LossModel(m.LossKind.LOGISTIC, regularization=0.1)
-        rng = substream(16)
+        rng = np.random.default_rng([16])
         x = rng.standard_normal((60, 4))
         y = (rng.random(60) < 0.5).astype(np.int64)
         datasets = [m.ClientDataset(x[:30], y[:30]), m.ClientDataset(x[30:], y[30:])]
@@ -333,7 +334,7 @@ class TestSolveOptimum:
 
     def test_solver_failure_raises(self):
         model = m.LossModel(m.LossKind.LOGISTIC, regularization=0.1)
-        rng = substream(17)
+        rng = np.random.default_rng([17])
         data = m.ClientDataset(rng.standard_normal((20, 3)),
                                (rng.random(20) < 0.5).astype(np.int64))
         with pytest.raises(m.SolverError):
@@ -352,7 +353,7 @@ class TestEstimateSmoothness:
 
     def test_logistic_matches_eigensolver(self):
         model = m.LossModel(m.LossKind.LOGISTIC, regularization=0.2)
-        rng = substream(18)
+        rng = np.random.default_rng([18])
         x = rng.standard_normal((40, 5)) * np.array([1.0, 2.0, 0.5, 1.0, 3.0])
         y = (rng.random(40) < 0.5).astype(np.int64)
         data = m.ClientDataset(x, y)

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fedquant import quantizer as qz
-from fedquant.streams import substream
 
 
 class TestRoundNearest:
@@ -42,11 +41,11 @@ class TestRoundNearest:
 
 class TestRoundStochastic:
     def test_integer_input_is_exact(self):
-        rng = substream(0)
+        rng = np.random.default_rng([0])
         assert all(qz.round_stochastic(3.0, rng) == 3 for _ in range(100))
 
     def test_quarter_point_distribution(self):
-        rng = substream(1)
+        rng = np.random.default_rng([1])
         draws = np.array([qz.round_stochastic(0.25, rng) for _ in range(40_000)])
         assert set(np.unique(draws)) == {0, 1}
         # Pr[1] = 0.25; 40k draws give a standard error of ~0.0022
@@ -54,13 +53,13 @@ class TestRoundStochastic:
 
     def test_empirical_mean_matches_expectation(self):
         # Monte Carlo against the closed-form expectation E[R(x)] = x
-        rng = substream(2)
+        rng = np.random.default_rng([2])
         draws = np.array([qz.round_stochastic(0.7, rng) for _ in range(10 ** 6)])
         assert abs(draws.mean() - 0.7) < 0.002
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            qz.round_stochastic(math.nan, substream(0))
+            qz.round_stochastic(math.nan, np.random.default_rng([0]))
 
 
 class TestClampLimit:
@@ -123,7 +122,7 @@ class TestQuantizerSpec:
         spec = qz.QuantizerSpec(bits, rounding, grid)
         v = np.array([1.0, -1.0, 0.5, 0.0, 1.0 - 2.0 ** -52, -0.75])
         scale = 1.0 if grid is SYMMETRIC else 2.0 ** (bits - 1)
-        qv = qz.quantize_vector(v, spec, scale, substream(5, bits).random(v.size))
+        qv = qz.quantize_vector(v, spec, scale, np.random.default_rng([5, bits]).random(v.size))
         decoded = qz.deserialize(qz.serialize(qv))
         assert np.array_equal(decoded.codewords, qv.codewords)
         assert np.max(np.abs(qv.dequantize() - v)) <= 2.0 ** -52
@@ -135,7 +134,7 @@ class TestQuantizerSpec:
     ], ids=["pipeline_stochastic", "pipeline_nearest", "symmetric", "one_bit"])
     def test_invalid_parameters(self, spec, bad):
         # every call carries its scale; a scalar, or one bad entry among many
-        v, draws = np.zeros(3), substream(0).random(3)
+        v, draws = np.zeros(3), np.random.default_rng([0]).random(3)
         for scale in (bad, np.array([1.0, bad, 1.0])):
             with pytest.raises(ValueError, match="scale must be positive and finite"):
                 qz.quantize_vector(v, spec, scale, draws)
@@ -143,7 +142,7 @@ class TestQuantizerSpec:
                 qz.expected_sq_error(v, spec, scale)
         if spec.grid is qz.GridKind.PIPELINE:
             with pytest.raises(ValueError, match="scale must be positive and finite"):
-                qz.quantize_pipeline(0.0, spec, bad, substream(0))
+                qz.quantize_pipeline(0.0, spec, bad, np.random.default_rng([0]))
 
 
 class TestQuantizePipeline:
@@ -186,7 +185,7 @@ class TestQuantizePipeline:
 class TestGridStochasticRounding:
     def test_codepoint_is_fixed_point(self):
         # 2 bits on [-1, 1]: codepoints {-1, -1/3, 1/3, 1}
-        rng = substream(3)
+        rng = np.random.default_rng([3])
         assert all(qz.quantize_grid_sr(1 / 3, 1.0, 2, rng) == 1 / 3
                    for _ in range(50))
         for code in (-3, -1, 1, 3):
@@ -215,7 +214,7 @@ class TestGridStochasticRounding:
 
     def test_out_of_range_rejected(self):
         with pytest.raises(qz.GridRangeError):
-            qz.quantize_grid_sr(1.0000001, 1.0, 3, substream(0))
+            qz.quantize_grid_sr(1.0000001, 1.0, 3, np.random.default_rng([0]))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_invalid_range_bound_rejected(self, bad):
@@ -223,7 +222,7 @@ class TestGridStochasticRounding:
         for call in (lambda: qz.half_step(bad, 3),
                      lambda: qz.grid_distribution(0.0, bad, 3),
                      lambda: qz.grid_moments(0.0, bad, 3),
-                     lambda: qz.quantize_grid_sr(0.0, bad, 3, substream(0))):
+                     lambda: qz.quantize_grid_sr(0.0, bad, 3, np.random.default_rng([0]))):
             with pytest.raises(ValueError, match=message):
                 call()
         with pytest.raises(ValueError, match="bits must be >= 1"):
@@ -232,7 +231,7 @@ class TestGridStochasticRounding:
     @pytest.mark.parametrize("bits", range(1, 9))
     @pytest.mark.parametrize("range_bound", [0.5, 1.0, 4.0])
     def test_moments_over_random_inputs(self, bits, range_bound):
-        rng = substream(4, bits)
+        rng = np.random.default_rng([4, bits])
         bound = qz.half_step(range_bound, bits) ** 2
         for w in rng.uniform(-range_bound, range_bound, size=1000):
             mean, var = qz.grid_moments(float(w), range_bound, bits)
@@ -246,7 +245,7 @@ class TestGridStochasticRounding:
     )
     def test_output_brackets_input(self, unit, range_bound, bits):
         w = unit * range_bound
-        out = qz.quantize_grid_sr(w, range_bound, bits, substream(5))
+        out = qz.quantize_grid_sr(w, range_bound, bits, np.random.default_rng([5]))
         assert abs(out) <= range_bound + 1e-12
         assert abs(out - w) <= 2 * qz.half_step(range_bound, bits) * (1 + 1e-12)
 
@@ -261,14 +260,16 @@ class TestOneBit:
     def test_probability_endpoints(self):
         # a code is +1 exactly when its coordinate's uniform draw is below Pr[+1]
         g, n = 2.5, 200
-        draws = substream(6).random(n)
+        draws = np.random.default_rng([6]).random(n)
         for w, pr in ((0.0, 0.5), (-1.0 / g, 0.0), (1.0 / g, 1.0)):
-            out = qz.quantize_vector(np.full(n, w), one_bit(), g, substream(6).random(n))
+            out = qz.quantize_vector(np.full(n, w), one_bit(), g,
+                                     np.random.default_rng([6]).random(n))
             assert out.codewords.tolist() == np.where(draws < pr, 1, -1).tolist()
 
     def test_saturated_input_always_plus(self):
         g = 4.0
-        out = qz.quantize_vector(np.full(50, 1 / g), one_bit(), g, substream(6).random(50))
+        out = qz.quantize_vector(np.full(50, 1 / g), one_bit(), g,
+                                 np.random.default_rng([6]).random(50))
         assert np.all(out.dequantize() == 1 / g)
 
     def test_nearest_sign_rule(self):
@@ -281,8 +282,10 @@ class TestOneBit:
     def test_probability_monotone(self, w1, w2, gain):
         # on shared draws, a larger input never gives a smaller code
         lo, hi = sorted((w1, w2))
-        low = qz.quantize_vector(np.full(64, lo), one_bit(), gain, substream(19).random(64))
-        high = qz.quantize_vector(np.full(64, hi), one_bit(), gain, substream(19).random(64))
+        low = qz.quantize_vector(np.full(64, lo), one_bit(), gain,
+                                 np.random.default_rng([19]).random(64))
+        high = qz.quantize_vector(np.full(64, hi), one_bit(), gain,
+                                  np.random.default_rng([19]).random(64))
         assert np.all(low.codewords <= high.codewords)
 
     @given(st.floats(-3, 3), st.floats(0.25, 16))
@@ -296,7 +299,8 @@ class TestOneBit:
 
 class TestQuantizeVector:
     def test_zero_vector(self):
-        out = qz.quantize_vector(np.zeros(5), qz.QuantizerSpec(3), 4.0, substream(7).random(5))
+        out = qz.quantize_vector(np.zeros(5), qz.QuantizerSpec(3), 4.0,
+                                 np.random.default_rng([7]).random(5))
         assert np.array_equal(out.codewords, np.zeros(5, dtype=np.int64))
         assert np.array_equal(out.dequantize(), np.zeros(5))
 
@@ -308,34 +312,35 @@ class TestQuantizeVector:
 
     def test_grid_determinism_under_fixed_seed(self):
         spec = qz.QuantizerSpec(4, grid=SYMMETRIC)
-        v = substream(8).uniform(-1, 1, 50)
-        a = qz.quantize_vector(v, spec, 1.0, substream(9).random(v.size))
-        b = qz.quantize_vector(v, spec, 1.0, substream(9).random(v.size))
+        v = np.random.default_rng([8]).uniform(-1, 1, 50)
+        a = qz.quantize_vector(v, spec, 1.0, np.random.default_rng([9]).random(v.size))
+        b = qz.quantize_vector(v, spec, 1.0, np.random.default_rng([9]).random(v.size))
         assert np.array_equal(a.codewords, b.codewords)
         assert a.gain == b.gain and a.bits == b.bits
 
     def test_vector_matches_scalar_stream(self):
         # one uniform draw per coordinate, in coordinate order
         spec = qz.QuantizerSpec(4)
-        v = substream(10).uniform(-1, 1, 20)
-        vec_out = qz.quantize_vector(v, spec, 8.0, substream(11).random(v.size))
-        rng = substream(11)
+        v = np.random.default_rng([10]).uniform(-1, 1, 20)
+        vec_out = qz.quantize_vector(v, spec, 8.0, np.random.default_rng([11]).random(v.size))
+        rng = np.random.default_rng([11])
         scalar_out = [qz.quantize_pipeline(float(w), spec, 8.0, rng)[0] for w in v]
         assert vec_out.codewords.tolist() == scalar_out
 
     def test_grid_vector_matches_scalar_stream(self):
         m, bits = 2.0, 3
         spec = qz.QuantizerSpec(bits, grid=SYMMETRIC)
-        v = substream(12).uniform(-m, m, 20)
-        vec_out = qz.quantize_vector(v, spec, m, substream(13).random(v.size)).codewords
-        rng = substream(13)
+        v = np.random.default_rng([12]).uniform(-m, m, 20)
+        vec_out = qz.quantize_vector(v, spec, m,
+                                     np.random.default_rng([13]).random(v.size)).codewords
+        rng = np.random.default_rng([13])
         scalar_vals = np.array([qz.quantize_grid_sr(float(w), m, bits, rng) for w in v])
         assert np.allclose(vec_out * qz.half_step(m, bits), scalar_vals, atol=0)
 
     def test_dequantized_is_codeword_over_gain(self):
         spec = qz.QuantizerSpec(5, grid=SYMMETRIC)
-        v = substream(14).uniform(-1.5, 1.5, 30)
-        out = qz.quantize_vector(v, spec, 1.5, substream(15).random(v.size))
+        v = np.random.default_rng([14]).uniform(-1.5, 1.5, 30)
+        out = qz.quantize_vector(v, spec, 1.5, np.random.default_rng([15]).random(v.size))
         assert np.array_equal(out.dequantize(), out.codewords / out.gain)
 
     def test_symmetric_nearest_hand_traces(self):
@@ -360,13 +365,14 @@ class TestQuantizeVector:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             qz.quantize_vector(np.array([np.nan]), qz.QuantizerSpec(3), 4.0,
-                               substream(0).random(1))
+                               np.random.default_rng([0]).random(1))
 
     def test_stochastic_needs_uniforms_of_the_input_shape(self):
         spec = qz.QuantizerSpec(3)
         with pytest.raises(ValueError, match="requires uniforms"):
             qz.quantize_vector(np.zeros(3), spec, 4.0)
-        for bad in (substream(0), substream(0).random(4), substream(0).random((1, 3))):
+        for bad in (np.random.default_rng([0]), np.random.default_rng([0]).random(4),
+                    np.random.default_rng([0]).random((1, 3))):
             with pytest.raises(ValueError, match="the input's shape"):
                 qz.quantize_vector(np.zeros(3), spec, 4.0, bad)
 
@@ -386,7 +392,7 @@ def block_case(family: str, rows: int, dim: int, seed: int):
     """A block, its per-row scales and its spec; the symmetric grid's range
     bound of each row is that row's peak, as for differential uploads."""
     bits = 1 if family.startswith("one_bit") else 3
-    rng = substream(seed)
+    rng = np.random.default_rng([seed])
     block = rng.standard_normal((rows, dim)) * rng.uniform(0.1, 10.0, (rows, 1))
     if family.startswith("symmetric"):
         scale = np.max(np.abs(block), axis=1)
@@ -399,12 +405,13 @@ class TestBlockQuantize:
     @pytest.mark.parametrize("family", BLOCK_FAMILIES)
     def test_rows_equal_one_vector_calls(self, family):
         block, scale, spec = block_case(family, 5, 7, 60)
-        draws = np.stack([substream(61, k).random(7) for k in range(5)])
+        draws = np.stack([np.random.default_rng([61, k]).random(7) for k in range(5)])
         out = qz.quantize_vector(block, spec, scale, draws)
         assert out.codewords.shape == (5, 7)
         deq = out.dequantize()
         for k in range(5):
-            one = qz.quantize_vector(block[k], spec, scale[k], substream(61, k).random(7))
+            one = qz.quantize_vector(block[k], spec, scale[k],
+                                     np.random.default_rng([61, k]).random(7))
             assert np.array_equal(out.codewords[k], one.codewords)
             assert out.gain[k] == one.gain
             assert np.array_equal(deq[k], one.dequantize())
@@ -416,7 +423,7 @@ class TestBlockQuantize:
         block, scale, spec = block_case(family, rows, dim, seed)
         perm = list(range(rows))
         shuffler.shuffle(perm)
-        draws = np.stack([substream(seed, 1, k).random(dim) for k in range(rows)])
+        draws = np.stack([np.random.default_rng([seed, 1, k]).random(dim) for k in range(rows)])
         base = qz.quantize_vector(block, spec, scale, draws)
         permuted = qz.quantize_vector(block[perm], spec, scale[perm], draws[perm])
         assert np.array_equal(permuted.codewords, base.codewords[perm])
@@ -432,7 +439,7 @@ class TestBlockQuantize:
         v = np.concatenate([block[0] for block, _, _ in layers])
         scales = np.array([scale[0] for _, scale, _ in layers])
         spec = layers[0][2]
-        draws = substream(seed, 2).random(v.size)
+        draws = np.random.default_rng([seed, 2]).random(v.size)
         out = qz.quantize_vector(v, spec, np.repeat(scales, sizes), draws)
         deq = out.dequantize()
         start = 0
@@ -447,7 +454,7 @@ class TestBlockQuantize:
         # block (the largest layer scale bounds every symmetric coordinate)
         shared = float(scales.max())
         block = np.stack([v, v[::-1]])
-        block_draws = np.stack([draws, substream(seed, 3).random(v.size)])
+        block_draws = np.stack([draws, np.random.default_rng([seed, 3]).random(v.size)])
         for x, u, repeated in ((v, draws, np.full(v.size, shared)),
                                (block, block_draws, np.full(2, shared))):
             scalar = qz.quantize_vector(x, spec, shared, u)
@@ -461,18 +468,18 @@ class TestBlockQuantize:
         block = np.array([[0.5, 0.1], [0.2, 3.0], [9.0, 0.0]])
         with pytest.raises(qz.GridRangeError, match="magnitude 3.0 exceeds range bound 2.0"):
             qz.quantize_vector(block, spec, np.array([1.0, 2.0, 4.0]),
-                               substream(0).random((3, 2)))
+                               np.random.default_rng([0]).random((3, 2)))
 
     def test_per_coordinate_range_bounds_checked_per_coordinate(self):
         spec = qz.QuantizerSpec(3, grid=SYMMETRIC)
         with pytest.raises(qz.GridRangeError, match="magnitude 0.5 exceeds range bound 0.25"):
             qz.quantize_vector(np.array([0.9, 0.5, 0.1]), spec, np.array([1.0, 0.25, 0.25]),
-                               substream(0).random(3))
+                               np.random.default_rng([0]).random(3))
 
     def test_block_arguments_validated(self):
         spec = qz.QuantizerSpec(3)
         block = np.zeros((2, 3))
-        draws = substream(0).random((2, 3))
+        draws = np.random.default_rng([0]).random((2, 3))
         with pytest.raises(ValueError, match="the input's shape"):
             qz.quantize_vector(block, spec, 4.0, draws[:1])
         with pytest.raises(ValueError, match="one entry per row"):
@@ -575,8 +582,8 @@ class TestSerialization:
 
     def test_round_trip_symmetric_grid(self):
         spec = qz.QuantizerSpec(9, grid=SYMMETRIC)
-        v = substream(17).uniform(-2, 2, 40)
-        original = qz.quantize_vector(v, spec, 2.0, substream(18).random(v.size))
+        v = np.random.default_rng([17]).uniform(-2, 2, 40)
+        original = qz.quantize_vector(v, spec, 2.0, np.random.default_rng([18]).random(v.size))
         restored = qz.deserialize(qz.serialize(original))
         assert restored.grid is qz.GridKind.SYMMETRIC
         assert np.array_equal(restored.codewords, original.codewords)
@@ -630,7 +637,7 @@ class TestSerialization:
     @given(st.sampled_from(["pipeline", "symmetric", "one_bit"]), st.integers(1, 16),
            st.integers(0, 40), st.integers(0, 2 ** 32 - 1))
     def test_length_is_accounted_bits(self, family, bits, dim, seed):
-        rng = substream(seed)
+        rng = np.random.default_rng([seed])
         v = rng.standard_normal(dim) * rng.uniform(0.1, 10.0)
         if family == "symmetric":
             spec = qz.QuantizerSpec(bits, grid=SYMMETRIC)
@@ -641,7 +648,7 @@ class TestSerialization:
             scale = rng.uniform(0.25, 4.0)
         else:
             spec, scale = qz.QuantizerSpec(bits), rng.uniform(0.25, 4.0)
-        qv = qz.quantize_vector(v, spec, scale, substream(seed, 1).random(dim))
+        qv = qz.quantize_vector(v, spec, scale, np.random.default_rng([seed, 1]).random(dim))
         blob = qz.serialize(qv)
         assert len(blob) == math.ceil(qz.wire_bits(dim, bits) / 8)
         # reference payload: each transport code as `bits` two's-complement digits
