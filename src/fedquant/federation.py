@@ -29,7 +29,10 @@ are quantized as one ``(K, d)`` block, and the block is averaged directly.
 Each client still draws only from its own stream, so every row is
 bit-identical to running that client alone.  Every quantized link builds
 one spec for its family and width, sets one scale per row (or per
-coordinate, from its layer), then makes one quantizer call.  Differential
+coordinate, from its layer), then makes one ``quantizer.transmit`` call,
+which returns the decoded values straight from the quantizer's one kernel:
+the round never builds the wire form (``quantize_vector``), since it
+serializes nothing and accounts each link's bits by formula.  Differential
 uploads have one rule, :func:`differential_uploads`: the symmetric grid over
 each row's own peak, at either rounding, which the moment verifier in
 ``analysis`` checks on the same path.
@@ -363,7 +366,7 @@ def aggregate_weights(uploads: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     stack = np.ascontiguousarray(uploads, dtype=np.float64)
     if stack.ndim != 2:
         raise ValueError("uploads must share one dimension")
-    return stack.sum(axis=0) / stack.shape[0]
+    return np.add.reduce(stack, axis=0) / stack.shape[0]
 
 
 def aggregate_differentials(prev_global: np.ndarray,
@@ -392,15 +395,18 @@ def differential_uploads(rows: np.ndarray, bits: int, rounding: qz.Rounding,
     [0.5, 1), then scaled back.  The scaling is exact, so a row decodes as it
     would unscaled, but a tiny peak's gain (2^B - 1)/peak cannot overflow to
     infinity (which decodes every codeword to zero) nor its step go subnormal.
+    The scaled peak is the mantissa ``np.frexp`` returns with the exponent.
     """
     peaks = np.abs(rows).max(axis=1)
-    exps = np.frexp(peaks)[1][:, None]
-    scaled = np.ldexp(rows, -exps)
-    uploads = qz.quantize_vector(scaled, qz.QuantizerSpec(bits, rounding, qz.GridKind.SYMMETRIC),
-                                 np.where(peaks == 0.0, 1.0, np.abs(scaled).max(axis=1)),
-                                 uniforms).dequantize()
+    zero = peaks == 0.0
+    mantissas, exps = np.frexp(peaks)
+    mantissas[zero] = 1.0  # any positive range sends zeros as zeros
+    exps = exps[:, None]
+    uploads = qz.transmit(np.ldexp(rows, -exps),
+                          qz.QuantizerSpec(bits, rounding, qz.GridKind.SYMMETRIC),
+                          mantissas, uniforms)
     uploads = np.ldexp(uploads, exps)
-    uploads[peaks == 0.0] = 0.0
+    uploads[zero] = 0.0
     return uploads
 
 
@@ -462,8 +468,7 @@ def broadcast(
             scales = base * qz.layered_gains(w_global, layers, bits)[1]
     sizes = [stop - start for start, stop in layers]
     spec = _link_spec(bits, symmetric, config)
-    delivered = qz.quantize_vector(w_global, spec, np.repeat(scales, sizes),
-                                   uniforms).dequantize()
+    delivered = qz.transmit(w_global, spec, np.repeat(scales, sizes), uniforms)
     return delivered, sum(qz.wire_bits(size, bits) for size in sizes)
 
 
@@ -650,9 +655,8 @@ def run_round(
             _check_weight_bound(w_locals, config, t, clients)
         scale = (config.weight_bound if symmetric
                  else 2.0 ** (bits_up - 1) / (config.weight_bound if tuned else 1.0))
-        uploads = qz.quantize_vector(w_locals, _link_spec(bits_up, symmetric, config),
-                                     np.full(len(clients), scale),
-                                     plan.uniforms[i]).dequantize()
+        uploads = qz.transmit(w_locals, _link_spec(bits_up, symmetric, config),
+                              np.full(len(clients), scale), plan.uniforms[i])
     up_bits = len(clients) * (qz.float_bits(dim) if config.uplink_mode is UplinkMode.FLOAT
                               else qz.wire_bits(dim, bits_up))
 

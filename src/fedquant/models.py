@@ -14,8 +14,10 @@ checked against closed forms at desk scale:
 uses it to run one round's selected clients as one array program on a block
 of batch row indices, picked by the caller from each client's keys: each
 client's row of the result is bit-identical to :func:`local_train` on that
-client alone, which stays as the reference the tests compare against.  Sums
-call ``np.add.reduce`` directly, the ufunc that ``ndarray.sum`` wraps.
+client alone, which stays as the reference the tests compare against; on
+the quadratic model it takes every batch mean of the block in one reduction
+before its steps.  Sums call ``np.add.reduce`` directly, the ufunc that
+``ndarray.sum`` wraps.
 """
 
 from __future__ import annotations
@@ -189,14 +191,21 @@ def local_train_clients(
     would pick on that client's keys, offset to where its samples start in
     ``pooled``.  So row k of the result is bit-identical to ``local_train``
     on that client, whatever the other rows are.  Every step's batch is
-    gathered in one indexing call.
+    gathered in one indexing call.  On the quadratic model, whose gradient is
+    ``w - mean(batch)``, every batch of the block is then reduced to its mean
+    in one call, adding each batch's rows in the order :func:`grad` does.
     """
     rows = np.asarray(rows)
     if rows.ndim != 3 or 0 in rows.shape:
         raise ValueError("rows need one non-empty (steps, batch_size) block per client")
     features = pooled.features[rows]
-    labels = pooled.labels[rows] if pooled.labels is not None else None
     block = np.repeat(np.asarray(w, dtype=np.float64)[None, :], rows.shape[0], axis=0)
+    if model.kind is LossKind.QUADRATIC:
+        means = np.add.reduce(features, axis=-2) / rows.shape[2]
+        for step in range(rows.shape[1]):
+            block -= lr * (block - means[:, step])
+        return block
+    labels = pooled.labels[rows] if pooled.labels is not None else None
     for step in range(rows.shape[1]):
         batch_labels = labels[:, step] if labels is not None else None
         block -= lr * grad(model, block, features[:, step], batch_labels)

@@ -26,7 +26,10 @@ symmetric-grid and one-bit codewords are the odd integers
 Every family rounds each coordinate to one of two codewords, so one kernel
 gives each coordinate's ``(lo, hi, Pr[hi])`` (a two-point distribution, as in
 QSGD).  ``quantize_vector`` samples from it with caller-drawn uniforms, for
-one vector or a ``(K, d)`` block, and ``expected_sq_error`` sums its
+one vector or a ``(K, d)`` block, and returns the wire form, a
+:class:`QuantizedVector` that ``serialize`` encodes; ``transmit`` makes the
+same checks and the same draw and returns only the decoded values, which is
+all a simulated link needs.  ``expected_sq_error`` sums the kernel's
 closed-form moments.  A :class:`QuantizerSpec` names only the family, width
 and rounding; every call takes its scale -- the gain ``G`` on the pipeline
 and enhanced one-bit, the half-range ``M`` on the symmetric grid -- as one
@@ -63,6 +66,7 @@ __all__ = [
     "grid_distribution",
     "grid_moments",
     "quantize_vector",
+    "transmit",
     "layered_gains",
     "magnitude_percentile",
     "expected_sq_error",
@@ -344,6 +348,31 @@ def _outcomes(
     return lo, hi, p_hi
 
 
+def _encode(
+    v: np.ndarray,
+    spec: QuantizerSpec,
+    scale: float | np.ndarray,
+    uniforms: np.ndarray | None,
+) -> tuple[np.ndarray, float | np.ndarray]:
+    """Every check on a quantizer call, then one draw from each coordinate's
+    two outcomes: the codewords and the gain that decodes them, a float or
+    broadcast against ``v`` (a column of one per row of a block)."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim not in (1, 2):
+        raise ValueError("expected a vector or a (rows, dim) block")
+    if not np.isfinite(v).all():
+        raise ValueError("non-finite coordinate in input vector")
+    stochastic = spec.rounding is Rounding.STOCHASTIC
+    if uniforms is None:
+        if stochastic:
+            raise ValueError("stochastic rounding requires uniforms")
+    elif np.shape(uniforms) != v.shape:
+        raise ValueError("uniforms must have the input's shape")
+    scale, gain = _scale_and_gain(v, spec, scale)
+    lo, hi, p_hi = _outcomes(v, spec, scale)
+    return np.where(uniforms < p_hi if stochastic else p_hi, hi, lo), gain
+
+
 def quantize_vector(
     v: np.ndarray,
     spec: QuantizerSpec,
@@ -361,25 +390,25 @@ def quantize_vector(
     take none.  Each output coordinate depends only on its own input, scale
     and uniform, so one call over a block, or over a vector with per-layer
     scales, is bit-identical to separate calls on its rows or layers with the
-    matching slices of the scales and uniforms.
+    matching slices of the scales and uniforms.  The result is the wire form
+    that :func:`serialize` encodes; :func:`transmit` gives its decoded values.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim not in (1, 2):
-        raise ValueError("expected a vector or a (rows, dim) block")
-    if not np.isfinite(v).all():
-        raise ValueError("non-finite coordinate in input vector")
-    stochastic = spec.rounding is Rounding.STOCHASTIC
-    if uniforms is None:
-        if stochastic:
-            raise ValueError("stochastic rounding requires uniforms")
-    elif np.shape(uniforms) != v.shape:
-        raise ValueError("uniforms must have the input's shape")
-    scale, gain = _scale_and_gain(v, spec, scale)
-    lo, hi, p_hi = _outcomes(v, spec, scale)
-    codes = np.where(uniforms < p_hi if stochastic else p_hi, hi, lo)
+    codes, gain = _encode(v, spec, scale, uniforms)
     symmetric = spec.grid is GridKind.SYMMETRIC or spec.one_bit_enhanced
     return QuantizedVector(codes, gain[:, 0] if np.ndim(gain) == 2 else gain, spec.bits,
                            GridKind.SYMMETRIC if symmetric else GridKind.PIPELINE)
+
+
+def transmit(
+    v: np.ndarray,
+    spec: QuantizerSpec,
+    scale: float | np.ndarray,
+    uniforms: np.ndarray | None = None,
+) -> np.ndarray:
+    """What the receiver decodes: ``quantize_vector(...).dequantize()`` bit
+    for bit, from the same checks and draw, without building the wire form."""
+    codes, gain = _encode(v, spec, scale, uniforms)
+    return codes / gain
 
 
 def magnitude_percentile(values: np.ndarray, fraction: float = 0.9) -> float:

@@ -8,6 +8,7 @@ from fedquant import analysis as an
 from fedquant import data as d
 from fedquant import federation as fed
 from fedquant import models as m
+from fedquant import quantizer as qz
 from fedquant.quantizer import Rounding
 
 QUADRATIC = m.LossModel(m.LossKind.QUADRATIC)
@@ -277,7 +278,18 @@ class TestDifferentialVerifier:
         assert check.value == pytest.approx(5 / 15 - 0.3, abs=1e-15)
         upload = fed.differential_uploads(d_vec[None], 4, Rounding.NEAREST, None)
         assert check.value == float(np.max(np.abs(upload - d_vec)))
-        assert check.threshold == 1 / 15 and check.passed
+        # the half-step plus 4 ulps of the peak for the decode's float rounding
+        assert check.threshold == 1 / 15 + 4 * np.spacing(1.0) and check.passed
+
+    def test_exact_zero_a_decode_ulp_past_the_half_step_passes(self):
+        # at one bit the zero rounds to codeword +1, which decodes as 1 / G
+        # with G = 1 / 254839.0: one ulp above the half-step 254839 itself
+        report = an.check_differential_moments(np.array([254839.0, 0.0]), 1,
+                                               trials=10_000)
+        check = report.checks[3]
+        assert check.value == 254839.00000000003 > qz.half_step(254839.0, 1)
+        assert check.threshold == 254839.0 + 4 * np.spacing(254839.0)
+        assert report.passed
 
     # the vectors that the CLI drew for --dim 8 --bits 3 at three seeds, under
     # an earlier stream scheme, and that failed the old per-row gain's

@@ -53,12 +53,17 @@ def test_metrics_bytes_reproduced(name, tmp_path, monkeypatch):
     entry = CORPUS[name]
     text = "".join(f"{key} = {value}\n" for key, value in entry["config"].items())
     config = cli.parse_config_text(text)
-    calls, original = [], qz.quantize_vector
+    calls, original = [], qz.transmit
 
     def spy(v, spec, scale, uniforms=None):
-        calls.append(original(v, spec, scale, uniforms))
-        return calls[-1]
-    monkeypatch.setattr(qz, "quantize_vector", spy)
+        # the engine's links decode through transmit; each call's wire form,
+        # built on the same arguments, must decode to the very same bits
+        decoded = original(v, spec, scale, uniforms)
+        calls.append(qz.quantize_vector(v, spec, scale, uniforms))
+        wire = calls[-1].dequantize()
+        assert decoded.shape == wire.shape and decoded.tobytes() == wire.tobytes()
+        return decoded
+    monkeypatch.setattr(qz, "transmit", spy)
     records = fed.run_federation(config)
     path = tmp_path / "metrics.csv"
     cli.write_metrics_csv(path, records)
@@ -102,10 +107,10 @@ def _serialized_bits(qv, bounds):
 
 def check_link_bits_serialized(config, records, calls):
     """Each quantized link makes one quantizer call a round (``calls`` holds
-    the run's outputs in order).  Every quantized upload row and broadcast
-    layer of the first ``ACCOUNTED_ROUNDS`` rounds goes through the codec:
-    its blob is its accounted bits rounded up to a byte, and it decodes to
-    the dequantized values."""
+    the wire forms of the run's calls in order).  Every quantized upload row
+    and broadcast layer of the first ``ACCOUNTED_ROUNDS`` rounds goes through
+    the codec: its blob is its accounted bits rounded up to a byte, and it
+    decodes to the dequantized values."""
     broadcasts = [qv for qv in calls if qv.codewords.ndim == 1]
     uploads = [qv for qv in calls if qv.codewords.ndim == 2]
     assert len(uploads) == (0 if config.uplink_mode is fed.UplinkMode.FLOAT

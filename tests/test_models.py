@@ -285,6 +285,22 @@ class TestLocalTrainClients:
         permuted = train_clients(model, datasets, perm, w, 3, 2, 0.1, 46)
         assert np.array_equal(permuted, base[perm])
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 20), st.integers(1, 4),
+           st.integers(0, 2 ** 32 - 1))
+    def test_quadratic_batch_means_equal_local_train(self, clients, steps, bs, dim, seed):
+        # the block's batch means are taken in one reduction; up to 20 rows a
+        # batch, a reduction that numpy may split into partial sums, and one
+        # coordinate, where the batch axis is the innermost left
+        sizes = [bs + extra for extra in range(clients)]
+        datasets = make_clients(sizes, dim, seed, False)
+        w = np.random.default_rng([seed, 1]).standard_normal(dim)
+        block = train_clients(QUADRATIC, datasets, range(clients), w, steps, bs, 0.3, seed)
+        for k, row in enumerate(block):
+            one = m.local_train(w, QUADRATIC, datasets[k], steps, bs, 0.3,
+                                np.random.default_rng([seed, k]))
+            assert row.tobytes() == one.tobytes()
+
     def test_one_row_block_per_client(self):
         pooled = m.pooled_dataset(make_clients([5, 5], 2, 49, False))
         for rows in (np.zeros((2, 5), dtype=np.int64), np.zeros((2, 0, 3), dtype=np.int64)):

@@ -506,6 +506,80 @@ class TestBlockQuantize:
             qz.serialize(qz.QuantizedVector(np.array([[1, 2]]), 2.0, 4))
 
 
+TRANSMIT_FAMILIES = ["pipeline_native", "pipeline_tuned", "symmetric", "one_bit"]
+
+
+@st.composite
+def transmit_cases(draw):
+    """A quantizer call of any family, rounding and width: a vector or a
+    block, with a scalar scale or one per coordinate of a vector or per row
+    of a block; symmetric scales bound their coordinates."""
+    family = draw(st.sampled_from(TRANSMIT_FAMILIES))
+    rounding = draw(st.sampled_from(list(qz.Rounding)))
+    bits = 1 if family == "one_bit" else draw(st.integers(1, qz.MAX_BITS))
+    shape = draw(st.one_of(st.tuples(st.integers(1, 9)),
+                           st.tuples(st.integers(1, 4), st.integers(1, 6))))
+    values = draw(st.lists(st.floats(-1e6, 1e6), min_size=math.prod(shape),
+                           max_size=math.prod(shape)))
+    v = np.array(values).reshape(shape)
+    rng = np.random.default_rng([draw(st.integers(0, 2 ** 32 - 1))])
+    shared = draw(st.booleans())
+    if family == "symmetric":
+        peaks = np.abs(v) if v.ndim == 1 else np.max(np.abs(v), axis=1)
+        # a range far below 1 overflows the gain (2^B - 1) / M at wide grids,
+        # which differential uploads avoid by scaling each row's peak to [0.5, 1)
+        scale = np.maximum(peaks, 1e-12) * rng.uniform(1.0, 2.0, shape[0])
+        scale = float(scale.max()) if shared else scale
+    elif family == "pipeline_native":
+        scale = 2.0 ** (bits - 1) if shared else np.full(shape[0], 2.0 ** (bits - 1))
+    else:  # a tuned pipeline's, or enhanced one-bit's, gain 2^(B-1) / bound
+        scale = 2.0 ** (bits - 1) / rng.uniform(0.01, 100.0, 1 if shared else shape[0])
+        scale = float(scale[0]) if shared else scale
+    spec = qz.QuantizerSpec(bits, rounding, qz.GridKind.SYMMETRIC if family == "symmetric"
+                            else qz.GridKind.PIPELINE, one_bit_enhanced=family == "one_bit")
+    stochastic = rounding is qz.Rounding.STOCHASTIC
+    uniforms = rng.random(shape) if stochastic or draw(st.booleans()) else None
+    return v, spec, scale, uniforms
+
+
+class TestTransmit:
+    @settings(max_examples=300, deadline=None)
+    @given(transmit_cases())
+    def test_equals_the_wire_form_decoded(self, case):
+        decoded = qz.transmit(*case)
+        wire = qz.quantize_vector(*case).dequantize()
+        assert decoded.dtype == wire.dtype and decoded.shape == wire.shape
+        assert decoded.tobytes() == wire.tobytes()
+
+    @pytest.mark.parametrize("v, spec, scale, uniforms", [
+        (np.zeros(()), qz.QuantizerSpec(3, qz.Rounding.NEAREST), 4.0, None),
+        (np.zeros((1, 2, 3)), qz.QuantizerSpec(3, qz.Rounding.NEAREST), 4.0, None),
+        (np.array([0.0, np.nan]), qz.QuantizerSpec(3, qz.Rounding.NEAREST), 4.0, None),
+        (np.array([[np.inf, 0.0]]), qz.QuantizerSpec(3), 4.0, np.zeros((1, 2))),
+        (np.zeros(3), qz.QuantizerSpec(3), 4.0, None),
+        (np.zeros(3), qz.QuantizerSpec(3), 4.0, np.zeros(4)),
+        (np.zeros((2, 3)), qz.QuantizerSpec(3), 4.0, np.zeros(3)),
+        (np.zeros((2, 3)), qz.QuantizerSpec(3), np.ones(3), np.zeros((2, 3))),
+        (np.zeros(3), qz.QuantizerSpec(3), np.ones(2), np.zeros(3)),
+        (np.zeros(3), qz.QuantizerSpec(3), 0.0, np.zeros(3)),
+        (np.zeros((2, 3)), qz.QuantizerSpec(3, grid=SYMMETRIC), np.array([1.0, math.inf]),
+         np.zeros((2, 3))),
+        (np.zeros(3), qz.QuantizerSpec(1, one_bit_enhanced=True), -1.0, np.zeros(3)),
+        (np.array([0.5, -2.0]), qz.QuantizerSpec(3, grid=SYMMETRIC), 1.0, np.zeros(2)),
+        (np.array([[0.5], [1.5]]), qz.QuantizerSpec(3, qz.Rounding.NEAREST, SYMMETRIC),
+         np.array([1.0, 1.0]), None),
+    ], ids=["rank0", "rank3", "nan", "inf_block", "no_uniforms", "uniforms_length",
+            "uniforms_rank", "scales_per_column", "scales_length", "zero_scale",
+            "inf_row_range", "negative_gain", "over_range", "over_range_row"])
+    def test_both_entries_reject_alike(self, v, spec, scale, uniforms):
+        with pytest.raises(ValueError) as wire:
+            qz.quantize_vector(v, spec, scale, uniforms)
+        with pytest.raises(ValueError) as decoded:
+            qz.transmit(v, spec, scale, uniforms)
+        assert type(decoded.value) is type(wire.value)
+        assert str(decoded.value) == str(wire.value)
+
+
 class TestLayeredGains:
     def test_single_layer_formula(self):
         # alpha = 0.05: rho = floor(log2 20) = 4, G_e = 16, G = 8 * 16 = 128
