@@ -176,9 +176,17 @@ def estimate_noise_bounds(
     return sigma_sq, h_sq
 
 
+def _square(x: float) -> float:
+    """``x ** 2`` rounded as Python's float power rounds it, but ``inf``
+    where that overflows instead of an ``OverflowError``."""
+    with np.errstate(over="ignore"):
+        return float(np.float64(x) ** 2)
+
+
 def bound_constant(variant: BoundVariant, p: BoundParams,
                    bits: int | None = None) -> float:
-    """The aggregate constant D for one transmission mode."""
+    """The aggregate constant D for one transmission mode; ``inf`` where it
+    overflows a float."""
     n, k = p.num_clients, p.clients_per_round
     e, h_sq = p.local_steps, p.h_sq
     base = (
@@ -188,13 +196,13 @@ def bound_constant(variant: BoundVariant, p: BoundParams,
     )
     sampling = 0.0 if n == 1 else (n - k) / (n - 1) * (4.0 / k) * e ** 2 * h_sq
     if variant is BoundVariant.WEIGHT:
-        mode = p.dim * p.weight_bound ** 2 / k
+        mode = p.dim * _square(p.weight_bound) / k
     elif variant is BoundVariant.DIFFERENTIAL:
         if bits is None or bits < 1:
             raise ValueError("differential variant requires bits >= 1")
         mode = 4.0 * p.dim * e ** 2 * h_sq / (k * (2.0 ** bits - 1.0) ** 2)
     else:
-        mode = p.dim * p.weight_bound ** 2
+        mode = p.dim * _square(p.weight_bound)
     return base + sampling + mode
 
 

@@ -318,6 +318,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
         w0_gap_sq=float(optimum.w_star @ optimum.w_star),
     )
     d_const = analysis.bound_constant(variant, params, bits)
+    if not np.isfinite(d_const):
+        raise fed.ConfigError(f"{variant.value} bound constant D = {d_const} is not finite "
+                              f"(weight_bound {config.weight_bound:.6g})")
     bounds = np.array([
         analysis.convergence_bound(t + 1, params, d_const)
         for t in range(config.rounds)

@@ -15,12 +15,16 @@ order: round t re-keys the ``clients_per_round + 1`` generators that
 k's.  :func:`build_problem` draws the data from the seed's ``DATA`` and
 ``SPLIT`` streams.
 
-No draw depends on the model, so :func:`plan_rounds` makes a block of
-rounds' draws ahead of the arithmetic: it selects every round's clients in
-one call and turns every batch key into pooled row indices in one call.
+No draw depends on the model, so :func:`plan_rounds` makes every
+model-independent input of a block of rounds ahead of the arithmetic: it
+draws each stream once, straight into the plan, selects every round's
+clients in one call, turns every batch key into pooled row indices in one
+call and those into what local SGD reads (``models.batch_inputs``) in one
+more, and sets each round's learning rate and link widths.
 :func:`run_federation` plans up to ``PLAN_KEYS`` batch keys at a time, and
 :func:`run_round` reads its row of the plan (or plans its own round), so the
-round loop runs only the model's arithmetic.  The kernels take slices of the
+round loop runs only the model's arithmetic: the broadcast, the local steps,
+the upload, the aggregation and the loss.  The kernels take slices of the
 plan, never a generator.
 
 A round runs its K selected clients as one array program: local SGD advances
@@ -44,6 +48,7 @@ Downlink cost is counted once per round (broadcast), uplink once per client.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -57,6 +62,7 @@ from .models import (
     LossKind,
     LossModel,
     OptimumInfo,
+    batch_inputs,
     local_train_clients,
     loss,
     pooled_dataset,
@@ -135,6 +141,13 @@ class ScheduleKind(Enum):
     STEP_LOG = "step_log"
 
 
+def _check_finite(fields: dict[str, float | None]) -> None:
+    """Reject a non-finite float config value, naming its key."""
+    for key, value in fields.items():
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ScheduleSpec:
     """Bit-width schedule; every produced width is an integer >= 1."""
@@ -145,6 +158,7 @@ class ScheduleSpec:
     p: float | None = None
 
     def __post_init__(self) -> None:
+        _check_finite({"schedule f": self.f, "schedule p": self.p})
         if self.kind is ScheduleKind.CONSTANT:
             if self.bits is None or not 1 <= self.bits <= qz.MAX_BITS:
                 raise ConfigError("constant schedule requires bits >= 1 and "
@@ -192,6 +206,10 @@ class FederationConfig:
     layer_feature_scales: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        _check_finite({key: getattr(self, key) for key in (
+            "mu", "lipschitz", "weight_bound", "regularization", "spread", "noise_std")})
+        _check_finite({f"layer_feature_scales entry {i}": scale
+                       for i, scale in enumerate(self.layer_feature_scales or ())})
         if self.num_clients < 1:
             raise ConfigError("num_clients must be >= 1")
         if not 1 <= self.clients_per_round <= self.num_clients:
@@ -384,6 +402,13 @@ def _link_spec(bits: int, symmetric: bool, config: FederationConfig) -> qz.Quant
                             one_bit_enhanced=bits == 1 and config.one_bit_enhanced)
 
 
+@functools.lru_cache(maxsize=None)
+def _differential_spec(bits: int, rounding: qz.Rounding) -> qz.QuantizerSpec:
+    """A differential upload's quantizer at one width, built once: a spec is
+    immutable, and there are at most ``2 * MAX_BITS`` of them."""
+    return qz.QuantizerSpec(bits, rounding, qz.GridKind.SYMMETRIC)
+
+
 def differential_uploads(rows: np.ndarray, bits: int, rounding: qz.Rounding,
                          uniforms: np.ndarray | None) -> np.ndarray:
     """Decoded differential uploads of a ``(K, d)`` block, one quantizer call:
@@ -402,8 +427,7 @@ def differential_uploads(rows: np.ndarray, bits: int, rounding: qz.Rounding,
     mantissas, exps = np.frexp(peaks)
     mantissas[zero] = 1.0  # any positive range sends zeros as zeros
     exps = exps[:, None]
-    uploads = qz.transmit(np.ldexp(rows, -exps),
-                          qz.QuantizerSpec(bits, rounding, qz.GridKind.SYMMETRIC),
+    uploads = qz.transmit(np.ldexp(rows, -exps), _differential_spec(bits, rounding),
                           mantissas, uniforms)
     uploads = np.ldexp(uploads, exps)
     uploads[zero] = 0.0
@@ -560,55 +584,83 @@ def init_state(
 
 
 # A plan holds at most this many batch keys (2^14 doubles, 128 KB), so a run
-# plans max(1, PLAN_KEYS // (K * E * n_max)) rounds at a time.
+# plans max(1, PLAN_KEYS // (K * E * n_max)) rounds at a time.  It also holds
+# the block's batch inputs: 64 KB of batch means on the README testbed, about
+# 1 MB of gathered batches on a 40-dimensional logistic model with batches of 20.
 PLAN_KEYS = 2 ** 14
 
 
 @dataclass(frozen=True)
 class RoundPlan:
-    """Every draw of rounds ``t0 .. t0 + count - 1``, made before any of them
-    runs: none depends on the model.  Row ``i`` of each block is round
-    ``t0 + i``."""
+    """Every model-independent input of rounds ``t0 .. t0 + count - 1``,
+    made before any of them runs.  Row ``i`` of each block, and entry ``i``
+    of ``schedule``, is round ``t0 + i``."""
 
     t0: int
     server: np.ndarray    # (count, N + d): selection keys, then broadcast uniforms
     selected: np.ndarray  # (count, K): sorted client ids
     rows: np.ndarray      # (count, K, E, bs): pooled rows of each local step's batch
+    inputs: tuple[np.ndarray, ...]  # models.batch_inputs of rows
     uniforms: np.ndarray  # (count, K, d): each selected client's upload uniforms
+    schedule: tuple[tuple[float, int, int], ...]  # (eta, bits_up, bits_down)
 
 
 def plan_rounds(state: FederationState, config: FederationConfig, t0: int,
                 count: int) -> RoundPlan:
-    """Draw, select and index rounds ``t0 .. t0 + count - 1`` in one pass.
+    """Draw, select, index and schedule rounds ``t0 .. t0 + count - 1`` in
+    one pass.
 
     Each round re-keys ``pool[0]`` to ``(seed, ROUND, t)`` and draws its
-    ``N + d`` uniforms; one :func:`sample_clients` call selects every round's
-    clients; selected slot k re-keys ``pool[1 + k]`` to ``(seed, CLIENT, t, c)``
-    and draws its ``E * n_c + d`` uniforms: batch keys, then upload uniforms.
-    The ``+inf``-padded ``(count, K, E, n_max)`` key block becomes pooled row
-    indices in one ``k_subset`` call.  Every draw is the one a single round
+    ``N + d`` uniforms straight into ``server``; one :func:`sample_clients`
+    call selects every round's clients; selected slot k re-keys ``pool[1 +
+    k]`` to ``(seed, CLIENT, t, c)`` and draws its ``E * n_c + d`` uniforms,
+    batch keys then upload uniforms, straight into its row of a ``(count, K,
+    E * n_max + d)`` draw block.  The batch keys are that block's head seen as
+    ``(count, K, E, n_max)`` and the upload uniforms its tail; a client with
+    fewer samples than the largest re-lays its row, keys padded with
+    ``+inf`` and uniforms moved to the tail.  The key block becomes pooled row
+    indices in one ``k_subset`` call, and those become the batch inputs in
+    one ``models.batch_inputs`` call.  Every draw is the one a single round
     makes on its own, so a run's records do not depend on how it is planned.
     """
     n, k, dim = config.num_clients, config.clients_per_round, config.dimension
     steps, rounds = config.local_steps, range(t0, t0 + count)
-    server = np.stack([rekey(state.pool[0], config.seed, ROUND, t).random(n + dim)
-                       for t in rounds])
+    server = np.empty((count, n + dim))
+    for t, row in zip(rounds, server):
+        rekey(state.pool[0], config.seed, ROUND, t).random(out=row)
     selected = sample_clients(n, k, server[:, :n])
     sizes = np.asarray(state.sizes)[selected]
     if not 1 <= config.batch_size <= sizes.min():
         raise ValueError("batch size must be in [1, dataset size]")
-    # a client with fewer samples than the largest pads its key rows with +inf
-    keys = np.full((count, k, steps, max(state.sizes)), np.inf)
-    uniforms = np.empty((count, k, dim))
-    for t, clients, block, ups in zip(rounds, selected.tolist(), keys, uniforms):
-        for slot, (rng, c) in enumerate(zip(state.pool[1:], clients)):
+    n_max = max(state.sizes)
+    head = steps * n_max
+    draws = np.empty((count, k, head + dim))
+    for t, clients, block in zip(rounds, selected.tolist(), draws):
+        for rng, c, row in zip(state.pool[1:], clients, block):
             size = state.sizes[c]
-            row = rekey(rng, config.seed, CLIENT, t, c).random(steps * size + dim)
-            block[slot, :, :size] = row[:steps * size].reshape(steps, size)
-            ups[slot] = row[steps * size:]
+            rekey(rng, config.seed, CLIENT, t, c).random(out=row[:steps * size + dim])
+            if size < n_max:
+                drawn = row[:steps * size + dim].copy()
+                row[head:] = drawn[steps * size:]
+                laid = row[:head].reshape(steps, n_max)
+                laid[:, :size] = drawn[:steps * size].reshape(steps, size)
+                laid[:, size:] = np.inf
     starts = np.asarray(state.starts, dtype=np.int64)[selected]
-    rows = k_subset(keys, config.batch_size) + starts[:, :, None, None]
-    return RoundPlan(t0, server, selected, rows, uniforms)
+    rows = k_subset(draws[..., :head].reshape(count, k, steps, n_max),
+                    config.batch_size) + starts[:, :, None, None]
+    gamma = gamma_offset(config.mu, config.lipschitz, config.local_steps)
+
+    def widths(quantized: bool, spec: ScheduleSpec) -> list[int]:
+        if not quantized:
+            return [qz.FLOAT_BITS_PER_COORD] * count
+        return [schedule_bits(spec, t, config.mu, gamma) for t in rounds]
+    schedule = tuple(zip(
+        [lr_schedule(t, config.mu, gamma) for t in rounds],
+        widths(config.uplink_mode is not UplinkMode.FLOAT, config.uplink_schedule),
+        widths(config.downlink_mode is not DownlinkMode.FLOAT, config.downlink_schedule)))
+    return RoundPlan(t0, server, selected, rows,
+                     batch_inputs(state.model, state.pooled, rows),
+                     draws[..., head:], schedule)
 
 
 def run_round(
@@ -616,23 +668,14 @@ def run_round(
     plan: RoundPlan | None = None,
 ) -> tuple[FederationState, RoundRecord]:
     """Execute round ``t``: download, local training, upload, aggregation.
-    Its draws come from ``plan``, or from a one-round plan made here."""
+    Its draws, learning rate and widths come from ``plan``, or from a
+    one-round plan made here."""
     if plan is None:
         plan = plan_rounds(state, config, t, 1)
     i = t - plan.t0
     if not 0 <= i < len(plan.selected):
         raise ValueError(f"round {t} is not in the plan")
-    gamma = gamma_offset(config.mu, config.lipschitz, config.local_steps)
-    eta = lr_schedule(t, config.mu, gamma)
-
-    if config.downlink_mode is DownlinkMode.FLOAT:
-        bits_down = qz.FLOAT_BITS_PER_COORD
-    else:
-        bits_down = schedule_bits(config.downlink_schedule, t, config.mu, gamma)
-    if config.uplink_mode is UplinkMode.FLOAT:
-        bits_up = qz.FLOAT_BITS_PER_COORD
-    else:
-        bits_up = schedule_bits(config.uplink_schedule, t, config.mu, gamma)
+    eta, bits_up, bits_down = plan.schedule[i]
 
     # a float or nearest link ignores its uniforms
     n, dim, clients = config.num_clients, config.dimension, plan.selected[i]
@@ -640,8 +683,8 @@ def run_round(
         state.w_global, config, bits_down, plan.server[i, n:],
         frozen_extra_gains=state.frozen_extra_gains,
     )
-    w_locals = local_train_clients(delivered, state.model, state.pooled,
-                                   plan.rows[i], eta)
+    w_locals = local_train_clients(delivered, state.model,
+                                   tuple(part[i] for part in plan.inputs), eta)
     differential = config.uplink_mode is UplinkMode.DIFFERENTIAL
     if config.uplink_mode is UplinkMode.FLOAT:
         uploads = w_locals

@@ -10,14 +10,15 @@ checked against closed forms at desk scale:
   the top eigenvalue of the empirical feature second-moment matrix.
 
 :func:`grad` also takes batched features ``(..., bs, d)`` with weights
-``(..., d)``, one gradient per leading index.  :func:`local_train_clients`
-uses it to run one round's selected clients as one array program on a block
-of batch row indices, picked by the caller from each client's keys: each
-client's row of the result is bit-identical to :func:`local_train` on that
-client alone, which stays as the reference the tests compare against; on
-the quadratic model it takes every batch mean of the block in one reduction
-before its steps.  Sums call ``np.add.reduce`` directly, the ufunc that
-``ndarray.sum`` wraps.
+``(..., d)``, one gradient per leading index.  :func:`batch_inputs` turns a
+block of pooled batch row indices, of any leading shape, into what local SGD
+reads: the batch means on the quadratic model, whose gradient is
+``w - mean(batch)``, and the gathered features and labels on the logistic
+one.  :func:`local_train_clients` steps one round's selected clients on their
+slice of it as one array program: each client's row of the result is
+bit-identical to :func:`local_train` on that client alone, which stays as
+the reference the tests compare against.  Sums call ``np.add.reduce``
+directly, the ufunc that ``ndarray.sum`` wraps.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "loss",
     "grad",
     "local_train",
+    "batch_inputs",
     "local_train_clients",
     "solve_optimum",
     "pooled_dataset",
@@ -177,38 +179,52 @@ def local_train(
     return w
 
 
+def batch_inputs(model: LossModel, pooled: ClientDataset,
+                 rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """What :func:`local_train_clients` reads of the batches at ``rows``.
+
+    ``rows`` holds ``pooled`` row indices of shape ``(..., K, E, bs)``: each
+    client's E batches, the sorted batch indices :func:`local_train` would
+    pick on that client's keys, offset to where its samples start in
+    ``pooled``.  Every batch is gathered in one indexing call.  The quadratic
+    model returns ``(means,)``, every batch reduced to its mean ``(..., K, E,
+    d)`` in one call that adds each batch's rows in the order :func:`grad`
+    does; the logistic model returns ``(features, labels)``, of shapes
+    ``(..., K, E, bs, d)`` and ``(..., K, E, bs)``.  Each entry along the
+    leading axes equals the call on that entry alone, bit for bit.
+    """
+    rows = np.asarray(rows)
+    if rows.ndim < 3 or 0 in rows.shape:
+        raise ValueError("rows need one non-empty (steps, batch_size) block per client")
+    features = pooled.features[rows]
+    if model.kind is LossKind.QUADRATIC:
+        return (np.add.reduce(features, axis=-2) / rows.shape[-1],)
+    if pooled.labels is None:
+        raise ValueError("logistic gradient requires labels")
+    return features, pooled.labels[rows]
+
+
 def local_train_clients(
     w: np.ndarray,
     model: LossModel,
-    pooled: ClientDataset,
-    rows: np.ndarray,
+    inputs: tuple[np.ndarray, ...],
     lr: float,
 ) -> np.ndarray:
     """:func:`local_train` for K clients at once; returns the ``(K, d)`` block.
 
-    ``rows`` is the ``(K, E, bs)`` block of ``pooled`` row indices: row k
-    holds client k's E batches, the sorted batch indices ``local_train``
-    would pick on that client's keys, offset to where its samples start in
-    ``pooled``.  So row k of the result is bit-identical to ``local_train``
-    on that client, whatever the other rows are.  Every step's batch is
-    gathered in one indexing call.  On the quadratic model, whose gradient is
-    ``w - mean(batch)``, every batch of the block is then reduced to its mean
-    in one call, adding each batch's rows in the order :func:`grad` does.
+    ``inputs`` is :func:`batch_inputs` of one round's ``(K, E, bs)`` row
+    block, or that round's slice of a larger block's.  Row k of the result is
+    bit-identical to ``local_train`` on client k, whatever the other rows are.
     """
-    rows = np.asarray(rows)
-    if rows.ndim != 3 or 0 in rows.shape:
-        raise ValueError("rows need one non-empty (steps, batch_size) block per client")
-    features = pooled.features[rows]
-    block = np.repeat(np.asarray(w, dtype=np.float64)[None, :], rows.shape[0], axis=0)
+    block = np.repeat(np.asarray(w, dtype=np.float64)[None, :], len(inputs[0]), axis=0)
     if model.kind is LossKind.QUADRATIC:
-        means = np.add.reduce(features, axis=-2) / rows.shape[2]
-        for step in range(rows.shape[1]):
+        means, = inputs
+        for step in range(means.shape[1]):
             block -= lr * (block - means[:, step])
         return block
-    labels = pooled.labels[rows] if pooled.labels is not None else None
-    for step in range(rows.shape[1]):
-        batch_labels = labels[:, step] if labels is not None else None
-        block -= lr * grad(model, block, features[:, step], batch_labels)
+    features, labels = inputs
+    for step in range(features.shape[1]):
+        block -= lr * grad(model, block, features[:, step], labels[:, step])
     return block
 
 

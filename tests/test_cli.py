@@ -183,6 +183,57 @@ def test_width_above_the_cap_is_a_config_error(tmp_path, capsys, command, text, 
     assert not (tmp_path / "o").exists() and not (tmp_path / "b.csv").exists()
 
 
+WEIGHT_STEP_LOG = BASE_CONFIG.replace(
+    "uplink_mode = differential\nuplink_schedule = constant\nuplink_bits = 3",
+    "uplink_mode = weight\nuplink_schedule = step_log\nuplink_f = 2\nuplink_p = 1")
+
+
+def with_value(key, value):
+    """WEIGHT_STEP_LOG with ``key`` set to ``value``."""
+    text = re.sub(rf"(?m)^{key} = .*\n", "", WEIGHT_STEP_LOG)
+    return text + f"{key} = {value}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "bound"])
+@pytest.mark.parametrize("text, message", [
+    (with_value("uplink_f", "inf"), "schedule f must be finite, got inf"),
+    (with_value("uplink_f", "nan"), "schedule f must be finite, got nan"),
+    (with_value("uplink_p", "inf"), "schedule p must be finite, got inf"),
+    (with_value("lipschitz", "nan"), "lipschitz must be finite, got nan"),
+    (with_value("lipschitz", "inf"), "lipschitz must be finite, got inf"),
+    (with_value("mu", "inf"), "mu must be finite, got inf"),
+    (with_value("noise_std", "nan"), "noise_std must be finite, got nan"),
+    (with_value("spread", "inf"), "spread must be finite, got inf"),
+    (with_value("weight_bound", "inf"), "weight_bound must be finite, got inf"),
+    (with_value("regularization", "nan"), "regularization must be finite, got nan"),
+    (with_value("downlink_mode", "quantized\ndownlink_schedule = step_log\n"
+                "downlink_f = -inf\ndownlink_p = 1"), "schedule f must be finite, got -inf"),
+    (with_value("layer_sizes", "1,3\nlayer_feature_scales = 1.0,inf"),
+     "layer_feature_scales entry 1 must be finite, got inf"),
+], ids=["f-inf", "f-nan", "p-inf", "lipschitz-nan", "lipschitz-inf", "mu-inf",
+        "noise-nan", "spread-inf", "weight-bound-inf", "regularization-nan",
+        "downlink-f-minus-inf", "feature-scale-inf"])
+def test_non_finite_float_is_a_config_error(tmp_path, capsys, command, text, message):
+    assert cli.main(failing_argv(tmp_path, command, text)) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert not (tmp_path / "o").exists() and not (tmp_path / "b.csv").exists()
+
+
+def test_overflowing_bound_constant_is_a_config_error(tmp_path, capsys):
+    text = BASE_CONFIG.replace("rounds = 12", "rounds = 3").replace(
+        "uplink_mode = differential\nuplink_schedule = constant\nuplink_bits = 3",
+        "uplink_mode = weight\nuplink_bits = 4\ngrid = pipeline\nweight_bound = 1e200")
+    config = write_config(tmp_path, text)
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path / "r")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "b.csv"
+    assert cli.main(["bound", "--config", config, "--out", str(out),
+                     str(tmp_path / "r" / "metrics.csv")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: weight bound constant D = inf is not finite (weight_bound 1e+200)"]
+    assert not out.exists()
+
+
 # the metrics corpus's two former quad-1bit-false-weight-pipeline-* entries
 PLAIN_ONE_BIT_WEIGHT = """\
 model = quadratic

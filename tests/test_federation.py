@@ -437,8 +437,8 @@ class TestRunRound:
             def __init__(self, rng):
                 self.rng = rng
 
-            def random(self, size):
-                drawn = self.rng.random(size)
+            def random(self, size=None, out=None):
+                drawn = self.rng.random(size, out=out)
                 draws.append((self.rng, drawn.copy()))
                 return drawn
 
@@ -638,6 +638,35 @@ class TestRoundPlan:
                 fed.plan_rounds(state, cfg, t, 1)
         with pytest.raises(ValueError, match="batch size"):
             fed.plan_rounds(state, cfg, 0, 12)
+
+    @pytest.mark.parametrize("uplink, downlink", [
+        (fed.ScheduleSpec.constant(4), fed.ScheduleSpec.constant(6)),
+        (fed.ScheduleSpec(fed.ScheduleKind.WEIGHT_LOG),
+         fed.ScheduleSpec(fed.ScheduleKind.DOWNLINK_LOG)),
+        (fed.ScheduleSpec(fed.ScheduleKind.STEP_LOG, f=2.5, p=7.0),
+         fed.ScheduleSpec(fed.ScheduleKind.STEP_LOG, f=3.0, p=11.0)),
+    ], ids=["constant", "log", "step-log"])
+    @pytest.mark.parametrize("quantized", [True, False], ids=["quantized", "float"])
+    def test_each_rounds_schedule_is_planned(self, uplink, downlink, quantized):
+        # 70 rounds in blocks of 32: every round of every block has its own
+        # learning rate and widths
+        modes = ((fed.UplinkMode.DIFFERENTIAL, fed.DownlinkMode.QUANTIZED) if quantized
+                 else (fed.UplinkMode.FLOAT, fed.DownlinkMode.FLOAT))
+        cfg = planned_config(uplink_mode=modes[0], downlink_mode=modes[1],
+                             uplink_schedule=uplink, downlink_schedule=downlink,
+                             weight_bound=50.0)
+        gamma = fed.gamma_offset(cfg.mu, cfg.lipschitz, cfg.local_steps)
+        expected = [(fed.lr_schedule(t, cfg.mu, gamma),
+                     fed.schedule_bits(uplink, t, cfg.mu, gamma) if quantized else 32,
+                     fed.schedule_bits(downlink, t, cfg.mu, gamma) if quantized else 32)
+                    for t in range(70)]
+        assert len(set(expected)) == 70
+        state, planned = fed.init_state(cfg), []
+        for t0, count in ((0, 32), (32, 32), (64, 6)):
+            planned.extend(fed.plan_rounds(state, cfg, t0, count).schedule)
+        assert planned == expected
+        records = fed.run_federation(cfg)
+        assert [(r.eta, r.bits_up, r.bits_down) for r in records] == expected
 
     def test_round_outside_the_plan_rejected(self):
         cfg = planned_config()

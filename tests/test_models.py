@@ -257,7 +257,7 @@ def train_clients(model, datasets, order, w, steps, bs, lr, seed):
     rows = np.stack([k_subset(np.random.default_rng([seed, int(k)])
                               .random((steps, datasets[k].size)), bs)
                      + starts[k] for k in order])
-    return m.local_train_clients(w, model, pooled, rows, lr)
+    return m.local_train_clients(w, model, m.batch_inputs(model, pooled, rows), lr)
 
 
 class TestLocalTrainClients:
@@ -301,11 +301,36 @@ class TestLocalTrainClients:
                                 np.random.default_rng([seed, k]))
             assert row.tobytes() == one.tobytes()
 
+
+
+class TestBatchInputs:
     def test_one_row_block_per_client(self):
         pooled = m.pooled_dataset(make_clients([5, 5], 2, 49, False))
         for rows in (np.zeros((2, 5), dtype=np.int64), np.zeros((2, 0, 3), dtype=np.int64)):
             with pytest.raises(ValueError, match="one non-empty .* block per client"):
-                m.local_train_clients(np.zeros(2), QUADRATIC, pooled, rows, 0.1)
+                m.batch_inputs(QUADRATIC, pooled, rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5), st.integers(1, 20),
+           st.integers(1, 4), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_block_equals_each_round(self, count, clients, steps, bs, dim, logistic, seed):
+        # a block of rounds, each selecting its own clients of uneven sizes,
+        # so every round reads rows at its own offsets into the pooled set
+        model = LOGISTIC if logistic else QUADRATIC
+        sizes = [bs + extra for extra in range(clients + 2)]
+        datasets = make_clients(sizes, dim, seed, logistic)
+        pooled = m.pooled_dataset(datasets)
+        starts = np.cumsum([0] + sizes)
+        rng = np.random.default_rng([seed, 2])
+        rows = np.stack([
+            np.stack([k_subset(rng.random((steps, sizes[c])), bs) + starts[c]
+                      for c in np.sort(rng.permutation(len(sizes))[:clients])])
+            for _ in range(count)])
+        block = m.batch_inputs(model, pooled, rows)
+        assert len(block) == (2 if logistic else 1)
+        for i in range(count):
+            one = m.batch_inputs(model, pooled, rows[i])
+            assert [part[i].tobytes() for part in block] == [part.tobytes() for part in one]
 
 
 class TestSolveOptimum:

@@ -31,7 +31,7 @@ class TestKSubset:
     @given(st.lists(st.integers(1, 8), min_size=1, max_size=5), st.data(),
            st.integers(0, 2 ** 32 - 1))
     def test_inf_columns_never_chosen(self, sizes, data, seed):
-        # the padded key block of local_train_clients: row r has sizes[r] keys
+        # the padded key block of plan_rounds: row r has sizes[r] keys
         k = data.draw(st.integers(1, min(sizes)))
         keys = np.full((len(sizes), max(sizes)), np.inf)
         rng = np.random.default_rng([seed])
