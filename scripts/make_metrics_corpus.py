@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Write the byte-identity corpus: the sha256 of ``metrics.csv`` for short runs.
 
-The corpus covers every uplink mode x downlink mode x (grid, rounding)
-combination on a small quadratic problem, plus native structure, 1-bit
-(enhanced, and plain where the config is valid), a 3-bit nearest weight
-upload, log-scheduled widths, layered logistic runs with and without static
-gains (also at a weight bound small enough for nearest-rounded weight uploads
-to move the model), and a problem whose differential uploads are all zero.
-The corpus records the engine's ``STREAM_SCHEME``, which
+The corpus covers every uplink mode x downlink mode pair with each grid and
+rounding that the pair reads, on a small quadratic problem, plus native
+structure, 1-bit links, a 3-bit nearest weight upload, log-scheduled widths,
+layered logistic runs with and without static gains (also at a weight bound
+small enough for nearest-rounded weight uploads to move the model), and a
+problem whose differential uploads are all zero.  Each entry sets only the
+keys its run reads (``federation.config_reads``) and is named by them, so
+each distinct run appears once: a config already in the corpus under another
+name is an error.  The corpus records the engine's ``STREAM_SCHEME``, which
 ``tests/test_corpus.py`` checks along with every hash; a refactor that changes
 any result fails it.  Regenerate only when results change on purpose:
 
@@ -47,92 +49,110 @@ GRID_ROUNDING = (("pipeline", "nearest"), ("pipeline", "stochastic"),
                  ("symmetric", "stochastic"))
 
 
+def read_only(entries: dict) -> dict:
+    """``entries`` without the keys left unset (``None``) or not read by the
+    run they configure."""
+    entries = {key: value for key, value in entries.items() if value is not None}
+    reads = fed.config_reads(cli.parse_config_keys(config_text(entries))[0])
+    return {key: value for key, value in entries.items() if key in reads}
+
+
+def family(entries: dict) -> str:
+    """The name suffix of the grid and the rounding a config's run reads."""
+    return "".join(f"-{entries[key]}" for key in ("grid", "rounding") if key in entries)
+
+
 def corpus_configs() -> dict[str, dict]:
     """Name -> config entries, in the flat key=value form of a config file."""
     configs: dict[str, dict] = {}
+
+    def add(name: str, entries: dict) -> None:
+        entries = read_only(entries)
+        # a name is reached again only by the same run, and a run has one name
+        if configs.setdefault(name, entries) != entries:
+            raise ValueError(f"two configs are named {name}")
+        for other, known in configs.items():
+            if known == entries and other != name:
+                raise ValueError(f"{name} is the same config as {other}")
+
     for up, down, (grid, rounding) in itertools.product(
             ("float", "weight", "differential"), ("float", "quantized", "layered"),
             GRID_ROUNDING):
-        configs[f"quad-{up}-{down}-{grid}-{rounding}"] = {
-            **QUADRATIC, "uplink_mode": up, "downlink_mode": down,
-            "grid": grid, "rounding": rounding,
-        }
+        if (up, down, rounding) == ("float", "float", "nearest"):
+            continue  # no link of the run rounds, so nearest is a config error
+        entries = read_only({**QUADRATIC, "uplink_mode": up, "downlink_mode": down,
+                             "grid": grid, "rounding": rounding})
+        add(f"quad-{up}-{down}{family(entries)}", entries)
+    # a layered downlink reads no structure
     for up, down, rounding in (("weight", "quantized", "nearest"),
                                ("weight", "float", "stochastic"),
                                ("differential", "quantized", "nearest"),
-                               ("float", "quantized", "stochastic"),
-                               ("float", "layered", "nearest")):
-        configs[f"quad-native-{up}-{down}-{rounding}"] = {
+                               ("float", "quantized", "stochastic")):
+        add(f"quad-native-{up}-{down}-{rounding}", {
             **QUADRATIC, "uplink_mode": up, "downlink_mode": down,
             "grid": "pipeline", "rounding": rounding, "structure": "native",
-        }
-    for enhanced, (grid, rounding) in itertools.product(("true", "false"),
-                                                        GRID_ROUNDING):
-        for up in ("weight", "differential"):
-            if (up, enhanced, grid) == ("weight", "false", "pipeline"):
-                continue  # its codewords -1 and 0 make it a config error
-            configs[f"quad-1bit-{enhanced}-{up}-{grid}-{rounding}"] = {
-                **QUADRATIC, "uplink_mode": up,
-                # a 1-bit symmetric broadcast of a differential run drifts
-                # past weight_bound, so those runs keep a float downlink
-                "downlink_mode": "quantized" if up == "weight" else "float",
-                "grid": grid, "rounding": rounding, "one_bit_enhanced": enhanced,
-                "uplink_bits": 1, "downlink_bits": 1,
-            }
-    # a plain 1-bit pipeline weight upload never carries a positive weight;
-    # at 3 bits the nearest-rounded uploads carry the round
-    configs["quad-3bit-weight-pipeline-nearest"] = {
+        })
+    for up, (grid, rounding) in itertools.product(("weight", "differential"),
+                                                  GRID_ROUNDING):
+        entries = read_only({
+            **QUADRATIC, "uplink_mode": up,
+            # a 1-bit symmetric broadcast of a differential run drifts
+            # past weight_bound, so those runs keep a float downlink
+            "downlink_mode": "quantized" if up == "weight" else "float",
+            "grid": grid, "rounding": rounding, "uplink_bits": 1, "downlink_bits": 1,
+        })
+        add(f"quad-1bit-{up}{family(entries)}", entries)
+    # at 3 bits the nearest-rounded weight uploads carry the round
+    add("quad-3bit-weight-pipeline-nearest", {
         **QUADRATIC, "uplink_mode": "weight", "downlink_mode": "quantized",
         "grid": "pipeline", "rounding": "nearest",
         "uplink_bits": 3, "downlink_bits": 3,
-    }
-    configs["quad-weight_log-downlink_log"] = {
+    })
+    add("quad-weight_log-downlink_log", {
         **QUADRATIC, "uplink_mode": "weight", "downlink_mode": "quantized",
         "grid": "symmetric", "rounding": "stochastic",
         "uplink_schedule": "weight_log", "downlink_schedule": "downlink_log",
         "uplink_bits": None, "downlink_bits": None,
-    }
-    configs["quad-step_log"] = {
+    })
+    add("quad-step_log", {
         **QUADRATIC, "uplink_mode": "differential", "downlink_mode": "layered",
         "grid": "pipeline", "rounding": "nearest",
         "uplink_schedule": "step_log", "uplink_f": 2, "uplink_p": 10,
         "downlink_schedule": "step_log", "downlink_f": 3, "downlink_p": 7,
         "uplink_bits": None, "downlink_bits": None,
-    }
-    configs["quad-full-participation-full-batch"] = {
+    })
+    add("quad-full-participation-full-batch", {
         **QUADRATIC, "clients_per_round": 8, "batch_size": 10,
         "uplink_mode": "differential", "downlink_mode": "quantized",
         "grid": "pipeline", "rounding": "stochastic",
-    }
-    configs["quad-one-client-d1"] = {
+    })
+    add("quad-one-client-d1", {
         **QUADRATIC, "clients_per_round": 1, "dimension": 1, "layer_sizes": None,
         "uplink_mode": "weight", "downlink_mode": "float",
         "grid": "pipeline", "rounding": "stochastic",
-    }
+    })
     for rounding in ("nearest", "stochastic"):
-        configs[f"quad-zero-differential-{rounding}"] = {
+        add(f"quad-zero-differential-{rounding}", {
             **QUADRATIC, "spread": 0.0, "noise_std": 0.0,
             "uplink_mode": "differential", "downlink_mode": "quantized",
             "grid": "pipeline", "rounding": rounding,
-        }
+        })
     for up, (grid, rounding), static in itertools.product(
             ("float", "weight", "differential"),
             (("pipeline", "nearest"), ("symmetric", "stochastic")),
             ("true", "false")):
-        configs[f"logistic-{up}-layered-{grid}-{rounding}-static_{static}"] = {
-            **LOGISTIC, "uplink_mode": up, "downlink_mode": "layered",
-            "grid": grid, "rounding": rounding, "lq_static": static,
-        }
+        entries = read_only({**LOGISTIC, "uplink_mode": up, "downlink_mode": "layered",
+                             "grid": grid, "rounding": rounding, "lq_static": static})
+        add(f"logistic-{up}-layered{family(entries)}-static_{static}", entries)
     # at weight_bound 8 every nearest-rounded weight upload above rounds to
     # zero and the model never moves; at 1 the uploads carry the round
     for static in ("true", "false"):
-        configs[f"logistic-weight-layered-pipeline-nearest-static_{static}-bound_1"] = {
+        add(f"logistic-weight-layered-pipeline-nearest-static_{static}-bound_1", {
             **LOGISTIC, "uplink_mode": "weight", "downlink_mode": "layered",
             "grid": "pipeline", "rounding": "nearest", "lq_static": static,
             "weight_bound": 1.0,
-        }
-    return {name: {k: v for k, v in cfg.items() if v is not None}
-            for name, cfg in configs.items()}
+        })
+    return configs
 
 
 def config_text(entries: dict) -> str:

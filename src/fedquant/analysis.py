@@ -121,8 +121,9 @@ def pilot_probe_weights(
     """Probe weights for constant estimation: globals visited by a short
     unquantized pilot run (every ``stride`` rounds) plus random perturbations
     around them."""
+    # a float run reads no rounding, so it keeps the default
     pilot_cfg = replace(config, rounds=pilot_rounds, uplink_mode=fed.UplinkMode.FLOAT,
-                        downlink_mode=fed.DownlinkMode.FLOAT)
+                        downlink_mode=fed.DownlinkMode.FLOAT, rounding=Rounding.STOCHASTIC)
     visited: list[np.ndarray] = [np.zeros(config.dimension)]
     fed.run_federation(
         pilot_cfg, model, datasets,

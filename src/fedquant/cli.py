@@ -13,8 +13,9 @@ converge, 3 runtime assumption violation.
 Config files are flat ``key=value`` text ('#' starts a comment).  Keys match
 the FederationConfig fields; the two schedule fields are flattened as
 ``uplink_schedule`` / ``uplink_bits`` / ``uplink_f`` / ``uplink_p`` (same for
-``downlink_*``).  Unknown keys are errors.  All floating-point output uses 17
-significant digits so CSVs round-trip exactly.
+``downlink_*``).  Unknown keys are errors, and so is a key the configured run
+does not read (``federation.config_reads``).  All floating-point output uses
+17 significant digits so CSVs round-trip exactly.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ _FLOAT_KEYS = {
     "mu", "lipschitz", "weight_bound", "regularization", "spread", "noise_std",
     "uplink_f", "uplink_p", "downlink_f", "downlink_p",
 }
-_BOOL_KEYS = {"one_bit_enhanced", "lq_static"}
+_BOOL_KEYS = {"lq_static"}
 _ENUM_KEYS = {
     "uplink_mode": fed.UplinkMode,
     "downlink_mode": fed.DownlinkMode,
@@ -89,7 +90,9 @@ def _parse_value(key: str, raw: str):
     raise fed.ConfigError(f"unknown config key '{key}'")
 
 
-def parse_config_text(text: str) -> fed.FederationConfig:
+def parse_config_keys(text: str) -> tuple[fed.FederationConfig, list[str]]:
+    """The config a ``key=value`` text describes, and the keys the text sets,
+    whether or not the configured run reads them."""
     entries: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -101,32 +104,40 @@ def parse_config_text(text: str) -> fed.FederationConfig:
         if key in entries:
             raise fed.ConfigError(f"line {lineno}: duplicate key '{key}'")
         entries[key] = _parse_value(key, raw)
+    keys = list(entries)
 
-    def take_schedule(prefix: str) -> fed.ScheduleSpec | None:
+    for prefix in ("uplink", "downlink"):
         kind = entries.pop(f"{prefix}_schedule", None)
-        bits = entries.pop(f"{prefix}_bits", None)
-        f = entries.pop(f"{prefix}_f", None)
-        p = entries.pop(f"{prefix}_p", None)
-        if kind is None:
-            if bits is not None:
-                return fed.ScheduleSpec.constant(bits)
-            if f is not None or p is not None:
-                raise fed.ConfigError(
-                    f"{prefix}_f/{prefix}_p require {prefix}_schedule=step_log"
-                )
-            return None
-        return fed.ScheduleSpec(kind, bits=bits, f=f, p=p)
-
-    uplink = take_schedule("uplink")
-    downlink = take_schedule("downlink")
-    if uplink is not None:
-        entries["uplink_schedule"] = uplink
-    if downlink is not None:
-        entries["downlink_schedule"] = downlink
+        parts = {part: entries.pop(f"{prefix}_{part}", None) for part in ("bits", "f", "p")}
+        if kind is not None or parts["bits"] is not None:
+            entries[f"{prefix}_schedule"] = fed.ScheduleSpec(
+                kind or fed.ScheduleKind.CONSTANT, **parts)
     try:
-        return fed.FederationConfig(**entries)  # type: ignore[arg-type]
+        return fed.FederationConfig(**entries), keys  # type: ignore[arg-type]
     except TypeError as exc:
         raise fed.ConfigError(str(exc)) from exc
+
+
+def _describe_run(config: fed.FederationConfig) -> str:
+    """The run's model and links, e.g. ``a quadratic run with a weight uplink
+    (constant schedule) and a float downlink on the pipeline grid``."""
+    schedules = {link: f" ({spec.kind.value} schedule)"
+                 for link, spec in config.quantized_links()}
+    up, down = (f"a {mode.value} {link}{schedules.get(link, '')}" for link, mode in (
+        ("uplink", config.uplink_mode), ("downlink", config.downlink_mode)))
+    grid = f" on the {config.grid.value} grid" if "grid" in fed.config_reads(config) else ""
+    return f"a {config.model.value} run with {up} and {down}{grid}"
+
+
+def parse_config_text(text: str) -> fed.FederationConfig:
+    """The config a ``key=value`` text describes; every key it sets must be
+    one that the configured run reads."""
+    config, keys = parse_config_keys(text)
+    unread = sorted(set(keys) - fed.config_reads(config))
+    if unread:
+        raise fed.ConfigError(f"{', '.join(unread)} {'is' if len(unread) == 1 else 'are'} "
+                              f"not read by {_describe_run(config)}")
+    return config
 
 
 def load_config(path: str, seed_override: int | None = None) -> fed.FederationConfig:
@@ -153,18 +164,22 @@ def write_metrics_csv(path: Path, records: list[fed.RoundRecord]) -> None:
 
 
 def _config_snapshot(config: fed.FederationConfig) -> dict:
+    """The config in config-file keys: every key the run reads, and no other."""
     snap = {}
     for name in config.__dataclass_fields__:
         value = getattr(config, name)
         if isinstance(value, fed.ScheduleSpec):
-            value = {"kind": value.kind.value, "bits": value.bits,
-                     "f": value.f, "p": value.p}
-        elif hasattr(value, "value"):
+            link = name[: -len("_schedule")]
+            snap.update({f"{link}_bits": value.bits, f"{link}_f": value.f,
+                         f"{link}_p": value.p})
+            value = value.kind
+        if hasattr(value, "value"):
             value = value.value
         elif isinstance(value, tuple):
             value = list(value)
         snap[name] = value
-    return snap
+    reads = fed.config_reads(config)
+    return {key: value for key, value in snap.items() if key in reads}
 
 
 def _check_out(path: Path, directory: bool) -> None:

@@ -78,6 +78,7 @@ __all__ = [
     "ScheduleKind",
     "ScheduleSpec",
     "FederationConfig",
+    "config_reads",
     "RoundRecord",
     "FederationState",
     "ConfigError",
@@ -193,7 +194,6 @@ class FederationConfig:
     structure: Structure = Structure.TUNED
     grid: qz.GridKind = qz.GridKind.SYMMETRIC
     weight_bound: float = 1.0
-    one_bit_enhanced: bool = True
     lq_static: bool = False
     seed: int = 0
     model: LossKind = LossKind.QUADRATIC
@@ -230,14 +230,10 @@ class FederationConfig:
             raise ConfigError("weight_bound must be positive")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must satisfy 0 <= seed < 2**64, a Philox key word")
-        if (self.grid is qz.GridKind.SYMMETRIC
-                and self.rounding is not qz.Rounding.STOCHASTIC):
+        # rounding = nearest must reach a link: a symmetric grid rounds stochastically
+        if (self.rounding is not qz.Rounding.STOCHASTIC
+                and "rounding" not in config_reads(self)):
             raise ConfigError("grid=symmetric requires rounding=stochastic")
-        if (self.uplink_mode is UplinkMode.WEIGHT and self.grid is qz.GridKind.PIPELINE
-                and not self.one_bit_enhanced and self.uplink_schedule.bits == 1
-                and self.uplink_schedule.kind is ScheduleKind.CONSTANT):
-            raise ConfigError("a plain 1-bit pipeline weight upload cannot carry a "
-                              "positive weight: its codewords are -1 and 0")
         if self.model is LossKind.LOGISTIC and not self.regularization > 0:
             raise ConfigError("logistic model requires regularization > 0")
         if self.model is LossKind.LOGISTIC and self.mu > self.regularization:
@@ -269,14 +265,18 @@ class FederationConfig:
                 raise ConfigError("layer_feature_scales must be positive")
         # every schedule's width grows with t, so the last round's is the widest
         gamma = gamma_offset(self.mu, self.lipschitz, self.local_steps)
-        for link, quantized, spec in (
-                ("uplink", self.uplink_mode is not UplinkMode.FLOAT, self.uplink_schedule),
-                ("downlink", self.downlink_mode is not DownlinkMode.FLOAT,
-                 self.downlink_schedule)):
-            if (quantized and self.rounds
-                    and schedule_bits(spec, self.rounds - 1, self.mu, gamma) > qz.MAX_BITS):
+        for link, spec in self.quantized_links():
+            if self.rounds and schedule_bits(spec, self.rounds - 1, self.mu,
+                                             gamma) > qz.MAX_BITS:
                 raise ConfigError(f"{link} schedule exceeds {qz.MAX_BITS} bits "
                                   f"by round {self.rounds - 1}")
+
+    def quantized_links(self) -> tuple[tuple[str, ScheduleSpec], ...]:
+        """``(name, schedule)`` of each quantized link, uplink first."""
+        return tuple((link, spec) for link, quantized, spec in (
+            ("uplink", self.uplink_mode is not UplinkMode.FLOAT, self.uplink_schedule),
+            ("downlink", self.downlink_mode is not DownlinkMode.FLOAT,
+             self.downlink_schedule)) if quantized)
 
     def layer_bounds(self) -> tuple[tuple[int, int], ...]:
         if self.layer_sizes is None:
@@ -286,6 +286,43 @@ class FederationConfig:
             bounds.append((cursor, cursor + size))
             cursor += size
         return tuple(bounds)
+
+
+# Config-file keys every run reads.  Not every run reads weight_bound, but
+# ``fedquant bound`` does for every variant but the differential one.
+_ALWAYS_READ = frozenset({
+    "num_clients", "clients_per_round", "local_steps", "rounds", "batch_size", "mu",
+    "lipschitz", "uplink_mode", "downlink_mode", "weight_bound", "seed", "model",
+    "dimension", "samples_per_client",
+})
+# the {link}_* keys a schedule kind reads, if any
+_SCHEDULE_PARTS = {ScheduleKind.CONSTANT: ("bits",), ScheduleKind.STEP_LOG: ("f", "p")}
+
+
+def config_reads(config: FederationConfig) -> frozenset[str]:
+    """The config-file keys a run of ``config`` reads; it ignores every other.
+    A weight uplink and a quantized downlink read ``grid``, and a quantized
+    link reads its ``{link}_schedule`` and the parts of it its kind reads."""
+    layered = config.downlink_mode is DownlinkMode.LAYERED
+    gridded = (config.uplink_mode is UplinkMode.WEIGHT
+               or config.downlink_mode is DownlinkMode.QUANTIZED)
+    pipeline = gridded and config.grid is qz.GridKind.PIPELINE
+    logistic = config.model is LossKind.LOGISTIC
+    reads = {key for key, read in (
+        ("grid", gridded),
+        ("structure", pipeline),
+        ("rounding", pipeline or layered or config.uplink_mode is UplinkMode.DIFFERENTIAL),
+        ("lq_static", layered),
+        ("layer_sizes", layered or config.layer_feature_scales is not None),
+        ("layer_feature_scales", logistic),
+        ("regularization", logistic),
+        ("spread", not logistic),
+        ("noise_std", not logistic),
+    ) if read}
+    for link, spec in config.quantized_links():
+        reads.add(f"{link}_schedule")
+        reads.update(f"{link}_{part}" for part in _SCHEDULE_PARTS.get(spec.kind, ()))
+    return _ALWAYS_READ | reads
 
 
 @dataclass(frozen=True)
@@ -393,13 +430,12 @@ def aggregate_differentials(prev_global: np.ndarray,
     return np.asarray(prev_global, dtype=np.float64) + aggregate_weights(uploads)
 
 
-def _link_spec(bits: int, symmetric: bool, config: FederationConfig) -> qz.QuantizerSpec:
+def _link_spec(bits: int, symmetric: bool, rounding: qz.Rounding) -> qz.QuantizerSpec:
     """A link's quantizer family at one width: the symmetric grid, or the
-    pipeline in ``config.rounding`` (enhanced at one bit if configured)."""
+    pipeline in ``rounding``, which at one bit is the enhanced quantizer."""
     if symmetric:
         return qz.QuantizerSpec(bits, grid=qz.GridKind.SYMMETRIC)
-    return qz.QuantizerSpec(bits, config.rounding,
-                            one_bit_enhanced=bits == 1 and config.one_bit_enhanced)
+    return qz.QuantizerSpec(bits, rounding, one_bit_enhanced=bits == 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -412,8 +448,8 @@ def _differential_spec(bits: int, rounding: qz.Rounding) -> qz.QuantizerSpec:
 def differential_uploads(rows: np.ndarray, bits: int, rounding: qz.Rounding,
                          uniforms: np.ndarray | None) -> np.ndarray:
     """Decoded differential uploads of a ``(K, d)`` block, one quantizer call:
-    each row on the symmetric grid over its own peak (``grid``, ``structure``
-    and ``one_bit_enhanced`` do not apply), rounded as ``rounding`` says;
+    each row on the symmetric grid over its own peak (``grid`` and
+    ``structure`` do not apply), rounded as ``rounding`` says;
     nearest reads no uniforms.  An all-zero row is sent as zeros.
 
     Each row is quantized scaled by the power of two that puts its peak in
@@ -491,7 +527,7 @@ def broadcast(
         else:
             scales = base * qz.layered_gains(w_global, layers, bits)[1]
     sizes = [stop - start for start, stop in layers]
-    spec = _link_spec(bits, symmetric, config)
+    spec = _link_spec(bits, symmetric, config.rounding)
     delivered = qz.transmit(w_global, spec, np.repeat(scales, sizes), uniforms)
     return delivered, sum(qz.wire_bits(size, bits) for size in sizes)
 
@@ -698,7 +734,7 @@ def run_round(
             _check_weight_bound(w_locals, config, t, clients)
         scale = (config.weight_bound if symmetric
                  else 2.0 ** (bits_up - 1) / (config.weight_bound if tuned else 1.0))
-        uploads = qz.transmit(w_locals, _link_spec(bits_up, symmetric, config),
+        uploads = qz.transmit(w_locals, _link_spec(bits_up, symmetric, config.rounding),
                               np.full(len(clients), scale), plan.uniforms[i])
     up_bits = len(clients) * (qz.float_bits(dim) if config.uplink_mode is UplinkMode.FLOAT
                               else qz.wire_bits(dim, bits_up))

@@ -70,7 +70,9 @@ class TestConfigParsing:
         assert (cfg.uplink_schedule.f, cfg.uplink_schedule.p) == (2.0, 75.0)
 
     def test_layer_tuple_parsing(self, tmp_path):
-        text = BASE_CONFIG + "layer_sizes = 2,2\nlayer_feature_scales = 1.0,4.0\n"
+        text = BASE_CONFIG.replace("spread = 1.0\n", "") + (
+            "model = logistic\nregularization = 1\n"
+            "layer_sizes = 2,2\nlayer_feature_scales = 1.0,4.0\n")
         cfg = cli.load_config(write_config(tmp_path, text))
         assert cfg.layer_sizes == (2, 2)
         assert cfg.layer_feature_scales == (1.0, 4.0)
@@ -97,6 +99,11 @@ class TestRunCommand:
         assert manifest["numpy"] == np.__version__
         assert str(out / "metrics.csv") in manifest["artifacts"]
         assert str(out / "manifest.json") in manifest["artifacts"]
+        # only the keys the run read: no grid, no step_log parameters
+        assert {key: manifest["config"].get(key) for key in (
+            "uplink_schedule", "uplink_bits", "uplink_f", "grid", "downlink_schedule")} == {
+            "uplink_schedule": "constant", "uplink_bits": 3, "uplink_f": None,
+            "grid": None, "downlink_schedule": None}
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = write_config(tmp_path)
@@ -234,8 +241,9 @@ def test_overflowing_bound_constant_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-# the metrics corpus's two former quad-1bit-false-weight-pipeline-* entries
-PLAIN_ONE_BIT_WEIGHT = """\
+# the metrics corpus's quadratic recipe, as its entries were written while a
+# config could set keys its run does not read
+FORMER_CORPUS_QUADRATIC = """\
 model = quadratic
 dimension = 6
 layer_sizes = 2,4
@@ -249,36 +257,164 @@ batch_size = 4
 rounds = 40
 weight_bound = 4.0
 seed = 5
-uplink_mode = weight
-uplink_bits = 1
-downlink_mode = quantized
-downlink_bits = 1
-grid = pipeline
-one_bit_enhanced = false
 """
 
 
+def former_corpus_entry(up, down, grid, rounding, bits=4, **extra):
+    entries = {"uplink_mode": up, "downlink_mode": down, "grid": grid,
+               "rounding": rounding, "uplink_bits": bits, "downlink_bits": bits, **extra}
+    return FORMER_CORPUS_QUADRATIC + "".join(f"{k} = {v}\n" for k, v in entries.items())
+
+
+# the README testbed, 60 rounds
+TESTBED_60 = """\
+model = quadratic
+dimension = 10
+spread = 1.0
+samples_per_client = 20
+num_clients = 20
+clients_per_round = 5
+local_steps = 5
+batch_size = 5
+rounds = 60
+mu = 1.0
+lipschitz = 1.0
+seed = 0
+"""
+CORPUS_1BIT_WEIGHT = FORMER_CORPUS_QUADRATIC.replace("layer_sizes = 2,4\n", "") + (
+    "uplink_mode = weight\nuplink_bits = 1\ndownlink_mode = quantized\ndownlink_bits = 1\n"
+    "grid = pipeline\n")
+# 1-bit pipeline links, each with the sha256 of its metrics.csv under the
+# enhanced quantizer, the only one a config can select.  The plain quantizer
+# decodes only to {-1/G, 0}: with it the step_log weight upload's gap went
+# 1.48 -> 6.49, and both broadcasts stayed at 0.2516 -> 0.2514
+ONE_BIT_PIPELINE_LINKS = {
+    "corpus-weight-nearest": (
+        CORPUS_1BIT_WEIGHT + "rounding = nearest\n",
+        "acfd4faf367d0cd0956f9579ab3c868b2dc8286c785fe2373c6c947c486060c9"),
+    "corpus-weight-stochastic": (
+        CORPUS_1BIT_WEIGHT + "rounding = stochastic\n",
+        "7312dbf919da6d4233745746e02933f29e382b2cc7ad5a24422ee5621ba19cdc"),
+    "testbed-step_log-weight": (
+        TESTBED_60 + "weight_bound = 4\nuplink_mode = weight\nuplink_schedule = step_log\n"
+        "uplink_f = 2\nuplink_p = 30\ngrid = pipeline\ndownlink_mode = float\n",
+        "94ac897035cf115b5faf1e45e5cd1313c5ef8a3ee8b7c52be09b8254372933f0"),
+    "testbed-quantized-broadcast": (
+        TESTBED_60 + "uplink_mode = float\ndownlink_mode = quantized\ndownlink_bits = 1\n"
+        "grid = pipeline\n",
+        "65f990a31c88e9f61319fef08732a14c0a218b408bac8ebe81d8debf45aa9f89"),
+    "testbed-layered-broadcast": (
+        TESTBED_60 + "uplink_mode = float\ndownlink_mode = layered\ndownlink_bits = 1\n",
+        "65f990a31c88e9f61319fef08732a14c0a218b408bac8ebe81d8debf45aa9f89"),
+}
+
+
 @pytest.mark.parametrize("command", ["run", "bound"])
-@pytest.mark.parametrize("rounding", ["nearest", "stochastic"])
-def test_plain_one_bit_pipeline_weight_upload_is_a_config_error(tmp_path, capsys, command,
-                                                                rounding):
-    # its codewords decode to -weight_bound and 0: the model cannot move up
-    text = PLAIN_ONE_BIT_WEIGHT + f"rounding = {rounding}\n"
-    assert cli.main(failing_argv(tmp_path, command, text)) == 2
+@pytest.mark.parametrize("link", ONE_BIT_PIPELINE_LINKS)
+def test_plain_one_bit_pipeline_is_an_unknown_key(tmp_path, capsys, command, link):
+    text, sha256 = ONE_BIT_PIPELINE_LINKS[link]
+    assert cli.main(failing_argv(tmp_path, command, text + "one_bit_enhanced = false\n")) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "config error: a plain 1-bit pipeline weight upload cannot carry a positive "
-        "weight: its codewords are -1 and 0"]
+        "config error: unknown config key 'one_bit_enhanced'"]
     assert not (tmp_path / "o").exists() and not (tmp_path / "b.csv").exists()
-    enhanced = text.replace("one_bit_enhanced = false", "one_bit_enhanced = true")
-    assert cli.main(["run", "--config", write_config(tmp_path, enhanced, "enhanced.cfg"),
-                     "--out", str(tmp_path / "e")]) == 0
+    out = tmp_path / "e"
+    assert cli.main(["run", "--config", write_config(tmp_path, text, "enhanced.cfg"),
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest() == sha256
+
+
+def test_nearest_differential_upload_needs_no_grid(tmp_path):
+    # the corpus's quad-differential-float-nearest run: no link reads grid, so
+    # its default (symmetric) does not reject rounding = nearest
+    text = former_corpus_entry("differential", "float", "pipeline", "nearest")
+    text = re.sub(r"(?m)^(grid|layer_sizes|downlink_bits) = .*\n", "", text)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest() == (
+        "66e18b5c0a58905e0422060c9fc5700c0c547be479977c90e5296788ee3a6605")
+
+
+# each sets a key its run does not read, so it made the same run as another
+# corpus entry, which is kept (and named by the keys it reads)
+FORMER_DUPLICATE_ENTRIES = {
+    "quad-float-float-pipeline-stochastic": (
+        former_corpus_entry("float", "float", "pipeline", "stochastic"),
+        "downlink_bits, grid, layer_sizes, rounding, uplink_bits are not read by a "
+        "quadratic run with a float uplink and a float downlink"),
+    "quad-float-float-symmetric-stochastic": (
+        former_corpus_entry("float", "float", "symmetric", "stochastic"),
+        "downlink_bits, grid, layer_sizes, rounding, uplink_bits are not read by a "
+        "quadratic run with a float uplink and a float downlink"),
+    "quad-differential-float-symmetric-stochastic": (
+        former_corpus_entry("differential", "float", "symmetric", "stochastic"),
+        "downlink_bits, grid, layer_sizes are not read by a quadratic run with a "
+        "differential uplink (constant schedule) and a float downlink"),
+    "quad-differential-layered-symmetric-stochastic": (
+        former_corpus_entry("differential", "layered", "symmetric", "stochastic"),
+        "grid is not read by a quadratic run with a differential uplink (constant "
+        "schedule) and a layered downlink (constant schedule)"),
+    "quad-float-layered-symmetric-stochastic": (
+        former_corpus_entry("float", "layered", "symmetric", "stochastic"),
+        "grid, uplink_bits are not read by a quadratic run with a float uplink and a "
+        "layered downlink (constant schedule)"),
+    "quad-native-float-layered-nearest": (
+        former_corpus_entry("float", "layered", "pipeline", "nearest", structure="native"),
+        "grid, structure, uplink_bits are not read by a quadratic run with a float "
+        "uplink and a layered downlink (constant schedule)"),
+    **{f"quad-1bit-{enhanced}-{up}-{grid}-stochastic": (
+        former_corpus_entry(up, "quantized" if up == "weight" else "float", grid,
+                            "stochastic", bits=1, one_bit_enhanced=enhanced),
+        "unknown config key 'one_bit_enhanced'")
+       for enhanced, up, grid in (("false", "differential", "pipeline"),
+                                  ("true", "differential", "symmetric"),
+                                  ("false", "differential", "symmetric"),
+                                  ("false", "weight", "symmetric"))},
+    "quad-1bit-false-differential-pipeline-nearest": (
+        former_corpus_entry("differential", "float", "pipeline", "nearest", bits=1,
+                            one_bit_enhanced="false"),
+        "unknown config key 'one_bit_enhanced'"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "bound"])
+@pytest.mark.parametrize("text, message", [
+    *FORMER_DUPLICATE_ENTRIES.values(),
+    (BASE_CONFIG + "uplink_f = 5\nuplink_p = 0.5\n",
+     "uplink_f, uplink_p are not read by a quadratic run with a differential uplink "
+     "(constant schedule) and a float downlink"),
+    (BASE_CONFIG.replace("uplink_schedule = constant", "uplink_schedule = weight_log"),
+     "uplink_bits is not read by a quadratic run with a differential uplink "
+     "(weight_log schedule) and a float downlink"),
+    (WEIGHT_STEP_LOG + "uplink_bits = 3\n",
+     "uplink_bits is not read by a quadratic run with a weight uplink (step_log schedule) "
+     "and a float downlink on the symmetric grid"),
+    (BASE_CONFIG + "downlink_schedule = constant\ndownlink_bits = 3\n",
+     "downlink_bits, downlink_schedule are not read by a quadratic run with a "
+     "differential uplink (constant schedule) and a float downlink"),
+    (BASE_CONFIG.replace("uplink_mode = differential", "uplink_mode = float"),
+     "uplink_bits, uplink_schedule are not read by a quadratic run with a float uplink "
+     "and a float downlink"),
+    (WEIGHT_STEP_LOG + "structure = native\n",
+     "structure is not read by a quadratic run with a weight uplink (step_log schedule) "
+     "and a float downlink on the symmetric grid"),
+    (BASE_CONFIG + "lq_static = false\nregularization = 0\n",
+     "lq_static, regularization are not read by a quadratic run with a differential "
+     "uplink (constant schedule) and a float downlink"),
+], ids=[*FORMER_DUPLICATE_ENTRIES, "constant-f-p", "weight_log-bits", "step_log-bits",
+        "float-downlink-bits", "float-uplink-schedule", "symmetric-structure",
+        "lq_static-regularization"])
+def test_key_the_run_does_not_read_is_a_config_error(tmp_path, capsys, command, text,
+                                                     message):
+    assert cli.main(failing_argv(tmp_path, command, text)) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert not (tmp_path / "o").exists() and not (tmp_path / "b.csv").exists()
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("text", [
     WEIGHT_NEAREST,
     BASE_CONFIG,
-    BASE_CONFIG + "grid = pipeline\nrounding = nearest\n",
+    BASE_CONFIG + "rounding = nearest\n",
     WEIGHT_NEAREST.replace("grid = pipeline\nrounding = nearest", "grid = symmetric"),
     BASE_CONFIG.replace("downlink_mode = float",
                         "downlink_mode = quantized\ndownlink_bits = 3\nweight_bound = 10"),
@@ -364,7 +500,8 @@ def test_largest_seed_runs_and_bounds(tmp_path):
 
 # smoothness is regularization 0.25 plus the top feature eigenvalue, above 0.3
 LOGISTIC_LIPSCHITZ_BELOW_SMOOTHNESS = BASE_CONFIG.replace("mu = 1.0", "mu = 0.125").replace(
-    "lipschitz = 1.0", "lipschitz = 0.3") + "model = logistic\nregularization = 0.25\n"
+    "lipschitz = 1.0", "lipschitz = 0.3").replace("spread = 1.0\n", "") + (
+    "model = logistic\nregularization = 0.25\n")
 
 
 @pytest.mark.parametrize("command", ["run", "bound"])
@@ -475,6 +612,17 @@ class TestBoundCommand:
                          "--out", str(tmp_path / "bound.csv"),
                          str(out1 / "metrics.csv"), str(out2 / "metrics.csv")])
         assert code == 0
+
+    @pytest.mark.parametrize("text", [WEIGHT_NEAREST, BASE_CONFIG + "rounding = nearest\n"],
+                             ids=["weight", "differential"])
+    def test_nearest_rounding_run_bounds(self, tmp_path, capsys, text):
+        # the unquantized pilot run of the noise constants reads no rounding
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", config, "--out", str(out)]) == 0
+        assert cli.main(["bound", "--config", config, "--out", str(tmp_path / "b.csv"),
+                         str(out / "metrics.csv")]) == 0
+        assert "rounds_within_bound: " in capsys.readouterr().out
 
     def test_mismatched_metrics_exit_code(self, tmp_path):
         config = write_config(tmp_path)
@@ -635,12 +783,7 @@ def config_text_from_snapshot(snapshot: dict) -> str:
     """The ``key=value`` text of a manifest's ``config`` snapshot."""
     lines = []
     for key, value in snapshot.items():
-        if key.endswith("_schedule"):
-            prefix = key[: -len("_schedule")]
-            lines.append(f"{key} = {value['kind']}")
-            lines += [f"{prefix}_{part} = {value[part]!r}"
-                      for part in ("bits", "f", "p") if value[part] is not None]
-        elif isinstance(value, bool):
+        if isinstance(value, bool):
             lines.append(f"{key} = {str(value).lower()}")
         elif isinstance(value, list):
             lines.append(f"{key} = {','.join(map(repr, value))}")
@@ -657,8 +800,7 @@ MANIFEST_MODES = [
     "uplink_mode = weight\nuplink_schedule = step_log\nuplink_f = 2\nuplink_p = 3.5\n"
     "grid = pipeline\nrounding = nearest\nstructure = native\n"
     "downlink_mode = quantized\ndownlink_schedule = downlink_log\n",
-    "uplink_mode = differential\nuplink_bits = 1\none_bit_enhanced = false\n"
-    "grid = pipeline\ndownlink_mode = float\n",
+    "uplink_mode = differential\nuplink_bits = 1\nrounding = nearest\ndownlink_mode = float\n",
     "model = logistic\nregularization = 0.25\nmu = 0.125\nlipschitz = 3\n"
     "layer_sizes = 2,2\nlayer_feature_scales = 1.0,0.3\nuplink_mode = float\n"
     "downlink_mode = layered\nlq_static = true\n",
@@ -671,12 +813,15 @@ MANIFEST_MODES = [
 def test_run_reproduces_from_manifest_alone(mode, seed, rounds, spread):
     text = (f"num_clients = 5\nclients_per_round = 2\nlocal_steps = 2\nbatch_size = 2\n"
             f"dimension = 4\nsamples_per_client = 4\nweight_bound = 8\nseed = {seed}\n"
-            f"rounds = {rounds}\nspread = {spread!r}\n" + mode)
+            f"rounds = {rounds}\n" + mode)
+    if "model = logistic" not in mode:  # the logistic problem reads no spread
+        text += f"spread = {spread!r}\n"
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         first = write_config(tmp, text)
         assert cli.main(["run", "--config", first, "--out", str(tmp / "a")]) == 0
         snapshot = json.loads((tmp / "a" / "manifest.json").read_text())["config"]
+        assert set(snapshot) == fed.config_reads(cli.parse_config_text(text))
         rebuilt = write_config(tmp, config_text_from_snapshot(snapshot), "rebuilt.cfg")
         assert cli.main(["run", "--config", rebuilt, "--out", str(tmp / "b")]) == 0
         assert (tmp / "a" / "metrics.csv").read_bytes() == (tmp / "b" / "metrics.csv").read_bytes()

@@ -9,9 +9,12 @@ rounding rule -- changes a hash here.  The first 3 rounds of each run also
 pass every quantized link through the wire codec.
 """
 
+import ast
 import hashlib
+import itertools
 import json
 import math
+import re
 import runpy
 from pathlib import Path
 
@@ -22,9 +25,14 @@ from fedquant import cli, federation as fed, quantizer as qz
 
 CORPUS_FILE = json.loads((Path(__file__).parent / "metrics_corpus.json").read_text())
 CORPUS = CORPUS_FILE["runs"]
-SCRIPT = Path(__file__).parents[1] / "scripts" / "make_metrics_corpus.py"
+ROOT = Path(__file__).parents[1]
+SCRIPT = ROOT / "scripts" / "make_metrics_corpus.py"
 # rounds of each corpus run whose quantized links go through the wire codec
 ACCOUNTED_ROUNDS = 3
+
+
+def config_text(entries: dict) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in entries.items())
 
 
 def test_corpus_was_generated_under_the_engine_stream_scheme():
@@ -33,11 +41,27 @@ def test_corpus_was_generated_under_the_engine_stream_scheme():
 
 
 def test_corpus_covers_every_mode_combination():
-    seen = {(e["config"]["uplink_mode"], e["config"]["downlink_mode"],
-             e["config"]["grid"], e["config"]["rounding"])
-            for e in CORPUS.values() if e["config"]["model"] == "quadratic"}
-    # 3 uplink x 3 downlink x 3 (grid, rounding) pairs: symmetric is stochastic only
-    assert len(seen) == 27
+    # every uplink x downlink pair with each (grid, rounding) pair it reads, of
+    # pipeline-nearest, pipeline-stochastic and symmetric (always stochastic)
+    configs = [e["config"] for e in CORPUS.values() if e["config"]["model"] == "quadratic"]
+    runs = set()
+    for up, down, (grid, rounding) in itertools.product(
+            fed.UplinkMode, fed.DownlinkMode,
+            ((qz.GridKind.PIPELINE, qz.Rounding.NEAREST),
+             (qz.GridKind.PIPELINE, qz.Rounding.STOCHASTIC),
+             (qz.GridKind.SYMMETRIC, qz.Rounding.STOCHASTIC))):
+        try:
+            config = fed.FederationConfig(uplink_mode=up, downlink_mode=down, grid=grid,
+                                          rounding=rounding)
+        except fed.ConfigError:
+            continue  # nearest rounding on a run none of whose links rounds
+        reads = fed.config_reads(config)
+        runs.add(tuple((key, value.value) for key, value in (
+            ("uplink_mode", up), ("downlink_mode", down), ("grid", grid),
+            ("rounding", rounding)) if key in reads))
+    assert len(runs) == 22
+    for run in runs:
+        assert any(all(c.get(key) == value for key, value in run) for c in configs), run
     assert any(e["config"].get("structure") == "native" for e in CORPUS.values())
     assert any(e["config"].get("lq_static") == "true" for e in CORPUS.values())
 
@@ -48,11 +72,35 @@ def test_corpus_holds_exactly_the_generator_configs():
     assert {name: entry["config"] for name, entry in CORPUS.items()} == configs
 
 
+def module_dict(path: Path, name: str) -> dict:
+    """The literal dict assigned to ``name`` in a Python file, read without
+    importing the file."""
+    tree = ast.parse(path.read_text())
+    value, = (node.value for node in tree.body if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == [name])
+    return ast.literal_eval(value)
+
+
+def test_shipped_configs_set_only_keys_their_runs_read():
+    # a config error here is a key one of them sets and its run ignores
+    texts = {name: config_text(entries) for name, entries
+             in runpy.run_path(str(SCRIPT))["corpus_configs"]().items()}
+    for workload in ("QUAD_DIFF4", "LOGISTIC_LAYERED"):
+        texts[workload] = config_text(module_dict(ROOT / "perfbench" / "run.py", workload))
+    texts["README"], = re.findall(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(),
+                                  re.DOTALL)
+    assert len(texts) == len(CORPUS) + 3
+    for name, text in texts.items():
+        try:
+            cli.parse_config_text(text)
+        except fed.ConfigError as exc:
+            pytest.fail(f"{name}: {exc}")
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_metrics_bytes_reproduced(name, tmp_path, monkeypatch):
     entry = CORPUS[name]
-    text = "".join(f"{key} = {value}\n" for key, value in entry["config"].items())
-    config = cli.parse_config_text(text)
+    config = cli.parse_config_text(config_text(entry["config"]))
     calls, original = [], qz.transmit
 
     def spy(v, spec, scale, uniforms=None):
@@ -76,8 +124,7 @@ def test_round_by_round_reproduces_the_planned_run(name, tmp_path):
     # run_federation plans rounds in blocks; one run_round call at a time,
     # each planning only its own round, must write the same bytes
     entry = CORPUS[name]
-    text = "".join(f"{key} = {value}\n" for key, value in entry["config"].items())
-    config = cli.parse_config_text(text)
+    config = cli.parse_config_text(config_text(entry["config"]))
     state, records = fed.init_state(config), []
     for t in range(config.rounds):
         state, record = fed.run_round(state, config, t)

@@ -264,31 +264,77 @@ class TestDifferentialUploads:
             assert np.max(np.abs(up - row)) <= qz.half_step(peak, bits) + allowance
 
 
+LINK_KEYS = ("grid", "structure", "rounding", "lq_static", "layer_sizes",
+             "layer_feature_scales", "regularization", "spread", "noise_std",
+             "uplink_schedule", "uplink_bits", "uplink_f", "uplink_p",
+             "downlink_schedule", "downlink_bits", "downlink_f", "downlink_p")
+
+
+@pytest.mark.parametrize("fields, reads", [
+    ({}, {"spread", "noise_std"}),
+    (dict(uplink_mode=fed.UplinkMode.WEIGHT, grid=qz.GridKind.PIPELINE),
+     {"grid", "structure", "rounding", "spread", "noise_std", "uplink_schedule",
+      "uplink_bits"}),
+    (dict(uplink_mode=fed.UplinkMode.WEIGHT,
+          uplink_schedule=fed.ScheduleSpec(fed.ScheduleKind.STEP_LOG, f=2, p=3)),
+     {"grid", "spread", "noise_std", "uplink_schedule", "uplink_f", "uplink_p"}),
+    (dict(uplink_mode=fed.UplinkMode.DIFFERENTIAL, downlink_mode=fed.DownlinkMode.QUANTIZED,
+          downlink_schedule=fed.ScheduleSpec(fed.ScheduleKind.DOWNLINK_LOG)),
+     {"grid", "rounding", "spread", "noise_std", "uplink_schedule", "uplink_bits",
+      "downlink_schedule"}),
+    (dict(downlink_mode=fed.DownlinkMode.LAYERED, grid=qz.GridKind.PIPELINE),
+     {"rounding", "lq_static", "layer_sizes", "spread", "noise_std", "downlink_schedule",
+      "downlink_bits"}),
+    (dict(model=m.LossKind.LOGISTIC, regularization=1.0, dimension=4, layer_sizes=(1, 3),
+          layer_feature_scales=(1.0, 2.0)),
+     {"layer_sizes", "layer_feature_scales", "regularization"}),
+], ids=["float-float", "weight-pipeline", "weight-step_log", "differential-quantized",
+        "float-layered", "logistic"])
+def test_config_reads(fields, reads):
+    # every run reads the problem and round keys, and weight_bound for bound
+    config = fed.FederationConfig(**fields)
+    read = fed.config_reads(config)
+    assert {"seed", "rounds", "model", "weight_bound"} <= read
+    assert read & set(LINK_KEYS) == reads
+
+
 class TestConfigValidation:
     def test_participation_bounds(self):
         with pytest.raises(fed.ConfigError, match="clients_per_round"):
             fed.FederationConfig(num_clients=3, clients_per_round=4)
 
-    def test_plain_one_bit_pipeline_weight_upload_rejected(self):
-        plain = dict(uplink_mode=fed.UplinkMode.WEIGHT, grid=qz.GridKind.PIPELINE,
-                     uplink_schedule=fed.ScheduleSpec.constant(1),
-                     one_bit_enhanced=False)
+    def test_one_bit_pipeline_link_is_always_enhanced(self):
+        # the plain 1-bit pipeline decodes only to {-1/G, 0}: no config selects it
+        assert "one_bit_enhanced" not in fed.FederationConfig.__dataclass_fields__
+        with pytest.raises(TypeError, match="one_bit_enhanced"):
+            fed.FederationConfig(one_bit_enhanced=False)
         for rounding in (NEAREST, qz.Rounding.STOCHASTIC):
-            with pytest.raises(fed.ConfigError, match="^a plain 1-bit pipeline weight "
-                                                      "upload cannot carry a positive "
-                                                      "weight: its codewords are -1 and 0$"):
-                fed.FederationConfig(rounding=rounding, **plain)
-        # enhanced, wider, symmetric or differential: each can carry one
-        for change in (dict(one_bit_enhanced=True),
-                       dict(uplink_schedule=fed.ScheduleSpec.constant(2)),
-                       dict(grid=qz.GridKind.SYMMETRIC),
-                       dict(uplink_mode=fed.UplinkMode.DIFFERENTIAL)):
-            fed.FederationConfig(**{**plain, **change})
+            fed.FederationConfig(uplink_mode=fed.UplinkMode.WEIGHT, grid=qz.GridKind.PIPELINE,
+                                 uplink_schedule=fed.ScheduleSpec.constant(1),
+                                 rounding=rounding)
+            assert fed._link_spec(1, False, rounding) == qz.QuantizerSpec(
+                1, rounding, one_bit_enhanced=True)
+            assert not fed._link_spec(2, False, rounding).one_bit_enhanced
 
     def test_symmetric_grid_needs_stochastic(self):
         with pytest.raises(fed.ConfigError):
             fed.FederationConfig(rounding=qz.Rounding.NEAREST,
                                  grid=qz.GridKind.SYMMETRIC)
+
+    def test_nearest_rounding_needs_a_link_that_reads_it(self):
+        # a differential uplink, a layered downlink and a pipeline link round
+        # as configured; a symmetric-grid link always rounds stochastically
+        up, down = fed.UplinkMode, fed.DownlinkMode
+        for fields in (dict(uplink_mode=up.DIFFERENTIAL),
+                       dict(uplink_mode=up.DIFFERENTIAL, downlink_mode=down.QUANTIZED),
+                       dict(downlink_mode=down.LAYERED),
+                       dict(uplink_mode=up.WEIGHT, downlink_mode=down.LAYERED),
+                       dict(uplink_mode=up.WEIGHT, grid=qz.GridKind.PIPELINE)):
+            fed.FederationConfig(rounding=NEAREST, **fields)
+        for fields in ({}, dict(uplink_mode=up.WEIGHT), dict(downlink_mode=down.QUANTIZED)):
+            with pytest.raises(fed.ConfigError,
+                               match="^grid=symmetric requires rounding=stochastic$"):
+                fed.FederationConfig(rounding=NEAREST, **fields)
 
     def test_layer_sizes_must_cover_dimension(self):
         with pytest.raises(fed.ConfigError):
@@ -783,8 +829,7 @@ def reference_upload(cfg, w_local, delivered, bits, rng):
             scale = 2.0 ** (bits - 1)
             if cfg.structure is fed.Structure.TUNED:
                 scale /= cfg.weight_bound
-            spec = qz.QuantizerSpec(bits, cfg.rounding,
-                                    one_bit_enhanced=bits == 1 and cfg.one_bit_enhanced)
+            spec = qz.QuantizerSpec(bits, cfg.rounding, one_bit_enhanced=bits == 1)
         return qz.quantize_vector(w_local, spec, scale, rng.random(w_local.size)).dequantize()
     # a differential: the symmetric grid over its own peak, in cfg.rounding
     diff = w_local - delivered
