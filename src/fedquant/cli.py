@@ -64,6 +64,9 @@ _ENUM_KEYS = {
     "downlink_schedule": fed.ScheduleKind,
 }
 _TUPLE_KEYS = {"layer_sizes": int, "layer_feature_scales": float}
+# a link's schedule in config-file keys: the key of each ScheduleSpec field
+_SCHEDULE_KEYS = {link: {"kind": f"{link}_schedule", "bits": f"{link}_bits", "f": f"{link}_f",
+                         "p": f"{link}_p"} for link in ("uplink", "downlink")}
 
 
 def g17(x: float) -> str:
@@ -106,27 +109,15 @@ def parse_config_keys(text: str) -> tuple[fed.FederationConfig, list[str]]:
         entries[key] = _parse_value(key, raw)
     keys = list(entries)
 
-    for prefix in ("uplink", "downlink"):
-        kind = entries.pop(f"{prefix}_schedule", None)
-        parts = {part: entries.pop(f"{prefix}_{part}", None) for part in ("bits", "f", "p")}
-        if kind is not None or parts["bits"] is not None:
-            entries[f"{prefix}_schedule"] = fed.ScheduleSpec(
-                kind or fed.ScheduleKind.CONSTANT, **parts)
+    for link, schedule_keys in _SCHEDULE_KEYS.items():
+        spec = {field: entries.pop(key, None) for field, key in schedule_keys.items()}
+        if spec["kind"] is not None or spec["bits"] is not None:
+            spec["kind"] = spec["kind"] or fed.ScheduleKind.CONSTANT
+            entries[f"{link}_schedule"] = fed.ScheduleSpec(**spec)
     try:
         return fed.FederationConfig(**entries), keys  # type: ignore[arg-type]
     except TypeError as exc:
         raise fed.ConfigError(str(exc)) from exc
-
-
-def _describe_run(config: fed.FederationConfig) -> str:
-    """The run's model and links, e.g. ``a quadratic run with a weight uplink
-    (constant schedule) and a float downlink on the pipeline grid``."""
-    schedules = {link: f" ({spec.kind.value} schedule)"
-                 for link, spec in config.quantized_links()}
-    up, down = (f"a {mode.value} {link}{schedules.get(link, '')}" for link, mode in (
-        ("uplink", config.uplink_mode), ("downlink", config.downlink_mode)))
-    grid = f" on the {config.grid.value} grid" if "grid" in fed.config_reads(config) else ""
-    return f"a {config.model.value} run with {up} and {down}{grid}"
 
 
 def parse_config_text(text: str) -> fed.FederationConfig:
@@ -136,7 +127,7 @@ def parse_config_text(text: str) -> fed.FederationConfig:
     unread = sorted(set(keys) - fed.config_reads(config))
     if unread:
         raise fed.ConfigError(f"{', '.join(unread)} {'is' if len(unread) == 1 else 'are'} "
-                              f"not read by {_describe_run(config)}")
+                              f"not read by {fed.describe_run(config)}")
     return config
 
 
@@ -165,21 +156,14 @@ def write_metrics_csv(path: Path, records: list[fed.RoundRecord]) -> None:
 
 def _config_snapshot(config: fed.FederationConfig) -> dict:
     """The config in config-file keys: every key the run reads, and no other."""
-    snap = {}
-    for name in config.__dataclass_fields__:
-        value = getattr(config, name)
-        if isinstance(value, fed.ScheduleSpec):
-            link = name[: -len("_schedule")]
-            snap.update({f"{link}_bits": value.bits, f"{link}_f": value.f,
-                         f"{link}_p": value.p})
-            value = value.kind
-        if hasattr(value, "value"):
-            value = value.value
-        elif isinstance(value, tuple):
-            value = list(value)
-        snap[name] = value
+    snap = {name: getattr(config, name) for name in config.__dataclass_fields__}
+    for link, schedule_keys in _SCHEDULE_KEYS.items():
+        spec = snap.pop(f"{link}_schedule")
+        snap.update({key: getattr(spec, field) for field, key in schedule_keys.items()})
     reads = fed.config_reads(config)
-    return {key: value for key, value in snap.items() if key in reads}
+    return {key: value.value if hasattr(value, "value") else
+            list(value) if isinstance(value, tuple) else value
+            for key, value in snap.items() if key in reads}
 
 
 def _check_out(path: Path, directory: bool) -> None:
@@ -288,18 +272,18 @@ def _read_gap_column(path: str, expected_rounds: int) -> np.ndarray:
 
 
 def _bound_variant(config: fed.FederationConfig) -> tuple[analysis.BoundVariant, int | None]:
-    if config.uplink_mode is fed.UplinkMode.DIFFERENTIAL:
-        if config.uplink_schedule.kind is not fed.ScheduleKind.CONSTANT:
-            raise fed.ConfigError(
-                "differential bound requires a constant uplink bit-width"
-            )
-        return analysis.BoundVariant.DIFFERENTIAL, config.uplink_schedule.bits
-    if config.uplink_mode is fed.UplinkMode.WEIGHT:
+    """The bound variant of the run's first quantized link, named by a
+    quantized uplink's mode or by the downlink; an unquantized run takes the
+    weight-mode constant (the largest sensible allowance)."""
+    link = next((link for link in config.links if link.scale), None)
+    if link is None:
         return analysis.BoundVariant.WEIGHT, None
-    if config.downlink_mode is not fed.DownlinkMode.FLOAT:
-        return analysis.BoundVariant.DOWNLINK, None
-    # unquantized run: use the weight-mode constant (largest sensible allowance)
-    return analysis.BoundVariant.WEIGHT, None
+    variant = analysis.BoundVariant(link.mode.value if link.name == "uplink" else link.name)
+    if variant is not analysis.BoundVariant.DIFFERENTIAL:
+        return variant, None
+    if link.schedule.kind is not fed.ScheduleKind.CONSTANT:
+        raise fed.ConfigError("differential bound requires a constant uplink bit-width")
+    return variant, link.schedule.bits
 
 
 def cmd_bound(args: argparse.Namespace) -> int:

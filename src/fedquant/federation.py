@@ -31,9 +31,11 @@ A round runs its K selected clients as one array program: local SGD advances
 a ``(K, d)`` block of weights (``models.local_train_clients``), the uploads
 are quantized as one ``(K, d)`` block, and the block is averaged directly.
 Each client still draws only from its own stream, so every row is
-bit-identical to running that client alone.  Every quantized link builds
-one spec for its family and width, sets one scale per row (or per
-coordinate, from its layer), then makes one ``quantizer.transmit`` call,
+bit-identical to running that client alone.  One rule, :class:`Link`,
+decides what each link reads of the config and how it rounds and scales.
+Both links send through one function that takes every decision from it: it
+builds one spec for the link's family and width, sets one scale per row (or
+per coordinate, from its layer), then makes one ``quantizer.transmit`` call,
 which returns the decoded values straight from the quantizer's one kernel:
 the round never builds the wire form (``quantize_vector``), since it
 serializes nothing and accounts each link's bits by formula.  Differential
@@ -79,6 +81,7 @@ __all__ = [
     "ScheduleSpec",
     "FederationConfig",
     "config_reads",
+    "describe_run",
     "RoundRecord",
     "FederationState",
     "ConfigError",
@@ -230,10 +233,15 @@ class FederationConfig:
             raise ConfigError("weight_bound must be positive")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must satisfy 0 <= seed < 2**64, a Philox key word")
-        # rounding = nearest must reach a link: a symmetric grid rounds stochastically
-        if (self.rounding is not qz.Rounding.STOCHASTIC
-                and "rounding" not in config_reads(self)):
-            raise ConfigError("grid=symmetric requires rounding=stochastic")
+        # rounding = nearest must reach every quantized link
+        if self.rounding is qz.Rounding.NEAREST:
+            if "rounding" not in config_reads(self):
+                raise ConfigError(f"rounding is not read by {describe_run(self)}")
+            for link in self.links:
+                if link.scale and "rounding" not in link.reads:
+                    raise ConfigError(f"rounding=nearest does not reach the {link.name}: a "
+                                      f"{link.mode.value} {link.name} on the symmetric grid "
+                                      "always rounds stochastically")
         if self.model is LossKind.LOGISTIC and not self.regularization > 0:
             raise ConfigError("logistic model requires regularization > 0")
         if self.model is LossKind.LOGISTIC and self.mu > self.regularization:
@@ -265,18 +273,16 @@ class FederationConfig:
                 raise ConfigError("layer_feature_scales must be positive")
         # every schedule's width grows with t, so the last round's is the widest
         gamma = gamma_offset(self.mu, self.lipschitz, self.local_steps)
-        for link, spec in self.quantized_links():
-            if self.rounds and schedule_bits(spec, self.rounds - 1, self.mu,
-                                             gamma) > qz.MAX_BITS:
-                raise ConfigError(f"{link} schedule exceeds {qz.MAX_BITS} bits "
+        for link in self.links:
+            if link.scale and self.rounds and schedule_bits(
+                    link.schedule, self.rounds - 1, self.mu, gamma) > qz.MAX_BITS:
+                raise ConfigError(f"{link.name} schedule exceeds {qz.MAX_BITS} bits "
                                   f"by round {self.rounds - 1}")
 
-    def quantized_links(self) -> tuple[tuple[str, ScheduleSpec], ...]:
-        """``(name, schedule)`` of each quantized link, uplink first."""
-        return tuple((link, spec) for link, quantized, spec in (
-            ("uplink", self.uplink_mode is not UplinkMode.FLOAT, self.uplink_schedule),
-            ("downlink", self.downlink_mode is not DownlinkMode.FLOAT,
-             self.downlink_schedule)) if quantized)
+    @functools.cached_property
+    def links(self) -> tuple[Link, Link]:
+        """The run's uplink and downlink."""
+        return Link(self, "uplink"), Link(self, "downlink")
 
     def layer_bounds(self) -> tuple[tuple[int, int], ...]:
         if self.layer_sizes is None:
@@ -288,6 +294,44 @@ class FederationConfig:
         return tuple(bounds)
 
 
+# the {link}_* keys a schedule kind reads, if any
+_SCHEDULE_PARTS = {ScheduleKind.CONSTANT: ("bits",), ScheduleKind.STEP_LOG: ("f", "p")}
+
+
+class Link:
+    """One link of a run, by the one rule for both links: ``reads``, the
+    config keys it reads: the family keys of its mode (a weight uplink or
+    quantized downlink reads ``grid``, and on the pipeline ``structure`` and
+    ``rounding``) and, when quantized, its ``{link}_*`` schedule keys;
+    ``rounding``, stochastic unless it reads ``rounding``; ``scale``, ``None``
+    on a float link, else ``peak`` or ``bound`` (the symmetric grid over each
+    row's peak or over ``weight_bound``), ``native`` (the pipeline gain G =
+    2^(B-1)) or a tuned gain, which differs by link: ``bounded`` (G over
+    ``weight_bound``) on an upload, ``layers`` (G times each layer's extra
+    gain) on a broadcast."""
+
+    def __init__(self, config: FederationConfig, name: str) -> None:
+        self.name, self.mode = name, getattr(config, f"{name}_mode")
+        self.schedule = getattr(config, f"{name}_schedule")
+        if self.mode in (UplinkMode.FLOAT, DownlinkMode.FLOAT):
+            self.scale, reads = None, ()
+        elif self.mode is UplinkMode.DIFFERENTIAL:
+            self.scale, reads = "peak", ("rounding",)
+        elif self.mode is DownlinkMode.LAYERED:
+            self.scale, reads = "layers", ("rounding", "lq_static", "layer_sizes")
+        elif config.grid is qz.GridKind.SYMMETRIC:
+            self.scale, reads = "bound", ("grid",)
+        else:
+            tuned = "bounded" if name == "uplink" else "layers"
+            self.scale = "native" if config.structure is Structure.NATIVE else tuned
+            reads = ("grid", "structure", "rounding")
+        if self.scale:  # its schedule, and the parts of it its kind reads
+            parts = ("schedule", *_SCHEDULE_PARTS.get(self.schedule.kind, ()))
+            reads += tuple(f"{name}_{part}" for part in parts)
+        self.reads = frozenset(reads)
+        self.rounding = config.rounding if "rounding" in reads else qz.Rounding.STOCHASTIC
+
+
 # Config-file keys every run reads.  Not every run reads weight_bound, but
 # ``fedquant bound`` does for every variant but the differential one.
 _ALWAYS_READ = frozenset({
@@ -295,34 +339,30 @@ _ALWAYS_READ = frozenset({
     "lipschitz", "uplink_mode", "downlink_mode", "weight_bound", "seed", "model",
     "dimension", "samples_per_client",
 })
-# the {link}_* keys a schedule kind reads, if any
-_SCHEDULE_PARTS = {ScheduleKind.CONSTANT: ("bits",), ScheduleKind.STEP_LOG: ("f", "p")}
 
 
 def config_reads(config: FederationConfig) -> frozenset[str]:
     """The config-file keys a run of ``config`` reads; it ignores every other.
-    A weight uplink and a quantized downlink read ``grid``, and a quantized
-    link reads its ``{link}_schedule`` and the parts of it its kind reads."""
-    layered = config.downlink_mode is DownlinkMode.LAYERED
-    gridded = (config.uplink_mode is UplinkMode.WEIGHT
-               or config.downlink_mode is DownlinkMode.QUANTIZED)
-    pipeline = gridded and config.grid is qz.GridKind.PIPELINE
+    Each :class:`Link` names the keys it reads."""
     logistic = config.model is LossKind.LOGISTIC
     reads = {key for key, read in (
-        ("grid", gridded),
-        ("structure", pipeline),
-        ("rounding", pipeline or layered or config.uplink_mode is UplinkMode.DIFFERENTIAL),
-        ("lq_static", layered),
-        ("layer_sizes", layered or config.layer_feature_scales is not None),
+        ("layer_sizes", config.layer_feature_scales is not None),
         ("layer_feature_scales", logistic),
         ("regularization", logistic),
         ("spread", not logistic),
         ("noise_std", not logistic),
     ) if read}
-    for link, spec in config.quantized_links():
-        reads.add(f"{link}_schedule")
-        reads.update(f"{link}_{part}" for part in _SCHEDULE_PARTS.get(spec.kind, ()))
-    return _ALWAYS_READ | reads
+    return _ALWAYS_READ.union(reads, *(link.reads for link in config.links))
+
+
+def describe_run(config: FederationConfig) -> str:
+    """The run's model and links, e.g. ``a quadratic run with a weight uplink
+    (constant schedule) and a float downlink on the pipeline grid``."""
+    up, down = (f"a {link.mode.value} {link.name}"
+                + (f" ({link.schedule.kind.value} schedule)" if link.scale else "")
+                for link in config.links)
+    grid = f" on the {config.grid.value} grid" if "grid" in config_reads(config) else ""
+    return f"a {config.model.value} run with {up} and {down}{grid}"
 
 
 @dataclass(frozen=True)
@@ -430,19 +470,13 @@ def aggregate_differentials(prev_global: np.ndarray,
     return np.asarray(prev_global, dtype=np.float64) + aggregate_weights(uploads)
 
 
-def _link_spec(bits: int, symmetric: bool, rounding: qz.Rounding) -> qz.QuantizerSpec:
-    """A link's quantizer family at one width: the symmetric grid, or the
-    pipeline in ``rounding``, which at one bit is the enhanced quantizer."""
-    if symmetric:
-        return qz.QuantizerSpec(bits, grid=qz.GridKind.SYMMETRIC)
-    return qz.QuantizerSpec(bits, rounding, one_bit_enhanced=bits == 1)
-
-
 @functools.lru_cache(maxsize=None)
-def _differential_spec(bits: int, rounding: qz.Rounding) -> qz.QuantizerSpec:
-    """A differential upload's quantizer at one width, built once: a spec is
-    immutable, and there are at most ``2 * MAX_BITS`` of them."""
-    return qz.QuantizerSpec(bits, rounding, qz.GridKind.SYMMETRIC)
+def _link_spec(bits: int, symmetric: bool, rounding: qz.Rounding) -> qz.QuantizerSpec:
+    """A link's quantizer at one width, built once (a spec is immutable): the
+    symmetric grid, or the pipeline, which at one bit is the enhanced one."""
+    if symmetric:
+        return qz.QuantizerSpec(bits, rounding, qz.GridKind.SYMMETRIC)
+    return qz.QuantizerSpec(bits, rounding, one_bit_enhanced=bits == 1)
 
 
 def differential_uploads(rows: np.ndarray, bits: int, rounding: qz.Rounding,
@@ -463,7 +497,7 @@ def differential_uploads(rows: np.ndarray, bits: int, rounding: qz.Rounding,
     mantissas, exps = np.frexp(peaks)
     mantissas[zero] = 1.0  # any positive range sends zeros as zeros
     exps = exps[:, None]
-    uploads = qz.transmit(np.ldexp(rows, -exps), _differential_spec(bits, rounding),
+    uploads = qz.transmit(np.ldexp(rows, -exps), _link_spec(bits, True, rounding),
                           mantissas, uniforms)
     uploads = np.ldexp(uploads, exps)
     uploads[zero] = 0.0
@@ -487,6 +521,32 @@ def _check_weight_bound(rows: np.ndarray, config: FederationConfig,
         )
 
 
+def _send(link: Link, x: np.ndarray, bits: int, uniforms: np.ndarray | None,
+          config: FederationConfig, frozen: np.ndarray | None = None,
+          t: int = 0, clients: Sequence[int] | None = None) -> tuple[np.ndarray, int]:
+    """What ``link`` delivers of ``x`` at ``bits``, and its accounted bits:
+    ``x`` itself on a float link, else one quantizer call with one scale a
+    row of a ``(K, d)`` upload block or a layer of a broadcast vector.  ``t``
+    and ``clients`` name an upload row that a ``weight_bound`` scale clamps."""
+    if link.scale is None:
+        return x, qz.float_bits(x.size)
+    layers = config.layer_bounds() if "layer_sizes" in link.reads else ((0, x.shape[-1]),)
+    sizes = [stop - start for start, stop in layers]
+    sent = (len(x) if x.ndim == 2 else 1) * sum(qz.wire_bits(size, bits) for size in sizes)
+    if link.scale == "peak":
+        return differential_uploads(x, bits, link.rounding, uniforms), sent
+    base = 2.0 ** (bits - 1)
+    if link.scale in ("bound", "bounded"):
+        _check_weight_bound(x, config, t, clients)
+    scales = {"bound": config.weight_bound, "native": base,
+              "bounded": base / config.weight_bound}.get(link.scale)
+    if scales is None:  # each layer's extra gain matched to its magnitude, unless frozen
+        scales = base * (qz.layered_gains(x, layers, bits)[1] if frozen is None else frozen)
+    scales = np.full(len(x), scales) if x.ndim == 2 else np.repeat(scales, sizes)
+    spec = _link_spec(bits, link.scale == "bound", link.rounding)
+    return qz.transmit(x, spec, scales, uniforms), sent
+
+
 def broadcast(
     w_global: np.ndarray,
     config: FederationConfig,
@@ -494,42 +554,15 @@ def broadcast(
     uniforms: np.ndarray | None,
     frozen_extra_gains: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Produce the model delivered to every selected client this round.
-
-    One quantization, on ``uniforms`` (one per coordinate), is shared by all
-    recipients; a float downlink reads no uniforms and delivers ``w_global``
-    itself, not a copy, and nearest rounding reads none either.  A quantized
-    downlink is the one-layer case of the layered one: either way, one
-    quantizer call takes each coordinate's scale from its layer.  A layered
-    downlink ignores ``grid`` and ``structure``: it quantizes each layer of
-    ``config.layer_bounds()`` on the pipeline, with extra gains set from each
-    layer's 90th-percentile magnitude, or ``frozen_extra_gains`` when given
-    (static layered quantization).  Returns the delivered model and the
-    accounted broadcast bits.
+    """The model delivered to every selected client this round, and the
+    accounted broadcast bits: one quantization on ``uniforms`` (one per
+    coordinate), shared by all recipients.  A float downlink delivers
+    ``w_global`` itself, not a copy; it and nearest rounding read no
+    uniforms.  A layered downlink sets each layer's extra gain from its
+    90th-percentile magnitude, or takes ``frozen_extra_gains`` (static
+    layered quantization); a tuned quantized downlink is its one-layer case.
     """
-    if config.downlink_mode is DownlinkMode.FLOAT:
-        return w_global, qz.float_bits(w_global.size)
-
-    base, symmetric = 2.0 ** (bits - 1), False
-    if config.downlink_mode is DownlinkMode.LAYERED:
-        # per-layer pipeline gains matched to each layer's magnitude
-        layers, extras = config.layer_bounds(), frozen_extra_gains
-        if extras is None:
-            extras = qz.layered_gains(w_global, layers, bits)[1]
-        scales = base * extras
-    else:
-        layers = ((0, w_global.size),)
-        if config.grid is qz.GridKind.SYMMETRIC:
-            _check_weight_bound(w_global, config)
-            symmetric, scales = True, (config.weight_bound,)
-        elif config.structure is Structure.NATIVE:
-            scales = (base,)
-        else:
-            scales = base * qz.layered_gains(w_global, layers, bits)[1]
-    sizes = [stop - start for start, stop in layers]
-    spec = _link_spec(bits, symmetric, config.rounding)
-    delivered = qz.transmit(w_global, spec, np.repeat(scales, sizes), uniforms)
-    return delivered, sum(qz.wire_bits(size, bits) for size in sizes)
+    return _send(config.links[1], w_global, bits, uniforms, config, frozen_extra_gains)
 
 
 # ---------------------------------------------------------------------------
@@ -603,10 +636,10 @@ def init_state(
     if built:
         check_smoothness(config, optimum)
     w0 = np.zeros(config.dimension)
-    frozen = None
-    if config.downlink_mode is DownlinkMode.LAYERED and config.lq_static:
+    frozen, downlink = None, config.links[1]
+    if config.lq_static and "lq_static" in downlink.reads:
         gamma = gamma_offset(config.mu, config.lipschitz, config.local_steps)
-        bits = schedule_bits(config.downlink_schedule, 0, config.mu, gamma)
+        bits = schedule_bits(downlink.schedule, 0, config.mu, gamma)
         frozen = qz.layered_gains(w0, config.layer_bounds(), bits)[1]
     sizes = tuple(ds.size for ds in datasets)
     starts = tuple(int(a) for a in np.cumsum((0,) + sizes[:-1]))
@@ -686,14 +719,12 @@ def plan_rounds(state: FederationState, config: FederationConfig, t0: int,
                     config.batch_size) + starts[:, :, None, None]
     gamma = gamma_offset(config.mu, config.lipschitz, config.local_steps)
 
-    def widths(quantized: bool, spec: ScheduleSpec) -> list[int]:
-        if not quantized:
+    def widths(link: Link) -> list[int]:
+        if link.scale is None:
             return [qz.FLOAT_BITS_PER_COORD] * count
-        return [schedule_bits(spec, t, config.mu, gamma) for t in rounds]
-    schedule = tuple(zip(
-        [lr_schedule(t, config.mu, gamma) for t in rounds],
-        widths(config.uplink_mode is not UplinkMode.FLOAT, config.uplink_schedule),
-        widths(config.downlink_mode is not DownlinkMode.FLOAT, config.downlink_schedule)))
+        return [schedule_bits(link.schedule, t, config.mu, gamma) for t in rounds]
+    schedule = tuple(zip([lr_schedule(t, config.mu, gamma) for t in rounds],
+                         *map(widths, config.links)))
     return RoundPlan(t0, server, selected, rows,
                      batch_inputs(state.model, state.pooled, rows),
                      draws[..., head:], schedule)
@@ -714,35 +745,18 @@ def run_round(
     eta, bits_up, bits_down = plan.schedule[i]
 
     # a float or nearest link ignores its uniforms
-    n, dim, clients = config.num_clients, config.dimension, plan.selected[i]
     delivered, down_bits = broadcast(
-        state.w_global, config, bits_down, plan.server[i, n:],
+        state.w_global, config, bits_down, plan.server[i, config.num_clients:],
         frozen_extra_gains=state.frozen_extra_gains,
     )
     w_locals = local_train_clients(delivered, state.model,
                                    tuple(part[i] for part in plan.inputs), eta)
     differential = config.uplink_mode is UplinkMode.DIFFERENTIAL
-    if config.uplink_mode is UplinkMode.FLOAT:
-        uploads = w_locals
-    elif differential:
-        uploads = differential_uploads(w_locals - delivered, bits_up,
-                                       config.rounding, plan.uniforms[i])
-    else:
-        symmetric = config.grid is qz.GridKind.SYMMETRIC
-        tuned = config.structure is Structure.TUNED
-        if symmetric or tuned:
-            _check_weight_bound(w_locals, config, t, clients)
-        scale = (config.weight_bound if symmetric
-                 else 2.0 ** (bits_up - 1) / (config.weight_bound if tuned else 1.0))
-        uploads = qz.transmit(w_locals, _link_spec(bits_up, symmetric, config.rounding),
-                              np.full(len(clients), scale), plan.uniforms[i])
-    up_bits = len(clients) * (qz.float_bits(dim) if config.uplink_mode is UplinkMode.FLOAT
-                              else qz.wire_bits(dim, bits_up))
+    uploads, up_bits = _send(config.links[0], w_locals - delivered if differential else w_locals,
+                             bits_up, plan.uniforms[i], config, t=t, clients=plan.selected[i])
 
-    if differential:
-        new_global = aggregate_differentials(delivered, uploads)
-    else:
-        new_global = aggregate_weights(uploads)
+    new_global = (aggregate_differentials(delivered, uploads) if differential
+                  else aggregate_weights(uploads))
 
     train_loss = loss(state.model, new_global, state.pooled.features,
                       state.pooled.labels)

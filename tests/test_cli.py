@@ -190,6 +190,42 @@ def test_width_above_the_cap_is_a_config_error(tmp_path, capsys, command, text, 
     assert not (tmp_path / "o").exists() and not (tmp_path / "b.csv").exists()
 
 
+FLOAT_UPLINK = BASE_CONFIG.replace(
+    "uplink_mode = differential\nuplink_schedule = constant\nuplink_bits = 3",
+    "uplink_mode = float")
+
+
+@pytest.mark.parametrize("command", ["run", "bound"])
+@pytest.mark.parametrize("text, message", [
+    (FLOAT_UPLINK + "rounding = nearest\n",
+     "rounding is not read by a quadratic run with a float uplink and a float downlink"),
+    (WEIGHT_NEAREST.replace("grid = pipeline", "grid = symmetric"),
+     "rounding is not read by a quadratic run with a weight uplink (constant schedule) "
+     "and a float downlink on the symmetric grid"),
+    (FLOAT_UPLINK.replace("downlink_mode = float",
+                          "downlink_mode = quantized\ndownlink_bits = 3\nweight_bound = 10")
+     + "rounding = nearest\n",
+     "rounding is not read by a quadratic run with a float uplink and a quantized downlink "
+     "(constant schedule) on the symmetric grid"),
+    # one rounding for two links: nearest reaches one of them only
+    (BASE_CONFIG.replace("downlink_mode = float",
+                         "downlink_mode = quantized\ndownlink_bits = 3\nweight_bound = 10")
+     + "rounding = nearest\n",
+     "rounding=nearest does not reach the downlink: a quantized downlink on the symmetric "
+     "grid always rounds stochastically"),
+    (WEIGHT_NEAREST.replace("grid = pipeline", "grid = symmetric").replace(
+        "downlink_mode = float", "downlink_mode = layered\ndownlink_bits = 3"),
+     "rounding=nearest does not reach the uplink: a weight uplink on the symmetric grid "
+     "always rounds stochastically"),
+], ids=["float-float", "symmetric-weight", "symmetric-quantized",
+        "differential-symmetric-quantized", "symmetric-weight-layered"])
+def test_nearest_rounding_that_misses_a_link_is_a_config_error(tmp_path, capsys, command,
+                                                               text, message):
+    assert cli.main(failing_argv(tmp_path, command, text)) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert not (tmp_path / "o").exists() and not (tmp_path / "b.csv").exists()
+
+
 WEIGHT_STEP_LOG = BASE_CONFIG.replace(
     "uplink_mode = differential\nuplink_schedule = constant\nuplink_bits = 3",
     "uplink_mode = weight\nuplink_schedule = step_log\nuplink_f = 2\nuplink_p = 1")

@@ -16,6 +16,7 @@ import json
 import math
 import re
 import runpy
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,29 @@ def test_metrics_bytes_reproduced(name, tmp_path, monkeypatch):
     cli.write_metrics_csv(path, records)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == entry["sha256"]
     check_link_bits_serialized(config, records, calls)
+
+
+def test_unread_link_key_moves_no_result(tmp_path):
+    # flipping a family key the run does not read, on the parsed config so
+    # that no key check stands in the way, must leave every byte alone;
+    # flips the config itself rejects (nearest that reaches no link) are skipped
+    path, runs = tmp_path / "metrics.csv", 0
+    for name, entry in CORPUS.items():
+        config = cli.parse_config_text(config_text(entry["config"]))
+        for key in sorted({"grid", "structure", "rounding", "lq_static"}
+                          - fed.config_reads(config)):
+            value = getattr(config, key)
+            flipped = (not value if isinstance(value, bool)
+                       else next(member for member in type(value) if member is not value))
+            try:
+                changed = replace(config, **{key: flipped})
+            except fed.ConfigError:
+                continue
+            cli.write_metrics_csv(path, fed.run_federation(changed))
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == entry["sha256"], (
+                f"{name}: {key} = {flipped}")
+            runs += 1
+    assert runs == 75
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

@@ -323,17 +323,27 @@ class TestConfigValidation:
 
     def test_nearest_rounding_needs_a_link_that_reads_it(self):
         # a differential uplink, a layered downlink and a pipeline link round
-        # as configured; a symmetric-grid link always rounds stochastically
+        # as configured; a symmetric-grid link always rounds stochastically,
+        # so nearest must reach every quantized link
         up, down = fed.UplinkMode, fed.DownlinkMode
         for fields in (dict(uplink_mode=up.DIFFERENTIAL),
-                       dict(uplink_mode=up.DIFFERENTIAL, downlink_mode=down.QUANTIZED),
+                       dict(uplink_mode=up.DIFFERENTIAL, downlink_mode=down.QUANTIZED,
+                            grid=qz.GridKind.PIPELINE),
                        dict(downlink_mode=down.LAYERED),
-                       dict(uplink_mode=up.WEIGHT, downlink_mode=down.LAYERED),
                        dict(uplink_mode=up.WEIGHT, grid=qz.GridKind.PIPELINE)):
             fed.FederationConfig(rounding=NEAREST, **fields)
-        for fields in ({}, dict(uplink_mode=up.WEIGHT), dict(downlink_mode=down.QUANTIZED)):
-            with pytest.raises(fed.ConfigError,
-                               match="^grid=symmetric requires rounding=stochastic$"):
+        unread = "^rounding is not read by a quadratic run with "
+        for fields, message in (
+                ({}, unread + "a float uplink and a float downlink$"),
+                (dict(uplink_mode=up.WEIGHT), unread),
+                (dict(downlink_mode=down.QUANTIZED), unread),
+                (dict(uplink_mode=up.DIFFERENTIAL, downlink_mode=down.QUANTIZED),
+                 "^rounding=nearest does not reach the downlink: a quantized downlink "
+                 "on the symmetric grid always rounds stochastically$"),
+                (dict(uplink_mode=up.WEIGHT, downlink_mode=down.LAYERED),
+                 "^rounding=nearest does not reach the uplink: a weight uplink "
+                 "on the symmetric grid always rounds stochastically$")):
+            with pytest.raises(fed.ConfigError, match=message):
                 fed.FederationConfig(rounding=NEAREST, **fields)
 
     def test_layer_sizes_must_cover_dimension(self):

@@ -156,6 +156,23 @@ def test_src_derives_no_stream_but_a_philox_one():
     assert calls == []
 
 
+def test_only_federation_reads_a_configs_link_keys():
+    # federation.Link decides what grid, structure and rounding mean for each
+    # link; elsewhere only quantizer reads them, off its own spec and wire form
+    reads, outside = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and node.attr in ("grid", "structure", "rounding")):
+                owner = ast.unparse(node.value)
+                where = f"{path.relative_to(SRC)}:{node.lineno} {owner}.{node.attr}"
+                if path.name == "federation.py":
+                    reads.append(where)
+                elif path.name != "quantizer.py" or owner not in ("self", "spec", "qv"):
+                    outside.append(where)
+    assert reads and outside == []
+
+
 # the engine's own pool: generator 0 draws a round's stream, the rest its clients'
 POOL = fed.init_state(fed.FederationConfig(
     num_clients=2, clients_per_round=1, rounds=0, batch_size=1, dimension=2,
