@@ -474,9 +474,8 @@ def aggregate_differentials(prev_global: np.ndarray,
 def _link_spec(bits: int, symmetric: bool, rounding: qz.Rounding) -> qz.QuantizerSpec:
     """A link's quantizer at one width, built once (a spec is immutable): the
     symmetric grid, or the pipeline, which at one bit is the enhanced one."""
-    if symmetric:
-        return qz.QuantizerSpec(bits, rounding, qz.GridKind.SYMMETRIC)
-    return qz.QuantizerSpec(bits, rounding, one_bit_enhanced=bits == 1)
+    grid = qz.GridKind.SYMMETRIC if symmetric else qz.GridKind.PIPELINE
+    return qz.QuantizerSpec(bits, rounding, grid)
 
 
 def differential_uploads(rows: np.ndarray, bits: int, rounding: qz.Rounding,

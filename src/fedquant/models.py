@@ -16,9 +16,9 @@ reads: the batch means on the quadratic model, whose gradient is
 ``w - mean(batch)``, and the gathered features and labels on the logistic
 one.  :func:`local_train_clients` steps one round's selected clients on their
 slice of it as one array program: each client's row of the result is
-bit-identical to :func:`local_train` on that client alone, which stays as
-the reference the tests compare against.  Sums call ``np.add.reduce``
-directly, the ufunc that ``ndarray.sum`` wraps.
+bit-identical to that client's E sequential mini-batch SGD steps taken
+alone.  Sums call ``np.add.reduce`` directly, the ufunc that
+``ndarray.sum`` wraps.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from enum import Enum
 
 import numpy as np
 
-from .streams import k_subset
-
 __all__ = [
     "LossKind",
     "LossModel",
@@ -39,7 +37,6 @@ __all__ = [
     "SolverError",
     "loss",
     "grad",
-    "local_train",
     "batch_inputs",
     "local_train_clients",
     "solve_optimum",
@@ -153,39 +150,13 @@ def grad(model: LossModel, w: np.ndarray, features: np.ndarray,
     return back / batch + model.regularization * w
 
 
-def local_train(
-    w: np.ndarray,
-    model: LossModel,
-    data: ClientDataset,
-    steps: int,
-    batch_size: int,
-    lr: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Run ``steps`` sequential mini-batch SGD steps from ``w``.
-
-    Each step uses a fresh uniform batch without replacement within the
-    step, in index order (so a full-size batch is exact full-batch descent);
-    all ``steps`` batches come from one ``rng.random((steps, n))`` draw.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if not 1 <= batch_size <= data.size:
-        raise ValueError("batch size must be in [1, dataset size]")
-    w = np.asarray(w, dtype=np.float64).copy()
-    for idx in k_subset(rng.random((steps, data.size)), batch_size):
-        batch_labels = data.labels[idx] if data.labels is not None else None
-        w -= lr * grad(model, w, data.features[idx], batch_labels)
-    return w
-
-
 def batch_inputs(model: LossModel, pooled: ClientDataset,
                  rows: np.ndarray) -> tuple[np.ndarray, ...]:
     """What :func:`local_train_clients` reads of the batches at ``rows``.
 
     ``rows`` holds ``pooled`` row indices of shape ``(..., K, E, bs)``: each
-    client's E batches, the sorted batch indices :func:`local_train` would
-    pick on that client's keys, offset to where its samples start in
+    client's E batches, the sorted batch indices ``streams.k_subset`` picks
+    from that client's keys, offset to where its samples start in
     ``pooled``.  Every batch is gathered in one indexing call.  The quadratic
     model returns ``(means,)``, every batch reduced to its mean ``(..., K, E,
     d)`` in one call that adds each batch's rows in the order :func:`grad`
@@ -210,11 +181,13 @@ def local_train_clients(
     inputs: tuple[np.ndarray, ...],
     lr: float,
 ) -> np.ndarray:
-    """:func:`local_train` for K clients at once; returns the ``(K, d)`` block.
+    """E sequential mini-batch SGD steps from ``w`` for K clients at once;
+    returns the ``(K, d)`` block.
 
     ``inputs`` is :func:`batch_inputs` of one round's ``(K, E, bs)`` row
-    block, or that round's slice of a larger block's.  Row k of the result is
-    bit-identical to ``local_train`` on client k, whatever the other rows are.
+    block, or that round's slice of a larger block's: step e of client k
+    descends on its e-th batch.  Row k of the result is bit-identical to
+    client k's steps taken alone, whatever the other rows are.
     """
     block = np.repeat(np.asarray(w, dtype=np.float64)[None, :], len(inputs[0]), axis=0)
     if model.kind is LossKind.QUADRATIC:

@@ -14,9 +14,10 @@ Two quantizer families are implemented:
   as ``+/-M/(2^B-1)``.  Inputs outside ``[-M, M]`` are an error because
   clamping would bias the grid.
 
-A special enhanced one-bit mode maps a scalar to ``+/-1/G`` directly; its
-stochastic variant uses ``Pr[+1] = clip((w + 1/G) / (2/G), 0, 1)``, which is
-the symmetric two-point grid with saturating probabilities.
+At one bit the pipeline is the enhanced one-bit quantizer, which maps a
+scalar to ``+/-1/G`` directly; its stochastic variant uses
+``Pr[+1] = clip((w + 1/G) / (2/G), 0, 1)``, which is the symmetric two-point
+grid with saturating probabilities.
 
 Codewords are integers and the dequantized value is always
 ``codeword / gain``.  Pipeline codewords live in ``[-2^(B-1), 2^(B-1)-1]``;
@@ -29,8 +30,9 @@ QSGD).  ``quantize_vector`` samples from it with caller-drawn uniforms, for
 one vector or a ``(K, d)`` block, and returns the wire form, a
 :class:`QuantizedVector` that ``serialize`` encodes; ``transmit`` makes the
 same checks and the same draw and returns only the decoded values, which is
-all a simulated link needs.  ``expected_sq_error`` sums the kernel's
-closed-form moments.  A :class:`QuantizerSpec` names only the family, width
+all a simulated link needs.  ``moments`` gives each coordinate's exact mean
+and variance of that decode, and ``expected_sq_error`` sums the kernel's
+closed-form squared error.  A :class:`QuantizerSpec` names only the family, width
 and rounding; every call takes its scale -- the gain ``G`` on the pipeline
 and enhanced one-bit, the half-range ``M`` on the symmetric grid -- as one
 scalar, one per coordinate of a vector or one per row of a block.
@@ -57,16 +59,12 @@ __all__ = [
     "QuantizerSpec",
     "QuantizedVector",
     "GridRangeError",
-    "round_nearest",
-    "round_stochastic",
-    "clamp_limit",
     "half_step",
-    "quantize_pipeline",
     "quantize_grid_sr",
     "grid_distribution",
-    "grid_moments",
     "quantize_vector",
     "transmit",
+    "moments",
     "layered_gains",
     "magnitude_percentile",
     "expected_sq_error",
@@ -116,12 +114,9 @@ class QuantizerSpec:
     bits: int
     rounding: Rounding = Rounding.STOCHASTIC
     grid: GridKind = GridKind.PIPELINE
-    one_bit_enhanced: bool = False
 
     def __post_init__(self) -> None:
         _check_bits(self.bits)
-        if self.one_bit_enhanced and (self.bits != 1 or self.grid is not GridKind.PIPELINE):
-            raise ValueError("enhanced one-bit mode requires bits == 1 on the pipeline")
 
 
 @dataclass(frozen=True)
@@ -164,34 +159,8 @@ class QuantizedVector:
 
 
 # ---------------------------------------------------------------------------
-# Scalar operations
+# Scalar grid sampler
 # ---------------------------------------------------------------------------
-
-def round_nearest(x: float) -> int:
-    """Round to the nearest integer; a fractional part of exactly 0.5 rounds up."""
-    _require_finite(x)
-    floor = math.floor(x)
-    return floor if x - floor < 0.5 else floor + 1
-
-
-def round_stochastic(x: float, rng: np.random.Generator) -> int:
-    """Round to floor(x) or floor(x)+1 with probability proportional to proximity.
-
-    The expectation over the rounding randomness equals x.
-    """
-    _require_finite(x)
-    floor = math.floor(x)
-    frac = x - floor
-    return floor + (1 if rng.random() < frac else 0)
-
-
-def clamp_limit(r: int, bits: int) -> int:
-    """Limit an integer to the signed range of ``bits`` bits."""
-    if bits < 1:
-        raise ValueError("bits must be >= 1")
-    lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
-    return min(max(int(r), lo), hi)
-
 
 def half_step(range_bound: float, bits: int) -> float:
     """Half the spacing of the 2^bits codepoints on [-range_bound, +range_bound],
@@ -200,30 +169,6 @@ def half_step(range_bound: float, bits: int) -> float:
         raise ValueError("range_bound must be a positive finite real")
     _check_bits(bits)
     return range_bound / (2.0 ** bits - 1.0)
-
-
-def quantize_pipeline(w: float, spec: QuantizerSpec, gain: float,
-                      rng: np.random.Generator | None = None) -> tuple[int, float]:
-    """Run one scalar through scale-up by ``gain``, rounding, limit, scale-down.
-
-    Returns (codeword, dequantized value).  The engine never calls this: it
-    is the scalar reference that the tests compare :func:`quantize_vector`'s
-    pipeline family against, draw for draw.
-    """
-    if spec.grid is not GridKind.PIPELINE:
-        raise ValueError("quantize_pipeline requires a pipeline-grid spec")
-    if not (gain > 0 and math.isfinite(gain)):
-        raise ValueError("scale must be positive and finite")
-    _require_finite(w)
-    amplified = w * gain
-    if spec.rounding is Rounding.NEAREST:
-        rounded = round_nearest(amplified)
-    else:
-        if rng is None:
-            raise ValueError("stochastic rounding requires an rng")
-        rounded = round_stochastic(amplified, rng)
-    code = clamp_limit(rounded, spec.bits)
-    return code, code / gain
 
 
 def grid_distribution(w: float, range_bound: float, bits: int) -> tuple[int, int, float]:
@@ -247,26 +192,14 @@ def grid_distribution(w: float, range_bound: float, bits: int) -> tuple[int, int
     return lo_code, lo_code + 2, p_hi
 
 
-def grid_moments(w: float, range_bound: float, bits: int) -> tuple[float, float]:
-    """Analytic mean and variance of stochastic rounding on the grid.
-
-    Computed by enumerating the two possible outcomes with their
-    probabilities.  The variance never exceeds ``half_step ** 2``.
-    """
-    lo_code, _, p_hi = grid_distribution(w, range_bound, bits)
-    q = half_step(range_bound, bits)
-    mean = lo_code * q + p_hi * (2.0 * q)
-    var = (2.0 * q) ** 2 * (p_hi * (1.0 - p_hi))
-    return mean, var
-
-
 def quantize_grid_sr(w: float, range_bound: float, bits: int,
                      rng: np.random.Generator) -> float:
     """Stochastically round ``w`` to one of the two bracketing codepoints.
 
-    The engine never calls this: it is the scalar reference for the
-    symmetric grid, which the tests compare :func:`quantize_vector` against
-    and which the ``analysis`` moment verifiers sample.
+    The engine never calls this: it is a scalar sampler for the symmetric
+    grid, written apart from the kernel, which the tests compare
+    :func:`quantize_vector` against and whose draws the ``analysis`` moment
+    verifiers set against the kernel's :func:`moments`.
     """
     lo_code, hi_code, p_hi = grid_distribution(w, range_bound, bits)
     code = hi_code if rng.random() < p_hi else lo_code
@@ -311,7 +244,7 @@ def _outcomes(
     is 0 or 1: 1 exactly when the stochastic ``Pr[hi]`` is at least 0.5.  The
     symmetric range check compares every coordinate with its bound in one
     step and locates the first offender only when it fails."""
-    if spec.one_bit_enhanced:
+    if spec.bits == 1 and spec.grid is GridKind.PIPELINE:  # the enhanced one bit
         lo = np.full(v.shape, -1, dtype=np.int64)
         if spec.rounding is Rounding.NEAREST:
             return lo, -lo, (v >= 0).astype(np.float64)
@@ -348,6 +281,16 @@ def _outcomes(
     return lo, hi, p_hi
 
 
+def _checked(v: np.ndarray) -> np.ndarray:
+    """A quantizer call's input as floats: one finite vector or block."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim not in (1, 2):
+        raise ValueError("expected a vector or a (rows, dim) block")
+    if not np.isfinite(v).all():
+        raise ValueError("non-finite coordinate in input vector")
+    return v
+
+
 def _encode(
     v: np.ndarray,
     spec: QuantizerSpec,
@@ -357,11 +300,7 @@ def _encode(
     """Every check on a quantizer call, then one draw from each coordinate's
     two outcomes: the codewords and the gain that decodes them, a float or
     broadcast against ``v`` (a column of one per row of a block)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim not in (1, 2):
-        raise ValueError("expected a vector or a (rows, dim) block")
-    if not np.isfinite(v).all():
-        raise ValueError("non-finite coordinate in input vector")
+    v = _checked(v)
     stochastic = spec.rounding is Rounding.STOCHASTIC
     if uniforms is None:
         if stochastic:
@@ -394,7 +333,7 @@ def quantize_vector(
     that :func:`serialize` encodes; :func:`transmit` gives its decoded values.
     """
     codes, gain = _encode(v, spec, scale, uniforms)
-    symmetric = spec.grid is GridKind.SYMMETRIC or spec.one_bit_enhanced
+    symmetric = spec.grid is GridKind.SYMMETRIC or spec.bits == 1
     return QuantizedVector(codes, gain[:, 0] if np.ndim(gain) == 2 else gain, spec.bits,
                            GridKind.SYMMETRIC if symmetric else GridKind.PIPELINE)
 
@@ -409,6 +348,23 @@ def transmit(
     for bit, from the same checks and draw, without building the wire form."""
     codes, gain = _encode(v, spec, scale, uniforms)
     return codes / gain
+
+
+def moments(v: np.ndarray, spec: QuantizerSpec,
+            scale: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each coordinate's exact mean and variance, over the draw, of what
+    :func:`transmit` decodes at ``scale``, from the kernel's codewords
+    ``lo``, ``hi``, ``p = Pr[hi]`` and gain ``G``: the mean of the two
+    decodes, ``(1 - p) lo/G + p hi/G``, and the codeword's variance over
+    ``G^2``, ``p (1 - p) ((hi - lo)/G)^2``.  The variance leaves out the
+    decodes' own rounding, so on the symmetric grid it never exceeds the
+    square of the half-step ``1/G``.  The input and scale get
+    :func:`transmit`'s checks and messages; no uniforms are read."""
+    v = _checked(v)
+    scale, gain = _scale_and_gain(v, spec, scale)
+    lo, hi, p_hi = _outcomes(v, spec, scale)
+    mean = (1.0 - p_hi) * (lo / gain) + p_hi * (hi / gain)
+    return mean, p_hi * (1.0 - p_hi) * ((hi - lo) / gain) ** 2
 
 
 def magnitude_percentile(values: np.ndarray, fraction: float = 0.9) -> float:
@@ -455,15 +411,13 @@ def expected_sq_error(v: np.ndarray, spec: QuantizerSpec,
                       scale: float | np.ndarray) -> float:
     """Total expected squared quantization error, summed over coordinates.
 
-    A closed-form sum over each coordinate's two outcomes, the same ones
-    :func:`quantize_vector` samples at the same ``scale``, so the result is
-    deterministic and, under nearest rounding, equals the realized error.
+    Each coordinate's variance plus its squared bias, from :func:`moments`
+    of the outcomes :func:`quantize_vector` samples at the same ``scale``, so
+    the result is deterministic and, under nearest rounding, equals the
+    realized error.
     """
-    v = np.asarray(v, dtype=np.float64)
-    scale, gain = _scale_and_gain(v, spec, scale)
-    lo, hi, p_hi = _outcomes(v, spec, scale)
-    return float(np.sum((1.0 - p_hi) * (lo / gain - v) ** 2
-                        + p_hi * (hi / gain - v) ** 2))
+    mean, var = moments(v, spec, scale)
+    return float(np.sum(var + (mean - np.asarray(v, dtype=np.float64)) ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from fedquant import quantizer as qz
 from fedquant.streams import CLIENT, ROUND, philox_stream
 
 from conftest import RUN_SEEDS, make_testbed_config
+from reference import local_train
 
 CHECKPOINTS = (100, 500, 1000, 2000)
 
@@ -32,12 +33,13 @@ def test_c01_stochastic_rounding_moments():
     worst_bias, worst_excess = 0.0, -math.inf
     rng = np.random.default_rng([101])
     for bits in range(1, 9):
+        spec = qz.QuantizerSpec(bits, grid=qz.GridKind.SYMMETRIC)
         for bound in (0.5, 1.0, 4.0):
             limit = qz.half_step(bound, bits) ** 2
-            for w in rng.uniform(-bound, bound, size=1000):
-                mean, var = qz.grid_moments(float(w), bound, bits)
-                worst_bias = max(worst_bias, abs(mean - float(w)))
-                worst_excess = max(worst_excess, var - limit)
+            w = rng.uniform(-bound, bound, size=1000)
+            mean, var = qz.moments(w, spec, bound)
+            worst_bias = max(worst_bias, float(np.max(np.abs(mean - w))))
+            worst_excess = max(worst_excess, float(np.max(var)) - limit)
     elapsed = time.monotonic() - start
     ok = worst_bias < 1e-12 and worst_excess <= 0.0 and elapsed < 5.0
     conclude("rounding moments", ok,
@@ -63,10 +65,11 @@ def test_c03_differential_error_bound():
     worst_margin = -math.inf
     for dim in (4, 64):
         for bits in (1, 3, 6):
+            spec = qz.QuantizerSpec(bits, grid=qz.GridKind.SYMMETRIC)
             for _ in range(100):
                 vec = rng.standard_normal(dim) * 10.0 ** rng.uniform(-2, 1)
                 peak = float(np.max(np.abs(vec)))
-                mse = sum(qz.grid_moments(float(w), peak, bits)[1] for w in vec)
+                mse = float(np.sum(qz.moments(vec, spec, peak)[1]))
                 limit = dim * float(vec @ vec) / (2.0 ** bits - 1.0) ** 2
                 worst_margin = max(worst_margin, mse - limit)
     elapsed = time.monotonic() - start
@@ -90,8 +93,8 @@ def test_c04_float_equivalence(quadratic_testbed):
         keys = philox_stream(cfg.seed, ROUND, t).random(cfg.num_clients)
         selected = fed.sample_clients(cfg.num_clients, cfg.clients_per_round, keys)
         locals_ = [
-            m.local_train(w, tb.model, tb.datasets[k], cfg.local_steps,
-                          cfg.batch_size, eta, philox_stream(cfg.seed, CLIENT, t, int(k)))
+            local_train(w, tb.model, tb.datasets[k], cfg.local_steps,
+                        cfg.batch_size, eta, philox_stream(cfg.seed, CLIENT, t, int(k)))
             for k in selected
         ]
         w = np.stack(locals_).mean(axis=0)

@@ -241,6 +241,14 @@ class TestRoundingVerifier:
     def test_wide_range(self):
         assert an.check_rounding_moments(4.0, 3, trials=10_000).passed
 
+    @pytest.mark.parametrize("bits", range(1, 17))
+    def test_passes_across_ranges(self, bits):
+        # the mean within 8 ulps of M, the variance within the kernel's 1/G
+        for range_bound in (1e-8, 10 ** -2.5, 10 ** 3.3, 1e8):
+            report = an.check_rounding_moments(range_bound, bits)
+            assert report.checks[0].threshold == 8 * np.spacing(range_bound)
+            assert report.passed
+
     def test_trials_floor(self):
         with pytest.raises(ValueError):
             an.check_rounding_moments(1.0, 4, trials=100)

@@ -18,6 +18,7 @@ import fedquant
 from fedquant import analysis, cli
 from fedquant import federation as fed
 from fedquant import models
+from fedquant import quantizer as qz
 
 BASE_CONFIG = """\
 # small quadratic testbed
@@ -575,6 +576,23 @@ class TestVerifyCommand:
         monkeypatch.setattr(analysis, "check_rounding_moments",
                             lambda *a, **k: failing)
         assert cli.main(["verify", "rounding"]) == 1
+
+    def test_a_biased_kernel_fails_both_grid_verifiers(self, monkeypatch, capsys):
+        # the engine's kernel, wrapped so that stochastic Pr[hi] on the
+        # symmetric grid reads 1e-3 low: a bias of 2e-3 of a cell, which the
+        # exact `unbiased` check must see through quantizer.moments
+        honest = qz._outcomes
+
+        def biased(v, spec, scale):
+            lo, hi, p_hi = honest(v, spec, scale)
+            if spec.grid is qz.GridKind.SYMMETRIC and spec.rounding is qz.Rounding.STOCHASTIC:
+                p_hi = p_hi - 1e-3
+            return lo, hi, p_hi
+
+        monkeypatch.setattr(qz, "_outcomes", biased)
+        for check in ("rounding", "differential"):
+            assert cli.main(["verify", check]) == 1
+            assert "unbiased.pass: false" in capsys.readouterr().out.splitlines()
 
     @pytest.mark.parametrize("argv", [
         *(["rounding", "--range-bound", bad] for bad in ("0", "-1", "nan", "inf")),

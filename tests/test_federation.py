@@ -12,6 +12,8 @@ from fedquant import models as m
 from fedquant import quantizer as qz
 from fedquant.streams import CLIENT, ROUND, k_subset, philox_stream
 
+import reference as ref
+
 QUADRATIC = m.LossModel(m.LossKind.QUADRATIC)
 
 
@@ -312,9 +314,7 @@ class TestConfigValidation:
             fed.FederationConfig(uplink_mode=fed.UplinkMode.WEIGHT, grid=qz.GridKind.PIPELINE,
                                  uplink_schedule=fed.ScheduleSpec.constant(1),
                                  rounding=rounding)
-            assert fed._link_spec(1, False, rounding) == qz.QuantizerSpec(
-                1, rounding, one_bit_enhanced=True)
-            assert not fed._link_spec(2, False, rounding).one_bit_enhanced
+            assert fed._link_spec(1, False, rounding) == qz.QuantizerSpec(1, rounding)
 
     def test_symmetric_grid_needs_stochastic(self):
         with pytest.raises(fed.ConfigError):
@@ -790,9 +790,9 @@ class TestFloatEquivalences:
             keys = philox_stream(cfg.seed, ROUND, t).random(cfg.num_clients)
             selected = fed.sample_clients(cfg.num_clients, cfg.clients_per_round, keys)
             locals_ = [
-                m.local_train(w, model, datasets[k], cfg.local_steps,
-                              cfg.batch_size, eta,
-                              philox_stream(cfg.seed, CLIENT, t, int(k)))
+                ref.local_train(w, model, datasets[k], cfg.local_steps,
+                                cfg.batch_size, eta,
+                                philox_stream(cfg.seed, CLIENT, t, int(k)))
                 for k in selected
             ]
             w = np.stack(locals_).mean(axis=0)
@@ -812,15 +812,15 @@ class TestFloatEquivalences:
             keys = philox_stream(cfg.seed, ROUND, t).random(cfg.num_clients)
             selected = fed.sample_clients(cfg.num_clients, cfg.clients_per_round, keys)
 
-            locals_w = [m.local_train(w_weight, model, datasets[k],
-                                      cfg.local_steps, cfg.batch_size, eta,
-                                      philox_stream(cfg.seed, CLIENT, t, int(k)))
+            locals_w = [ref.local_train(w_weight, model, datasets[k],
+                                        cfg.local_steps, cfg.batch_size, eta,
+                                        philox_stream(cfg.seed, CLIENT, t, int(k)))
                         for k in selected]
             w_weight = fed.aggregate_weights(locals_w)
 
-            locals_d = [m.local_train(w_diff, model, datasets[k],
-                                      cfg.local_steps, cfg.batch_size, eta,
-                                      philox_stream(cfg.seed, CLIENT, t, int(k)))
+            locals_d = [ref.local_train(w_diff, model, datasets[k],
+                                        cfg.local_steps, cfg.batch_size, eta,
+                                        philox_stream(cfg.seed, CLIENT, t, int(k)))
                         for k in selected]
             w_diff = fed.aggregate_differentials(
                 w_diff, [wl - w_diff for wl in locals_d])
@@ -839,7 +839,7 @@ def reference_upload(cfg, w_local, delivered, bits, rng):
             scale = 2.0 ** (bits - 1)
             if cfg.structure is fed.Structure.TUNED:
                 scale /= cfg.weight_bound
-            spec = qz.QuantizerSpec(bits, cfg.rounding, one_bit_enhanced=bits == 1)
+            spec = qz.QuantizerSpec(bits, cfg.rounding)
         return qz.quantize_vector(w_local, spec, scale, rng.random(w_local.size)).dequantize()
     # a differential: the symmetric grid over its own peak, in cfg.rounding
     diff = w_local - delivered
@@ -874,8 +874,8 @@ def reference_run(cfg, model, datasets):
         uploads = []
         for k in selected:
             rng = philox_stream(cfg.seed, CLIENT, t, int(k))
-            w_local = m.local_train(delivered, model, datasets[k],
-                                    cfg.local_steps, cfg.batch_size, eta, rng)
+            w_local = ref.local_train(delivered, model, datasets[k],
+                                      cfg.local_steps, cfg.batch_size, eta, rng)
             uploads.append(
                 reference_upload(cfg, w_local, delivered, bits_up, rng))
         w = np.stack(uploads).mean(axis=0)

@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from fedquant import models as m
 from fedquant.streams import k_subset
 
+import reference as ref
+
 
 QUADRATIC = m.LossModel(m.LossKind.QUADRATIC)
 LOGISTIC = m.LossModel(m.LossKind.LOGISTIC, 0.05)
@@ -114,46 +116,6 @@ class TestStrongConvexity:
                    + (v - w) @ m.grad(QUADRATIC, w, z)
                    + 0.5 * float((v - w) @ (v - w)))
             assert lhs >= rhs - 1e-9
-
-
-class TestLocalTrain:
-    def one_point(self, value):
-        return m.ClientDataset(np.array([[float(value)]]))
-
-    def test_single_step_hand_trace(self):
-        out = m.local_train(np.array([0.0]), QUADRATIC, self.one_point(1.0),
-                            steps=1, batch_size=1, lr=0.1, rng=np.random.default_rng([5]))
-        assert out.tolist() == [0.1]
-
-    def test_zero_lr_is_identity(self):
-        w = np.array([0.3, -0.7])
-        data = m.ClientDataset(np.random.default_rng([6]).standard_normal((5, 2)))
-        out = m.local_train(w, QUADRATIC, data, steps=3, batch_size=2,
-                            lr=0.0, rng=np.random.default_rng([7]))
-        assert np.array_equal(out, w)
-
-    def test_two_steps_hand_trace(self):
-        # 0 -> 0.5 -> 0.75 with full batch {1} and lr 0.5
-        out = m.local_train(np.array([0.0]), QUADRATIC, self.one_point(1.0),
-                            steps=2, batch_size=1, lr=0.5, rng=np.random.default_rng([8]))
-        assert out.tolist() == [0.75]
-
-    def test_deterministic_under_fixed_seed(self):
-        data = m.ClientDataset(np.random.default_rng([9]).standard_normal((20, 4)))
-        a = m.local_train(np.zeros(4), QUADRATIC, data, 5, 3, 0.1, np.random.default_rng([10]))
-        b = m.local_train(np.zeros(4), QUADRATIC, data, 5, 3, 0.1, np.random.default_rng([10]))
-        assert np.array_equal(a, b)
-
-    def test_full_batch_is_deterministic_descent(self):
-        data = m.ClientDataset(np.random.default_rng([11]).standard_normal((8, 2)))
-        out = m.local_train(np.zeros(2), QUADRATIC, data, 1, 8, 0.25, np.random.default_rng([12]))
-        expected = 0.25 * data.features.mean(axis=0)
-        assert np.allclose(out, expected, atol=1e-15)
-
-    def test_batch_size_validated(self):
-        with pytest.raises(ValueError):
-            m.local_train(np.zeros(1), QUADRATIC, self.one_point(1.0),
-                          1, 2, 0.1, np.random.default_rng([0]))
 
 
 def reference_logistic_grad(w, features, labels, regularization):
@@ -268,7 +230,7 @@ class TestLocalTrainClients:
         order = [0, 2, 3, 4]
         block = train_clients(model, datasets, order, w, 6, 3, 0.2, 43)
         for row, k in zip(block, order):
-            one = m.local_train(w, model, datasets[k], 6, 3, 0.2, np.random.default_rng([43, k]))
+            one = ref.local_train(w, model, datasets[k], 6, 3, 0.2, np.random.default_rng([43, k]))
             assert np.array_equal(row, one)
 
     @settings(max_examples=40, deadline=None)
@@ -297,8 +259,8 @@ class TestLocalTrainClients:
         w = np.random.default_rng([seed, 1]).standard_normal(dim)
         block = train_clients(QUADRATIC, datasets, range(clients), w, steps, bs, 0.3, seed)
         for k, row in enumerate(block):
-            one = m.local_train(w, QUADRATIC, datasets[k], steps, bs, 0.3,
-                                np.random.default_rng([seed, k]))
+            one = ref.local_train(w, QUADRATIC, datasets[k], steps, bs, 0.3,
+                                  np.random.default_rng([seed, k]))
             assert row.tobytes() == one.tobytes()
 
 

@@ -1,8 +1,8 @@
 """Quantizer unit and property tests.
 
-Expected values are frozen from independent hand traces of the scalar
-pipeline (scale up, round, limit, scale down) and from two-outcome
-enumeration of the stochastic rounding distributions.
+Expected values are frozen from independent hand traces and from
+two-outcome enumeration of the stochastic rounding distributions; the
+scalar references in ``reference.py`` are the oracles for the kernel.
 """
 
 import math
@@ -14,86 +14,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from fedquant import quantizer as qz
 
-
-class TestRoundNearest:
-    @pytest.mark.parametrize("x, expected", [
-        (1.2, 1),
-        (1.5, 2),       # half rounds up
-        (-0.5, 0),      # floor(-0.5) = -1, fraction 0.5 -> -1 + 1
-        (-1.5, -1),
-        (2.0, 2),
-        (-2.7, -3),
-    ])
-    def test_examples(self, x, expected):
-        assert qz.round_nearest(x) == expected
-
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValueError):
-            qz.round_nearest(bad)
-
-    @given(st.floats(-1e9, 1e9))
-    def test_matches_floor_formula(self, x):
-        floor = math.floor(x)
-        expected = floor if x - floor < 0.5 else floor + 1
-        assert qz.round_nearest(x) == expected
-
-
-class TestRoundStochastic:
-    def test_integer_input_is_exact(self):
-        rng = np.random.default_rng([0])
-        assert all(qz.round_stochastic(3.0, rng) == 3 for _ in range(100))
-
-    def test_quarter_point_distribution(self):
-        rng = np.random.default_rng([1])
-        draws = np.array([qz.round_stochastic(0.25, rng) for _ in range(40_000)])
-        assert set(np.unique(draws)) == {0, 1}
-        # Pr[1] = 0.25; 40k draws give a standard error of ~0.0022
-        assert abs(draws.mean() - 0.25) < 0.01
-
-    def test_empirical_mean_matches_expectation(self):
-        # Monte Carlo against the closed-form expectation E[R(x)] = x
-        rng = np.random.default_rng([2])
-        draws = np.array([qz.round_stochastic(0.7, rng) for _ in range(10 ** 6)])
-        assert abs(draws.mean() - 0.7) < 0.002
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            qz.round_stochastic(math.nan, np.random.default_rng([0]))
-
-
-class TestClampLimit:
-    @pytest.mark.parametrize("r, bits, expected", [
-        (8, 3, 3),
-        (-4, 3, -4),
-        (-9, 3, -4),
-        (3, 3, 3),
-        (0, 1, 0),
-        (1, 1, 0),
-        (-2, 1, -1),
-    ])
-    def test_examples(self, r, bits, expected):
-        assert qz.clamp_limit(r, bits) == expected
-
-    @given(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 16))
-    def test_result_in_range_and_identity(self, r, bits):
-        lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
-        out = qz.clamp_limit(r, bits)
-        assert lo <= out <= hi
-        if lo <= r <= hi:
-            assert out == r
+import reference as ref
 
 
 SYMMETRIC = qz.GridKind.SYMMETRIC
 
 
 class TestQuantizerSpec:
-    def test_one_bit_flag_requires_one_bit(self):
-        with pytest.raises(ValueError):
-            qz.QuantizerSpec(bits=2, one_bit_enhanced=True)
-        with pytest.raises(ValueError, match="on the pipeline"):
-            qz.QuantizerSpec(bits=1, grid=SYMMETRIC, one_bit_enhanced=True)
-
     def test_zero_bits_rejected(self):
         with pytest.raises(ValueError, match="bits must be >= 1"):
             qz.QuantizerSpec(bits=0)
@@ -130,7 +57,7 @@ class TestQuantizerSpec:
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("spec", [
         qz.QuantizerSpec(2), qz.QuantizerSpec(2, qz.Rounding.NEAREST),
-        qz.QuantizerSpec(2, grid=SYMMETRIC), qz.QuantizerSpec(1, one_bit_enhanced=True),
+        qz.QuantizerSpec(2, grid=SYMMETRIC), qz.QuantizerSpec(1),
     ], ids=["pipeline_stochastic", "pipeline_nearest", "symmetric", "one_bit"])
     def test_invalid_parameters(self, spec, bad):
         # every call carries its scale; a scalar, or one bad entry among many
@@ -142,63 +69,39 @@ class TestQuantizerSpec:
                 qz.expected_sq_error(v, spec, scale)
         if spec.grid is qz.GridKind.PIPELINE:
             with pytest.raises(ValueError, match="scale must be positive and finite"):
-                qz.quantize_pipeline(0.0, spec, bad, np.random.default_rng([0]))
+                ref.quantize_pipeline(0.0, spec, bad, np.random.default_rng([0]))
 
 
-class TestQuantizePipeline:
-    def test_hand_traces(self):
-        spec = qz.QuantizerSpec(3, qz.Rounding.NEAREST)
-        # 0.3 * 4 = 1.2 -> 1 -> in range -> 0.25
-        assert qz.quantize_pipeline(0.3, spec, 4.0) == (1, 0.25)
-        # 2.0 * 4 = 8 -> clamps to 3 -> 0.75
-        assert qz.quantize_pipeline(2.0, spec, 4.0) == (3, 0.75)
-        assert qz.quantize_pipeline(0.0, spec, 4.0) == (0, 0.0)
+def kernel_moments(w: float, range_bound: float, bits: int) -> tuple[float, float]:
+    """``qz.moments`` of one coordinate on the symmetric stochastic grid."""
+    mean, var = qz.moments(np.array([w]), qz.QuantizerSpec(bits, grid=SYMMETRIC), range_bound)
+    return float(mean[0]), float(var[0])
 
-    def test_grid_spec_rejected(self):
-        spec = qz.QuantizerSpec(3, grid=SYMMETRIC)
-        with pytest.raises(ValueError):
-            qz.quantize_pipeline(0.5, spec, 1.0)
 
-    def test_stochastic_requires_rng(self):
-        spec = qz.QuantizerSpec(3)
-        with pytest.raises(ValueError):
-            qz.quantize_pipeline(0.3, spec, 4.0)
-
-    @given(
-        st.floats(-50, 50),
-        st.integers(1, 10),
-        st.integers(-6, 10),
-    )
-    def test_nearest_rounding_idempotent(self, w, bits, gain_exp):
-        spec = qz.QuantizerSpec(bits, qz.Rounding.NEAREST)
-        _, value = qz.quantize_pipeline(w, spec, 2.0 ** gain_exp)
-        _, again = qz.quantize_pipeline(value, spec, 2.0 ** gain_exp)
-        assert again == value
-
-    @given(st.floats(-100, 100), st.integers(1, 12))
-    def test_codeword_range(self, w, bits):
-        spec = qz.QuantizerSpec(bits, qz.Rounding.NEAREST)
-        code, _ = qz.quantize_pipeline(w, spec, 3.7)
-        assert -(2 ** (bits - 1)) <= code <= 2 ** (bits - 1) - 1
+# the scalar reference and the engine's kernel, held to the same hand traces
+BOTH_MOMENTS = pytest.mark.parametrize("grid_moments", [ref.grid_moments, kernel_moments],
+                                       ids=["reference", "kernel"])
 
 
 class TestGridStochasticRounding:
-    def test_codepoint_is_fixed_point(self):
+    @BOTH_MOMENTS
+    def test_codepoint_is_fixed_point(self, grid_moments):
         # 2 bits on [-1, 1]: codepoints {-1, -1/3, 1/3, 1}
         rng = np.random.default_rng([3])
         assert all(qz.quantize_grid_sr(1 / 3, 1.0, 2, rng) == 1 / 3
                    for _ in range(50))
         for code in (-3, -1, 1, 3):
             codepoint = code * qz.half_step(1.0, 2)
-            mean, var = qz.grid_moments(codepoint, 1.0, 2)
+            mean, var = grid_moments(codepoint, 1.0, 2)
             assert mean == codepoint and var == 0.0
 
-    def test_zero_on_two_bit_grid(self):
+    @BOTH_MOMENTS
+    def test_zero_on_two_bit_grid(self, grid_moments):
         # enumerate both outcomes: -1/3 and +1/3 each with probability 0.5
         lo, hi, p_hi = qz.grid_distribution(0.0, 1.0, 2)
         assert (lo, hi) == (-1, 1)
         assert p_hi == 0.5
-        mean, var = qz.grid_moments(0.0, 1.0, 2)
+        mean, var = grid_moments(0.0, 1.0, 2)
         assert mean == 0.0
         assert var == pytest.approx(1 / 9, abs=1e-15)
 
@@ -208,8 +111,9 @@ class TestGridStochasticRounding:
         assert (lo, hi) == (-1, 1)
         assert p_hi == pytest.approx(0.7, abs=1e-15)
 
-    def test_variance_attains_bound_at_midpoint(self):
-        _, var = qz.grid_moments(0.0, 1.0, 1)
+    @BOTH_MOMENTS
+    def test_variance_attains_bound_at_midpoint(self, grid_moments):
+        _, var = grid_moments(0.0, 1.0, 1)
         assert var == 1.0  # equals (M/(2^B-1))^2 exactly
 
     def test_out_of_range_rejected(self):
@@ -221,7 +125,7 @@ class TestGridStochasticRounding:
         message = "range_bound must be a positive finite real"
         for call in (lambda: qz.half_step(bad, 3),
                      lambda: qz.grid_distribution(0.0, bad, 3),
-                     lambda: qz.grid_moments(0.0, bad, 3),
+                     lambda: ref.grid_moments(0.0, bad, 3),
                      lambda: qz.quantize_grid_sr(0.0, bad, 3, np.random.default_rng([0]))):
             with pytest.raises(ValueError, match=message):
                 call()
@@ -230,13 +134,28 @@ class TestGridStochasticRounding:
 
     @pytest.mark.parametrize("bits", range(1, 9))
     @pytest.mark.parametrize("range_bound", [0.5, 1.0, 4.0])
-    def test_moments_over_random_inputs(self, bits, range_bound):
+    @BOTH_MOMENTS
+    def test_moments_over_random_inputs(self, bits, range_bound, grid_moments):
         rng = np.random.default_rng([4, bits])
         bound = qz.half_step(range_bound, bits) ** 2
         for w in rng.uniform(-range_bound, range_bound, size=1000):
-            mean, var = qz.grid_moments(float(w), range_bound, bits)
+            mean, var = grid_moments(float(w), range_bound, bits)
             assert abs(mean - w) < 1e-12
             assert var <= bound
+
+    @pytest.mark.parametrize("bits", range(1, 17))
+    def test_kernel_midpoint_variance_is_its_half_step_squared(self, bits):
+        # on the first range in [1, 2] where the kernel's half-step 1/G, with
+        # G = (2^B - 1)/M, rounds above M/(2^B - 1), the midpoint 0 (Pr[hi] =
+        # 0.5) reads (1/G)^2, above half_step's square
+        spec = qz.QuantizerSpec(bits, grid=SYMMETRIC)
+        m = next(float(m) for m in np.linspace(1.0, 2.0, 1001)
+                 if 1.0 / ((2.0 ** bits - 1.0) / m) > qz.half_step(m, bits))
+        kernel_half = 1.0 / ((2.0 ** bits - 1.0) / m)
+        mean, var = qz.moments(np.array([0.0]), spec, m)
+        assert mean[0] == 0.0
+        assert var[0] <= kernel_half ** 2
+        assert var[0] > qz.half_step(m, bits) ** 2
 
     @given(
         st.floats(-1, 1),
@@ -251,7 +170,7 @@ class TestGridStochasticRounding:
 
 
 def one_bit(rounding=qz.Rounding.STOCHASTIC) -> qz.QuantizerSpec:
-    return qz.QuantizerSpec(1, rounding, one_bit_enhanced=True)
+    return qz.QuantizerSpec(1, rounding)
 
 
 class TestOneBit:
@@ -324,7 +243,7 @@ class TestQuantizeVector:
         v = np.random.default_rng([10]).uniform(-1, 1, 20)
         vec_out = qz.quantize_vector(v, spec, 8.0, np.random.default_rng([11]).random(v.size))
         rng = np.random.default_rng([11])
-        scalar_out = [qz.quantize_pipeline(float(w), spec, 8.0, rng)[0] for w in v]
+        scalar_out = [ref.quantize_pipeline(float(w), spec, 8.0, rng)[0] for w in v]
         assert vec_out.codewords.tolist() == scalar_out
 
     def test_grid_vector_matches_scalar_stream(self):
@@ -353,7 +272,7 @@ class TestQuantizeVector:
         assert out.gain == 3.0 and out.grid is SYMMETRIC
 
     def test_one_bit_enhanced_codewords(self):
-        spec = qz.QuantizerSpec(1, qz.Rounding.NEAREST, one_bit_enhanced=True)
+        spec = qz.QuantizerSpec(1, qz.Rounding.NEAREST)
         out = qz.quantize_vector(np.array([0.3, -0.3, 0.0]), spec, 2.0)
         assert out.codewords.tolist() == [1, -1, 1]
         assert out.dequantize().tolist() == [0.5, -0.5, 0.5]
@@ -381,7 +300,7 @@ def family_spec(family: str, bits: int) -> qz.QuantizerSpec:
     rounding = qz.Rounding.NEAREST if family.endswith("nearest") else qz.Rounding.STOCHASTIC
     if family.startswith("symmetric"):
         return qz.QuantizerSpec(bits, rounding, SYMMETRIC)
-    return qz.QuantizerSpec(bits, rounding, one_bit_enhanced=family.startswith("one_bit"))
+    return qz.QuantizerSpec(bits, rounding)
 
 
 BLOCK_FAMILIES = ["pipeline_nearest", "pipeline_stochastic", "symmetric",
@@ -536,7 +455,7 @@ def transmit_cases(draw):
         scale = 2.0 ** (bits - 1) / rng.uniform(0.01, 100.0, 1 if shared else shape[0])
         scale = float(scale[0]) if shared else scale
     spec = qz.QuantizerSpec(bits, rounding, qz.GridKind.SYMMETRIC if family == "symmetric"
-                            else qz.GridKind.PIPELINE, one_bit_enhanced=family == "one_bit")
+                            else qz.GridKind.PIPELINE)
     stochastic = rounding is qz.Rounding.STOCHASTIC
     uniforms = rng.random(shape) if stochastic or draw(st.booleans()) else None
     return v, spec, scale, uniforms
@@ -564,7 +483,7 @@ class TestTransmit:
         (np.zeros(3), qz.QuantizerSpec(3), 0.0, np.zeros(3)),
         (np.zeros((2, 3)), qz.QuantizerSpec(3, grid=SYMMETRIC), np.array([1.0, math.inf]),
          np.zeros((2, 3))),
-        (np.zeros(3), qz.QuantizerSpec(1, one_bit_enhanced=True), -1.0, np.zeros(3)),
+        (np.zeros(3), qz.QuantizerSpec(1), -1.0, np.zeros(3)),
         (np.array([0.5, -2.0]), qz.QuantizerSpec(3, grid=SYMMETRIC), 1.0, np.zeros(2)),
         (np.array([[0.5], [1.5]]), qz.QuantizerSpec(3, qz.Rounding.NEAREST, SYMMETRIC),
          np.array([1.0, 1.0]), None),
@@ -632,8 +551,8 @@ class TestExpectedSqError:
     @pytest.mark.parametrize("spec, scale", [
         (qz.QuantizerSpec(3, qz.Rounding.NEAREST), 2.0 ** (3 - 1)),
         (qz.QuantizerSpec(4, qz.Rounding.NEAREST), 5.5),
-        (qz.QuantizerSpec(1, qz.Rounding.NEAREST, one_bit_enhanced=True), 2.0 ** (1 - 1)),
-        (qz.QuantizerSpec(1, qz.Rounding.NEAREST, one_bit_enhanced=True), 3.0),
+        (qz.QuantizerSpec(1, qz.Rounding.NEAREST), 2.0 ** (1 - 1)),
+        (qz.QuantizerSpec(1, qz.Rounding.NEAREST), 3.0),
         (qz.QuantizerSpec(3, qz.Rounding.NEAREST, SYMMETRIC), 2.0),
     ], ids=["native", "tuned", "one-bit-native", "one-bit-tuned", "symmetric"])
     @given(st.lists(st.floats(-2, 2), min_size=1, max_size=12))
@@ -718,7 +637,7 @@ class TestSerialization:
             scale = float(np.max(np.abs(v), initial=1.0))
         elif family == "one_bit":
             bits = 1
-            spec = qz.QuantizerSpec(1, one_bit_enhanced=True)
+            spec = qz.QuantizerSpec(1)
             scale = rng.uniform(0.25, 4.0)
         else:
             spec, scale = qz.QuantizerSpec(bits), rng.uniform(0.25, 4.0)
