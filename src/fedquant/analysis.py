@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from . import federation as fed
-from .models import ClientDataset, LossModel, grad, solve_optimum
+from .models import ClientDataset, LossModel, OptimumInfo, grad, solve_optimum
 from .quantizer import GridKind, QuantizerSpec, Rounding, half_step, moments, quantize_grid_sr
 from .streams import NOISE, PILOT, VERIFY, k_subset, philox_stream
 
@@ -53,6 +53,9 @@ __all__ = [
     "pilot_probe_weights",
     "bound_constant",
     "convergence_bound",
+    "bound_variant",
+    "bound_params",
+    "gap_bound",
     "check_sampling_moments",
     "check_rounding_moments",
     "check_differential_moments",
@@ -215,6 +218,53 @@ def convergence_bound(t: int, p: BoundParams, d_const: float) -> float:
     return 2.0 * p.kappa / (p.gamma + t) * (d_const / p.mu + weight_term)
 
 
+def bound_variant(config: fed.FederationConfig) -> tuple[BoundVariant, int | None]:
+    """The variant of ``config``'s quantized link (a weight-mode allowance if
+    none) and the width it reads.  Two quantized links are a ConfigError: no
+    bound here covers both at once, and no sum of their two terms is derived."""
+    quantized = [link for link in config.links if link.scale]
+    if len(quantized) == 2:
+        raise fed.ConfigError(f"no gap bound covers both links of {fed.describe_run(config)}")
+    if not quantized:
+        return BoundVariant.WEIGHT, None
+    link, = quantized
+    if link.mode is not fed.UplinkMode.DIFFERENTIAL:
+        return BoundVariant(link.mode.value if link.name == "uplink" else link.name), None
+    if link.schedule.kind is not fed.ScheduleKind.CONSTANT:
+        raise fed.ConfigError("differential bound requires a constant uplink bit-width")
+    return BoundVariant.DIFFERENTIAL, link.schedule.bits
+
+
+def bound_params(config: fed.FederationConfig, model: LossModel,
+                 datasets: list[ClientDataset], optimum: OptimumInfo) -> BoundParams:
+    """The bound's constants for ``config`` on its solved problem: sigma_k^2
+    and H^2 at the pilot run's probes, Gamma, and ||w0 - w*||^2 from zero."""
+    probes = pilot_probe_weights(config, model, datasets)
+    sigma_sq, h_sq = estimate_noise_bounds(model, datasets, probes, config.batch_size,
+                                           seed=config.seed)
+    return BoundParams(
+        mu=config.mu, lipschitz=config.lipschitz, sigma_sq=sigma_sq, h_sq=h_sq,
+        gamma_noniid=noniid_gamma(model, datasets), weight_bound=config.weight_bound,
+        dim=config.dimension, local_steps=config.local_steps,
+        clients_per_round=config.clients_per_round, num_clients=config.num_clients,
+        w0_gap_sq=float(optimum.w_star @ optimum.w_star))
+
+
+def gap_bound(config: fed.FederationConfig) -> np.ndarray:
+    """The bound on the expected gap after each round of a run of ``config``;
+    a ConfigError if it has no :func:`bound_variant` or its constant D overflows."""
+    variant, bits = bound_variant(config)
+    model, datasets = fed.build_problem(config)
+    optimum = solve_optimum(model, datasets)
+    fed.check_smoothness(config, optimum)
+    params = bound_params(config, model, datasets, optimum)
+    d_const = bound_constant(variant, params, bits)
+    if not np.isfinite(d_const):
+        raise fed.ConfigError(f"{variant.value} bound constant D = {d_const} is not finite "
+                              f"(weight_bound {config.weight_bound:.6g})")
+    return np.array([convergence_bound(t + 1, params, d_const) for t in range(config.rounds)])
+
+
 # ---------------------------------------------------------------------------
 # Executable verifiers
 # ---------------------------------------------------------------------------
@@ -309,11 +359,14 @@ def check_rounding_moments(range_bound: float, bits: int,
     (1/G)^2, and for about 13% of ranges 1/G rounds an ulp above M/(2^B - 1).
     ``monte_carlo_dev``: at one more input, the mean of ``trials`` draws of
     the scalar sampler ``quantize_grid_sr``, written apart from the kernel,
-    lands within four of the kernel's standard errors of the input.
+    lands within four of the kernel's standard errors of the input.  A range
+    whose grid step squared, (2M/(2^B - 1))^2, overflows is rejected.
     """
     if trials < 10_000:
         raise ValueError("trials must be >= 10000")
-    half_step(range_bound, bits)  # the range bound's and width's checks
+    if not math.isfinite(4.0 * _square(half_step(range_bound, bits))):
+        raise ValueError(f"range bound {range_bound:g} is too large for {bits} bits: "
+                         "the square of the grid step 2M/(2^B - 1) overflows")
     spec = QuantizerSpec(bits, grid=GridKind.SYMMETRIC)
     rng = philox_stream(seed, VERIFY, 1)
     probes = rng.uniform(-range_bound, range_bound, size=1000)

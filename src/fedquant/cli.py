@@ -10,12 +10,12 @@ Exit codes: 0 success, 1 failed verification checks, 2 configuration error,
 an output path that cannot be written or an optimum solver that did not
 converge, 3 runtime assumption violation.
 
-Config files are flat ``key=value`` text ('#' starts a comment).  Keys match
-the FederationConfig fields; the two schedule fields are flattened as
-``uplink_schedule`` / ``uplink_bits`` / ``uplink_f`` / ``uplink_p`` (same for
-``downlink_*``).  Unknown keys are errors, and so is a key the configured run
-does not read (``federation.config_reads``).  All floating-point output uses
-17 significant digits so CSVs round-trip exactly.
+Config files are flat ``key=value`` text ('#' starts a comment).  Its keys and
+their value types are ``federation.CONFIG_KEY_TYPES``: the FederationConfig
+fields, each schedule flattened as ``uplink_schedule`` / ``uplink_bits`` /
+``uplink_f`` / ``uplink_p`` (same for ``downlink_*``).  Unknown keys are errors,
+and so is a key the configured run does not read (``federation.config_reads``).
+All floating-point output uses 17 significant digits so CSVs round-trip exactly.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ import csv
 import json
 import platform
 import sys
+import typing
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from . import analysis, federation as fed, models, quantizer as qz
+from . import __version__, analysis, federation as fed, models
 from .streams import VERIFY, philox_stream
 
 _EXIT_OK = 0
@@ -44,53 +44,20 @@ METRICS_HEADER = [
     "uplink_bits_cum", "downlink_bits_cum",
 ]
 
-_INT_KEYS = {
-    "num_clients", "clients_per_round", "local_steps", "rounds", "batch_size",
-    "seed", "dimension", "samples_per_client", "uplink_bits", "downlink_bits",
-}
-_FLOAT_KEYS = {
-    "mu", "lipschitz", "weight_bound", "regularization", "spread", "noise_std",
-    "uplink_f", "uplink_p", "downlink_f", "downlink_p",
-}
-_BOOL_KEYS = {"lq_static"}
-_ENUM_KEYS = {
-    "uplink_mode": fed.UplinkMode,
-    "downlink_mode": fed.DownlinkMode,
-    "rounding": qz.Rounding,
-    "structure": fed.Structure,
-    "grid": qz.GridKind,
-    "model": models.LossKind,
-    "uplink_schedule": fed.ScheduleKind,
-    "downlink_schedule": fed.ScheduleKind,
-}
-_TUPLE_KEYS = {"layer_sizes": int, "layer_feature_scales": float}
-# a link's schedule in config-file keys: the key of each ScheduleSpec field
-_SCHEDULE_KEYS = {link: {"kind": f"{link}_schedule", "bits": f"{link}_bits", "f": f"{link}_f",
-                         "p": f"{link}_p"} for link in ("uplink", "downlink")}
-
 
 def g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_value(key: str, raw: str):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
-            if raw.lower() in ("true", "false"):
-                return raw.lower() == "true"
-            raise ValueError("expected true or false")
-        if key in _ENUM_KEYS:
-            return _ENUM_KEYS[key](raw.lower())
-        if key in _TUPLE_KEYS:
-            cast = _TUPLE_KEYS[key]
-            return tuple(cast(part) for part in raw.split(",") if part.strip())
-    except (ValueError, KeyError) as exc:
-        raise fed.ConfigError(f"bad value for key '{key}': {raw!r} ({exc})") from exc
-    raise fed.ConfigError(f"unknown config key '{key}'")
+def _read_value(kind: object, raw: str):
+    """A config-file value of the declared type ``kind``; a tuple is a comma list."""
+    if typing.get_origin(kind) is tuple:
+        return tuple(typing.get_args(kind)[0](part) for part in raw.split(",") if part.strip())
+    if kind in (int, float):
+        return kind(raw)
+    if kind is bool and raw.lower() not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return raw.lower() == "true" if kind is bool else kind(raw.lower())
 
 
 def parse_config_keys(text: str) -> tuple[fed.FederationConfig, list[str]]:
@@ -106,18 +73,20 @@ def parse_config_keys(text: str) -> tuple[fed.FederationConfig, list[str]]:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key in entries:
             raise fed.ConfigError(f"line {lineno}: duplicate key '{key}'")
-        entries[key] = _parse_value(key, raw)
+        if key not in fed.CONFIG_KEY_TYPES:
+            raise fed.ConfigError(f"unknown config key '{key}'")
+        try:
+            entries[key] = _read_value(fed.CONFIG_KEY_TYPES[key], raw)
+        except ValueError as exc:
+            raise fed.ConfigError(f"bad value for key '{key}': {raw!r} ({exc})") from exc
     keys = list(entries)
 
-    for link, schedule_keys in _SCHEDULE_KEYS.items():
-        spec = {field: entries.pop(key, None) for field, key in schedule_keys.items()}
+    for link, schedule_keys in fed.SCHEDULE_KEYS.items():
+        spec = {field: entries.pop(key, None) for field, (key, _) in schedule_keys.items()}
         if spec["kind"] is not None or spec["bits"] is not None:
             spec["kind"] = spec["kind"] or fed.ScheduleKind.CONSTANT
             entries[f"{link}_schedule"] = fed.ScheduleSpec(**spec)
-    try:
-        return fed.FederationConfig(**entries), keys  # type: ignore[arg-type]
-    except TypeError as exc:
-        raise fed.ConfigError(str(exc)) from exc
+    return fed.FederationConfig(**entries), keys  # type: ignore[arg-type]
 
 
 def parse_config_text(text: str) -> fed.FederationConfig:
@@ -157,9 +126,9 @@ def write_metrics_csv(path: Path, records: list[fed.RoundRecord]) -> None:
 def _config_snapshot(config: fed.FederationConfig) -> dict:
     """The config in config-file keys: every key the run reads, and no other."""
     snap = {name: getattr(config, name) for name in config.__dataclass_fields__}
-    for link, schedule_keys in _SCHEDULE_KEYS.items():
+    for link, schedule_keys in fed.SCHEDULE_KEYS.items():
         spec = snap.pop(f"{link}_schedule")
-        snap.update({key: getattr(spec, field) for field, key in schedule_keys.items()})
+        snap.update({key: getattr(spec, field) for field, (key, _) in schedule_keys.items()})
     reads = fed.config_reads(config)
     return {key: value.value if hasattr(value, "value") else
             list(value) if isinstance(value, tuple) else value
@@ -271,59 +240,17 @@ def _read_gap_column(path: str, expected_rounds: int) -> np.ndarray:
     return gaps
 
 
-def _bound_variant(config: fed.FederationConfig) -> tuple[analysis.BoundVariant, int | None]:
-    """The bound variant of the run's first quantized link, named by a
-    quantized uplink's mode or by the downlink; an unquantized run takes the
-    weight-mode constant (the largest sensible allowance)."""
-    link = next((link for link in config.links if link.scale), None)
-    if link is None:
-        return analysis.BoundVariant.WEIGHT, None
-    variant = analysis.BoundVariant(link.mode.value if link.name == "uplink" else link.name)
-    if variant is not analysis.BoundVariant.DIFFERENTIAL:
-        return variant, None
-    if link.schedule.kind is not fed.ScheduleKind.CONSTANT:
-        raise fed.ConfigError("differential bound requires a constant uplink bit-width")
-    return variant, link.schedule.bits
-
-
 def cmd_bound(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     try:
         _check_out(out_path, directory=False)
         config = load_config(args.config)
-        variant, bits = _bound_variant(config)
-        gaps = np.stack([
-            _read_gap_column(path, config.rounds) for path in args.metrics
-        ])
-    except (fed.ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
+        variant, _ = analysis.bound_variant(config)
+        gaps = np.stack([_read_gap_column(path, config.rounds) for path in args.metrics])
+    except OSError as exc:
+        raise fed.ConfigError(str(exc)) from exc
     gap_mean = gaps.mean(axis=0)
-
-    model, datasets = fed.build_problem(config)
-    optimum = models.solve_optimum(model, datasets)
-    fed.check_smoothness(config, optimum)
-    probes = analysis.pilot_probe_weights(config, model, datasets)
-    sigma_sq, h_sq = analysis.estimate_noise_bounds(
-        model, datasets, probes, config.batch_size, seed=config.seed
-    )
-    params = analysis.BoundParams(
-        mu=config.mu, lipschitz=config.lipschitz, sigma_sq=sigma_sq, h_sq=h_sq,
-        gamma_noniid=analysis.noniid_gamma(model, datasets),
-        weight_bound=config.weight_bound, dim=config.dimension,
-        local_steps=config.local_steps,
-        clients_per_round=config.clients_per_round,
-        num_clients=config.num_clients,
-        w0_gap_sq=float(optimum.w_star @ optimum.w_star),
-    )
-    d_const = analysis.bound_constant(variant, params, bits)
-    if not np.isfinite(d_const):
-        raise fed.ConfigError(f"{variant.value} bound constant D = {d_const} is not finite "
-                              f"(weight_bound {config.weight_bound:.6g})")
-    bounds = np.array([
-        analysis.convergence_bound(t + 1, params, d_const)
-        for t in range(config.rounds)
-    ])
+    bounds = analysis.gap_bound(config)
     try:
         out_path.parent.mkdir(parents=True, exist_ok=True)
         with open(out_path, "w", newline="") as fh:

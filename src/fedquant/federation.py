@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
+import typing
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -80,6 +81,8 @@ __all__ = [
     "ScheduleKind",
     "ScheduleSpec",
     "FederationConfig",
+    "SCHEDULE_KEYS",
+    "CONFIG_KEY_TYPES",
     "config_reads",
     "describe_run",
     "RoundRecord",
@@ -145,11 +148,19 @@ class ScheduleKind(Enum):
     STEP_LOG = "step_log"
 
 
-def _check_finite(fields: dict[str, float | None]) -> None:
-    """Reject a non-finite float config value, naming its key."""
-    for key, value in fields.items():
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {value}")
+@functools.cache
+def _field_types(cls: type) -> dict[str, object]:
+    """Each field of the dataclass ``cls`` and its type, ``X | None`` read as ``X``."""
+    return {name: typing.get_args(hint)[0] if type(None) in typing.get_args(hint) else hint
+            for name, hint in typing.get_type_hints(cls).items()}
+
+
+def _check_finite(config: object, prefix: str = "") -> None:
+    """Reject a non-finite value of any float field, naming it."""
+    for name, kind in _field_types(type(config)).items():
+        value = getattr(config, name)
+        if kind is float and value is not None and not math.isfinite(value):
+            raise ConfigError(f"{prefix}{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -162,7 +173,7 @@ class ScheduleSpec:
     p: float | None = None
 
     def __post_init__(self) -> None:
-        _check_finite({"schedule f": self.f, "schedule p": self.p})
+        _check_finite(self, "schedule ")
         if self.kind is ScheduleKind.CONSTANT:
             if self.bits is None or not 1 <= self.bits <= qz.MAX_BITS:
                 raise ConfigError("constant schedule requires bits >= 1 and "
@@ -209,10 +220,10 @@ class FederationConfig:
     layer_feature_scales: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        _check_finite({key: getattr(self, key) for key in (
-            "mu", "lipschitz", "weight_bound", "regularization", "spread", "noise_std")})
-        _check_finite({f"layer_feature_scales entry {i}": scale
-                       for i, scale in enumerate(self.layer_feature_scales or ())})
+        _check_finite(self)
+        for i, scale in enumerate(self.layer_feature_scales or ()):
+            if not math.isfinite(scale):
+                raise ConfigError(f"layer_feature_scales entry {i} must be finite, got {scale}")
         if self.num_clients < 1:
             raise ConfigError("num_clients must be >= 1")
         if not 1 <= self.clients_per_round <= self.num_clients:
@@ -294,8 +305,16 @@ class FederationConfig:
         return tuple(bounds)
 
 
-# the {link}_* keys a schedule kind reads, if any
-_SCHEDULE_PARTS = {ScheduleKind.CONSTANT: ("bits",), ScheduleKind.STEP_LOG: ("f", "p")}
+# each link's config-file key of each ScheduleSpec field, and the kinds that read it
+SCHEDULE_KEYS = {link: {"kind": (f"{link}_schedule", frozenset(ScheduleKind)),
+                        "bits": (f"{link}_bits", frozenset({ScheduleKind.CONSTANT})),
+                        "f": (f"{link}_f", frozenset({ScheduleKind.STEP_LOG})),
+                        "p": (f"{link}_p", frozenset({ScheduleKind.STEP_LOG}))}
+                 for link in ("uplink", "downlink")}
+# every config-file key and its value's type: each field, a schedule flattened
+CONFIG_KEY_TYPES = _field_types(FederationConfig) | {
+    key: _field_types(ScheduleSpec)[field]
+    for keys in SCHEDULE_KEYS.values() for field, (key, _) in keys.items()}
 
 
 class Link:
@@ -325,9 +344,9 @@ class Link:
             tuned = "bounded" if name == "uplink" else "layers"
             self.scale = "native" if config.structure is Structure.NATIVE else tuned
             reads = ("grid", "structure", "rounding")
-        if self.scale:  # its schedule, and the parts of it its kind reads
-            parts = ("schedule", *_SCHEDULE_PARTS.get(self.schedule.kind, ()))
-            reads += tuple(f"{name}_{part}" for part in parts)
+        if self.scale:  # the schedule keys its schedule's kind reads
+            reads += tuple(key for key, kinds in SCHEDULE_KEYS[name].values()
+                           if self.schedule.kind in kinds)
         self.reads = frozenset(reads)
         self.rounding = config.rounding if "rounding" in reads else qz.Rounding.STOCHASTIC
 

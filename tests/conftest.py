@@ -50,22 +50,8 @@ class QuadraticTestbed:
         return self._gap_cache[key]
 
     def bound_params(self) -> an.BoundParams:
-        cfg = make_testbed_config()
-        probes = an.pilot_probe_weights(cfg, self.model, self.datasets)
-        sigma_sq, h_sq = an.estimate_noise_bounds(
-            self.model, self.datasets, probes, TESTBED["batch_size"],
-            seed=DATA_SEED,
-        )
-        return an.BoundParams(
-            mu=TESTBED["mu"], lipschitz=TESTBED["lipschitz"],
-            sigma_sq=sigma_sq, h_sq=h_sq,
-            gamma_noniid=an.noniid_gamma(self.model, self.datasets),
-            weight_bound=self.weight_bound, dim=TESTBED["dimension"],
-            local_steps=TESTBED["local_steps"],
-            clients_per_round=TESTBED["clients_per_round"],
-            num_clients=TESTBED["num_clients"],
-            w0_gap_sq=float(self.optimum.w_star @ self.optimum.w_star),
-        )
+        cfg = make_testbed_config(weight_bound=self.weight_bound)
+        return an.bound_params(cfg, self.model, self.datasets, self.optimum)
 
 
 @pytest.fixture(scope="session")

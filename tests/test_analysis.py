@@ -168,6 +168,38 @@ class TestBoundConstant:
                            num_clients=1, w0_gap_sq=1.0)
 
 
+def variant_config(**overrides) -> fed.FederationConfig:
+    return fed.FederationConfig(weight_bound=4.0, **overrides)
+
+
+class TestBoundVariant:
+    @pytest.mark.parametrize("overrides, expected", [
+        ({}, (an.BoundVariant.WEIGHT, None)),
+        ({"uplink_mode": fed.UplinkMode.WEIGHT}, (an.BoundVariant.WEIGHT, None)),
+        ({"uplink_mode": fed.UplinkMode.DIFFERENTIAL,
+          "uplink_schedule": fed.ScheduleSpec.constant(3)}, (an.BoundVariant.DIFFERENTIAL, 3)),
+        ({"downlink_mode": fed.DownlinkMode.QUANTIZED}, (an.BoundVariant.DOWNLINK, None)),
+        ({"downlink_mode": fed.DownlinkMode.LAYERED}, (an.BoundVariant.DOWNLINK, None)),
+    ], ids=["float", "weight", "differential", "quantized-downlink", "layered-downlink"])
+    def test_variant_of_the_one_quantized_link(self, overrides, expected):
+        assert an.bound_variant(variant_config(**overrides)) == expected
+
+    def test_differential_requires_a_constant_width(self):
+        config = variant_config(uplink_mode=fed.UplinkMode.DIFFERENTIAL,
+                                uplink_schedule=fed.ScheduleSpec(fed.ScheduleKind.WEIGHT_LOG))
+        with pytest.raises(fed.ConfigError, match="constant uplink bit-width"):
+            an.bound_variant(config)
+
+    @pytest.mark.parametrize("uplink", [fed.UplinkMode.WEIGHT, fed.UplinkMode.DIFFERENTIAL])
+    @pytest.mark.parametrize("downlink", [fed.DownlinkMode.QUANTIZED, fed.DownlinkMode.LAYERED])
+    def test_two_quantized_links_rejected(self, uplink, downlink):
+        config = variant_config(uplink_mode=uplink, downlink_mode=downlink)
+        with pytest.raises(fed.ConfigError, match="no gap bound covers both links of"):
+            an.bound_variant(config)
+        with pytest.raises(fed.ConfigError, match="no gap bound covers both links of"):
+            an.gap_bound(config)
+
+
 class TestConvergenceBound:
     def test_formula_example(self):
         p = an.BoundParams(mu=1.0, lipschitz=1.0, sigma_sq=np.zeros(2),
@@ -252,6 +284,15 @@ class TestRoundingVerifier:
     def test_trials_floor(self):
         with pytest.raises(ValueError):
             an.check_rounding_moments(1.0, 4, trials=100)
+
+    @pytest.mark.parametrize("bits", [1, 4, 16])
+    def test_range_whose_step_squared_overflows_rejected(self, bits):
+        # the largest range whose grid step 2M/(2^B - 1) squares to a finite float
+        edge = np.sqrt(np.finfo(np.float64).max) * (2.0 ** bits - 1.0) / 2.0
+        assert an.check_rounding_moments(edge * (1 - 1e-9), bits).passed
+        for range_bound in (edge * (1 + 1e-9), 1e300, np.finfo(np.float64).max):
+            with pytest.raises(ValueError, match="square of the grid step"):
+                an.check_rounding_moments(range_bound, bits)
 
 
 class TestDifferentialVerifier:

@@ -1,6 +1,7 @@
 """Command-line harness tests: exit codes, artifacts, determinism."""
 
 import csv
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -8,6 +9,8 @@ import pkgutil
 import platform
 import re
 import tempfile
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +84,59 @@ class TestConfigParsing:
     def test_seed_override(self, tmp_path):
         cfg = cli.load_config(write_config(tmp_path), seed_override=42)
         assert cfg.seed == 42
+
+    def test_every_config_field_has_a_key_parsed_by_its_declared_type(self):
+        # each FederationConfig field is one key; a schedule is four, named
+        # {link}_schedule for its kind and {link}_{field} for the others
+        declared = {}
+        for field in dataclasses.fields(fed.FederationConfig):
+            hint = typing.get_type_hints(fed.FederationConfig)[field.name]
+            if hint is not fed.ScheduleSpec:
+                declared[field.name] = (field.name, None, hint)
+                continue
+            link = field.name.removesuffix("_schedule")
+            for part in dataclasses.fields(fed.ScheduleSpec):
+                key = field.name if part.name == "kind" else f"{link}_{part.name}"
+                declared[key] = (field.name, part.name,
+                                 typing.get_type_hints(fed.ScheduleSpec)[part.name])
+        assert set(fed.CONFIG_KEY_TYPES) == set(declared) == set(CONFIG_SAMPLES)
+        text = "".join(f"{key} = {raw}\n" for key, (raw, _) in CONFIG_SAMPLES.items())
+        config, keys = cli.parse_config_keys(text)
+        assert keys == list(CONFIG_SAMPLES)
+        for key, (name, part, hint) in declared.items():
+            value = getattr(config, name)
+            value = value if part is None else getattr(value, part)
+            assert value == CONFIG_SAMPLES[key][1], key
+            kind = typing.get_args(hint)[0] if isinstance(hint, types.UnionType) else hint
+            if typing.get_origin(kind) is tuple:
+                assert type(value) is tuple, key
+                assert {type(item) for item in value} == {typing.get_args(kind)[0]}, key
+            else:
+                assert type(value) is kind, key
+        for name in ("links", "layer_bounds", "kind", "bits", "uplink_kind"):
+            with pytest.raises(fed.ConfigError, match=f"^unknown config key '{name}'$"):
+                cli.parse_config_keys(f"{name} = 1\n")
+
+
+# every config-file key, a text for it and the value it parses to: together
+# a valid FederationConfig, though no run reads all of them
+CONFIG_SAMPLES = {
+    "num_clients": ("6", 6), "clients_per_round": ("3", 3), "local_steps": ("2", 2),
+    "rounds": ("4", 4), "batch_size": ("2", 2), "mu": ("0.125", 0.125),
+    "lipschitz": ("3.5", 3.5), "uplink_mode": ("Weight", fed.UplinkMode.WEIGHT),
+    "downlink_mode": ("layered", fed.DownlinkMode.LAYERED),
+    "uplink_schedule": ("step_log", fed.ScheduleKind.STEP_LOG), "uplink_bits": ("7", 7),
+    "uplink_f": ("2.5", 2.5), "uplink_p": ("1.5", 1.5),
+    "downlink_schedule": ("constant", fed.ScheduleKind.CONSTANT), "downlink_bits": ("5", 5),
+    "downlink_f": ("3.25", 3.25), "downlink_p": ("0.75", 0.75),
+    "rounding": ("stochastic", qz.Rounding.STOCHASTIC),
+    "structure": ("native", fed.Structure.NATIVE), "grid": ("pipeline", qz.GridKind.PIPELINE),
+    "weight_bound": ("4.5", 4.5), "lq_static": ("TRUE", True), "seed": ("9", 9),
+    "model": ("logistic", models.LossKind.LOGISTIC), "regularization": ("0.25", 0.25),
+    "dimension": ("4", 4), "spread": ("0.5", 0.5), "samples_per_client": ("5", 5),
+    "noise_std": ("0.375", 0.375), "layer_sizes": ("1,3", (1, 3)),
+    "layer_feature_scales": ("1.0, 0.5", (1.0, 0.5)),
+}
 
 
 class TestRunCommand:
@@ -596,6 +652,8 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("argv", [
         *(["rounding", "--range-bound", bad] for bad in ("0", "-1", "nan", "inf")),
+        # a grid step whose square overflows: once a traceback or an inf variance
+        *(["rounding", "--range-bound", big] for big in ("1e308", "1e200", "1.3e155")),
         ["rounding", "--bits", "0"],
         ["differential", "--bits", "0"],
         ["differential", "--dim", "0"],
@@ -700,6 +758,36 @@ class TestBoundCommand:
                          "--out", str(tmp_path / "b.csv"),
                          str(out / "metrics.csv")])
         assert code == 2
+
+
+# the README testbed's 60 rounds with a quantized uplink and a quantized downlink
+TWO_QUANTIZED_LINKS = {
+    "differential-downlink_log": "uplink_mode = differential\nuplink_bits = 4\n"
+    "downlink_mode = quantized\ndownlink_schedule = downlink_log\n",
+    "weight-quantized": "uplink_mode = weight\nuplink_bits = 6\ngrid = pipeline\n"
+    "downlink_mode = quantized\ndownlink_bits = 6\n",
+    "differential-layered": "uplink_mode = differential\nuplink_bits = 4\n"
+    "downlink_mode = layered\ndownlink_bits = 6\n",
+}
+
+
+@pytest.mark.parametrize("links", TWO_QUANTIZED_LINKS)
+def test_bound_on_two_quantized_links_is_a_config_error(tmp_path, capsys, links):
+    # no bound variant holds both links' quantization terms: the config is
+    # rejected before any metrics file is read, not bounded on one link
+    config = write_config(tmp_path, TESTBED_60 + "weight_bound = 4\n" + TWO_QUANTIZED_LINKS[links])
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", config, "--out", str(out)]) == 0
+    capsys.readouterr()
+    describe = fed.describe_run(cli.load_config(config))
+    for metrics in (out / "metrics.csv", tmp_path / "missing.csv"):
+        assert cli.main(["bound", "--config", config, "--out", str(tmp_path / "b.csv"),
+                         str(metrics)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"config error: no gap bound covers both links of {describe}"]
+        assert not (tmp_path / "b.csv").exists()
 
 
 # a well-formed row of metrics.csv edited into each malformation

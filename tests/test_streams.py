@@ -112,11 +112,15 @@ def test_each_command_draws_from_each_address_at_most_once(tmp_path, monkeypatch
     drawn = record_addresses(monkeypatch)
     config = tmp_path / "run.cfg"
     config.write_text(LOGISTIC_CONFIG + f"seed = {seed}\n")
+    # the gap bound covers one quantized link, so bound reads the float-downlink twin
+    one_link = tmp_path / "one_link.cfg"
+    float_downlink = LOGISTIC_CONFIG.replace("downlink_mode = quantized", "downlink_mode = float")
+    one_link.write_text(float_downlink + f"seed = {seed}\n")
     metrics = tmp_path / "out" / "metrics.csv"
     commands = [
         (["run", "--config", str(config), "--out", str(metrics.parent)],
          {DATA, SPLIT, ROUND, CLIENT}),
-        (["bound", "--config", str(config), "--out", str(tmp_path / "b.csv"), str(metrics)],
+        (["bound", "--config", str(one_link), "--out", str(tmp_path / "b.csv"), str(metrics)],
          {DATA, SPLIT, ROUND, CLIENT, PILOT, NOISE}),
         (["verify", "sampling", "--seed", str(seed)], {VERIFY}),
         (["verify", "rounding", "--seed", str(seed)], {VERIFY}),
